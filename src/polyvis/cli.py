@@ -70,10 +70,7 @@ def _solve_kind(g: Graph, kind: str, stats: dict[str, int]) -> tuple[str, list[l
 
 
 def _solve_tower(g: Graph, stats: dict[str, int]) -> list[list[int]]:
-    try:
-        return [list(c.order) for c in tower.solve_tower(g)]
-    except tower.NotTowerError:
-        return []
+    return [list(c.order) for c in tower.solve_tower(g)]
 
 
 def _solve_pseudo_tower(g: Graph, stats: dict[str, int]) -> list[list[int]]:
@@ -211,7 +208,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--kind", choices=["tower", "pseudo-tower", "pseudo-triangle", "auto"],
                     default="auto")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_solve)
 
     gp = sub.add_parser("gen", help="generate a polygon (or pseudo-tower graph) file")

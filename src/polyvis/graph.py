@@ -7,9 +7,8 @@ threads or processes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 
 class GraphParseError(ValueError):
@@ -132,24 +131,34 @@ def is_cycle_in_graph(g: Graph, c: CycleCandidate) -> bool:
     return all(b in nbr[a] for a, b in zip(order, order[1:] + order[:1]))
 
 
+def bfs_layers(
+    nbr: Callable[[int], AbstractSet[int]], start: int, unvisited: set[int]
+) -> list[set[int]]:
+    """Breadth-first layers from ``start`` inside ``unvisited``.
+
+    ``nbr`` maps a vertex to its neighbor set.  Every vertex reached, ``start``
+    included, is removed from ``unvisited``, so repeated calls on the same set
+    peel off one connected component each.
+    """
+    unvisited.discard(start)
+    layers = [{start}]
+    while True:
+        reached: set[int] = set()
+        for u in layers[-1]:
+            reached |= nbr(u) & unvisited
+        if not reached:
+            return layers
+        unvisited -= reached
+        layers.append(reached)
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertex set into maximal connected sets, sorted by smallest member."""
-    seen: set[int] = set()
+    unvisited = set(range(g.n))
     comps: list[frozenset[int]] = []
     for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
+        if start in unvisited:
+            comps.append(frozenset().union(*bfs_layers(g.nbr_set, start, unvisited)))
     return comps
 
 

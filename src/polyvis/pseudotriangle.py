@@ -12,20 +12,27 @@ Cap discovery is done once per top.  The levels grown from the top by the
 rules of ``tower.level_sets`` form a branching tree whose states do not
 depend on the split edge, so each state is expanded once and shared by every
 edge (``_LevelTree``).  Each edge walks that tree without its own endpoints
-and reads its caps off the states where its base shows up.  Obeying the
-leveling rules keeps the walk from emitting most of the caps that would then
-fail to level as a tower.  Each walk has a state budget, which no corpus
-graph reaches; the stats of ``solve`` count every walk it cuts short as
-``cap_truncated``.
+and reads its caps off the states where its base shows up; ``extract_cap``
+returns them as a sorted list of vertex sets.  Obeying the leveling rules
+keeps the walk from emitting most of the caps that would then fail to level
+as a tower.  Each walk has a state budget, which no corpus graph reaches; the
+stats of ``solve`` count every walk it cuts short as ``cap_truncated``.
+
+The cap's borderings are filtered once per decomposition.  Up to
+``_EXHAUSTIVE_COMPONENTS`` constraint components every bordering is checked;
+beyond that a sweep keeps at most one, and the stats of ``solve`` count each
+such decomposition as ``bordering_swept``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .graph import (
     CycleCandidate,
     Graph,
+    bfs_layers,
     canonicalize,
     induced_subgraph,
     is_connected,
@@ -49,7 +56,7 @@ class NotPseudoTriangleError(ValueError):
 
 _BRANCH_CAP = 64  # cap-discovery states per split-edge walk: max(this, 4n)
 _PART_LIMIT = 64  # boundary readings kept per side part
-_EXHAUSTIVE_COMPONENTS = 7  # below this, check every cap bordering directly
+_EXHAUSTIVE_COMPONENTS = 7  # up to this, check every cap bordering directly
 
 
 @dataclass(frozen=True)
@@ -72,11 +79,8 @@ class Chain:
 @dataclass(frozen=True)
 class SplitDecomposition:
     """A split-edge decomposition: the cap above the split edge plus the two
-    flanking parts.
-
-    ``cap_base`` holds the cap vertices adjacent to both split-edge endpoints,
-    ``cap_upper`` the ones discovered above them by leveling; together they
-    partition the cap.  ``split_edge[0]`` lies in ``part_a``.
+    flanking parts.  Together they partition the vertices, ``top`` lies in the
+    cap and ``split_edge[0]`` in ``part_a``.
     """
 
     top: int
@@ -84,8 +88,6 @@ class SplitDecomposition:
     cap: frozenset[int]
     part_a: frozenset[int]
     part_b: frozenset[int]
-    cap_base: frozenset[int]
-    cap_upper: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -98,16 +100,6 @@ class PartSolution:
 
     path: tuple[int, ...]
     top: int
-
-
-@dataclass(frozen=True)
-class SplitChain:
-    """Bottom-chain windows used by the bordering constraints."""
-
-    shared: frozenset[int]  # seen by both deepest cap vertices
-    near_a: frozenset[int]  # seen from part_a's first vertex below the cap
-    near_b: frozenset[int]
-    ordered: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -137,32 +129,6 @@ def top_joint_candidates(g: Graph) -> frozenset[int]:
             f"{len(cands)} minimum-degree vertices: not a pseudo-triangle visibility graph"
         )
     return cands
-
-
-def chain_neighborhood(g: Graph, chain: Chain, p: int) -> frozenset[int]:
-    """Neighbors of p lying on the given chain."""
-    return g.nbr_set(p) & frozenset(chain.vertices)
-
-
-def split_edge_candidates(g: Graph, top: int) -> list[tuple[int, int]]:
-    """Every edge not incident to the top, in both orientations, sorted."""
-    out: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        if u == top or v == top:
-            continue
-        out.append((u, v))
-        out.append((v, u))
-    out.sort()
-    return out
-
-
-def degenerate_candidates(g: Graph, top: int) -> list[tuple[int, int]]:
-    """Split-edge candidates for the single-gate case: each prospective gate
-    vertex paired with each neighbor, both walk directions.  Chain labels are
-    unknown before solving, so this is the same set as split_edge_candidates;
-    the solver deduplicates.
-    """
-    return split_edge_candidates(g, top)
 
 
 class _LevelTree:
@@ -213,8 +179,8 @@ class _LevelTree:
 
 def extract_cap(
     g: Graph, top: int, e: tuple[int, int], tree: _LevelTree | None = None
-) -> list[tuple[frozenset[int], frozenset[int], frozenset[int]]]:
-    """Candidate caps for split edge ``e``: each is (cap, base, upper).
+) -> list[frozenset[int]]:
+    """Candidate caps for split edge ``e``, sorted by their sorted members.
 
     base = vertices adjacent to both endpoints of e; if the top is among them
     the cap is just the base.  Otherwise levels are grown from the top inside
@@ -224,8 +190,7 @@ def extract_cap(
     carrier.  A two-vertex candidate may also hold a flank vertex that sees
     the whole current level, so each member is tried alone as well.  Wherever
     a candidate level meets the base, everything placed so far plus the base
-    is a cap, and ``upper`` is the rest of the cap.  An empty list rejects
-    the edge.
+    is a cap.  An empty list rejects the edge.
 
     ``tree`` is the top's shared level tree; solve passes one per top so that
     the states are expanded once for all edges.  Each edge's walk expands at
@@ -241,7 +206,7 @@ def extract_cap(
     if not base:
         return []
     if top in base:
-        return [(base, base, frozenset())]
+        return [base]
     if tree is None:
         tree = _LevelTree(g, top)
 
@@ -288,9 +253,8 @@ def extract_cap(
         tn = top_nbrs & cap
         if len(tn) > 2 or (len(tn) == 2 and not g.has_edge(*tn)):
             continue
-        results.append((cap, base, cap - base))
-    results.sort(key=lambda t: sorted(t[0]))
-    return results
+        results.append(cap)
+    return sorted(results, key=sorted)
 
 
 def split_parts(
@@ -304,35 +268,21 @@ def split_parts(
     if w0 not in rest or w1 not in rest:
         return None
     cut = {w0: {w1}, w1: {w0}}  # the split edge itself is cut
-    comps: list[set[int]] = []
-    unvisited = rest
-    while unvisited:
-        start = min(unvisited)
-        unvisited.discard(start)
-        comp = {start}
-        frontier = {start}
-        while frontier:
-            reached: set[int] = set()
-            for u in frontier:
-                nb = g.nbr_set(u)
-                reached |= (nb - cut[u] if u in cut else nb) & unvisited
-            unvisited -= reached
-            comp |= reached
-            frontier = reached
-        comps.append(comp)
-        if len(comps) > 2:
-            return None
-    if len(comps) != 2:
+
+    def nbr(u: int) -> frozenset[int]:
+        nb = g.nbr_set(u)
+        return nb - cut[u] if u in cut else nb
+
+    part_a = frozenset().union(*bfs_layers(nbr, w0, rest))
+    if w1 not in rest:
         return None
-    a, b = comps
-    if w0 in a and w1 in b:
-        return frozenset(a), frozenset(b)
-    if w0 in b and w1 in a:
-        return frozenset(b), frozenset(a)
-    return None
+    part_b = frozenset().union(*bfs_layers(nbr, w1, rest))
+    if rest:  # a third component
+        return None
+    return part_a, part_b
 
 
-def part_paths(g: Graph, part: frozenset[int], end: int, limit: int = _PART_LIMIT) -> list[PartSolution]:
+def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     """Boundary readings of a side part as Hamiltonian paths ending at its
     split-edge endpoint.
 
@@ -382,43 +332,9 @@ def part_paths(g: Graph, part: frozenset[int], end: int, limit: int = _PART_LIMI
                 continue
             seen_paths.add(path)
             out.append(PartSolution(path, old_of[chain_w[0]]))
-            if len(out) >= limit:
+            if len(out) >= _PART_LIMIT:
                 return sorted(out, key=lambda p: p.path)
     return sorted(out, key=lambda p: p.path)
-
-
-def compute_split_chain(
-    g: Graph,
-    dec: SplitDecomposition,
-    pa: int,
-    pb: int,
-    sol_a: PartSolution,
-    sol_b: PartSolution,
-) -> SplitChain | None:
-    """Bottom-chain windows for the bordering constraints.
-
-    ``shared`` is the stretch of the parts seen by both deepest cap vertices
-    (pa on the part-a side, pb on the part-b side); ``near_a``/``near_b``
-    extend it with what the first below-cap vertex of each part sees.  Empty
-    ``shared`` rejects the bordering.
-    """
-    ab = dec.part_a | dec.part_b
-    shared = g.nbr_set(pa) & g.nbr_set(pb) & ab
-    if not shared:
-        return None
-    ia = sol_a.path.index(sol_a.top)
-    ib = sol_b.path.index(sol_b.top)
-    p1 = sol_a.path[0]
-    q1 = sol_b.path[0]
-    # Windows live strictly inside the bottom-chain walks of the parts: the
-    # chain remnants above the joints never qualify, and neither do the joints
-    # themselves (a far corner is legitimately visible from the other side).
-    near_a = (g.nbr_set(p1) & frozenset(sol_a.path[ia + 1 :])) - shared
-    near_b = (g.nbr_set(q1) & frozenset(sol_b.path[ib + 1 :])) - shared
-    members = shared | near_a | near_b
-    walk = list(sol_a.path[ia:]) + list(reversed(sol_b.path[ib:]))
-    ordered = tuple(v for v in walk if v in members)
-    return SplitChain(frozenset(shared), frozenset(near_a), frozenset(near_b), ordered)
 
 
 def _sides(ctx: _CapContext, b: Bordering) -> tuple[list[int], list[int]]:
@@ -432,14 +348,16 @@ def _find_violation(
     ctx: _CapContext,
     left: list[int],
     right: list[int],
-    sol_a: PartSolution,
-    sol_b: PartSolution,
 ) -> tuple[int | None, bool]:
-    """First constraint violation in top-to-bottom order, or (None, ok)."""
+    """First constraint violation in top-to-bottom order, or (None, ok).
+
+    The deepest cap vertices of the two sides must share a neighbor in the
+    parts; if they share none, the left side's deepest vertex (the right
+    side's when the left is empty) is the violation.
+    """
     pa = left[-1] if left else dec.top
     pb = right[-1] if right else dec.top
-    sc = compute_split_chain(g, dec, pa, pb, sol_a, sol_b)
-    if sc is None:
+    if not g.nbr_set(pa) & g.nbr_set(pb) & (dec.part_a | dec.part_b):
         if left:
             return left[-1], False
         if right:
@@ -472,8 +390,6 @@ def apply_bordering_constraints(
     dec: SplitDecomposition,
     ctx: _CapContext,
     cb: Bordering,
-    sol_a: PartSolution,
-    sol_b: PartSolution,
 ) -> list[Bordering]:
     """Sweep the cap top-to-bottom from the given bordering; on a violation the
     violating vertex's whole constraint component is swapped.   A component
@@ -486,7 +402,7 @@ def apply_bordering_constraints(
     swaps = [0] * len(comps)
     for _ in range(2 * len(comps) + 2):
         ls, rs = _sides(ctx, Bordering(frozenset(left), frozenset(right)))
-        bad, ok = _find_violation(g, dec, ctx, ls, rs, sol_a, sol_b)
+        bad, ok = _find_violation(g, dec, ctx, ls, rs)
         if ok:
             return [Bordering(frozenset(left), frozenset(right))]
         if bad is None:
@@ -601,12 +517,20 @@ def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     into each side part grows monotonically down the cap, and the joints are
     the chain endpoints.
     """
-    if not is_cycle_in_graph(g, sol.cycle):
-        return False
     chains = tuple(ch.vertices for ch in sol.chains)
-    if not _necessary_conditions(g, chains):
-        return False
-    left, _, right = chains
+    return (
+        is_cycle_in_graph(g, sol.cycle)
+        and _necessary_conditions(g, chains)
+        and _decomposition_ok(g, sol)
+    )
+
+
+def _decomposition_ok(g: Graph, sol: PseudoTriangleSolution) -> bool:
+    """The conditions of verify_candidate that read the decomposition: the
+    joints are the chain endpoints, and visibility into each side part grows
+    monotonically down the cap.
+    """
+    left, _, right = (ch.vertices for ch in sol.chains)
     dec = sol.decomposition
     if sol.joints != (left[0], left[-1], right[-1]):
         return False
@@ -700,7 +624,7 @@ def _solve_from_tops(
             if not caps:
                 bump("cap_rejected")
                 continue
-            for cap, cap_base, cap_upper in caps:
+            for cap in caps:
                 ctx_key = (top, cap)
                 if ctx_key not in ctx_cache:
                     ctx_cache[ctx_key] = _cap_context(g, cap, top)
@@ -714,9 +638,7 @@ def _solve_from_tops(
                         bump("split_rejected")
                         continue
                     part_a, part_b = split if e == pair else (split[1], split[0])
-                    dec = SplitDecomposition(
-                        top, e, cap, part_a, part_b, cap_base, cap_upper
-                    )
+                    dec = SplitDecomposition(top, e, cap, part_a, part_b)
                     key_a = (part_a, e[0])
                     if key_a not in path_cache:
                         path_cache[key_a] = part_paths(g, part_a, e[0])
@@ -730,25 +652,26 @@ def _solve_from_tops(
                     if not sols_a or not sols_b:
                         bump("part_rejected")
                         continue
-                    for sol_a in sols_a:
-                        for sol_b in sols_b:
-                            for b in _cap_borderings(g, dec, cap_ctx, sol_a, sol_b):
-                                variants = assemble_hamiltonian(
-                                    g, dec, cap_ctx, b, sol_a, sol_b
-                                )
-                                if not variants:
-                                    bump("assembly_rejected")
-                                    continue
-                                for sol in variants:
-                                    chains = tuple(c.vertices for c in sol.chains)
-                                    if chains not in chain_cache:
-                                        chain_cache[chains] = _necessary_conditions(g, chains)
-                                    if not chain_cache[chains] or not verify_candidate(g, sol):
-                                        bump("verify_rejected")
-                                        continue
-                                    bump("accepted")
-                                    found.setdefault(sol.cycle.order, sol)
-                                    break
+                    if len(cap_ctx.bg.components) > _EXHAUSTIVE_COMPONENTS:
+                        bump("bordering_swept")
+                    borderings = _cap_borderings(g, dec, cap_ctx)
+                    for sol_a, sol_b, b in product(sols_a, sols_b, borderings):
+                        variants = assemble_hamiltonian(g, dec, cap_ctx, b, sol_a, sol_b)
+                        if not variants:
+                            bump("assembly_rejected")
+                            continue
+                        # The cycle is in g; verify_candidate's other checks
+                        # are the cached chain verdict and _decomposition_ok.
+                        for sol in variants:
+                            chains = tuple(c.vertices for c in sol.chains)
+                            if chains not in chain_cache:
+                                chain_cache[chains] = _necessary_conditions(g, chains)
+                            if not chain_cache[chains] or not _decomposition_ok(g, sol):
+                                bump("verify_rejected")
+                                continue
+                            bump("accepted")
+                            found.setdefault(sol.cycle.order, sol)
+                            break
         if tree.truncated:
             bump("cap_truncated", tree.truncated)
 
@@ -815,20 +738,18 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> _CapContext | None:
 
 
 def _cap_borderings(
-    g: Graph,
-    dec: SplitDecomposition,
-    ctx: _CapContext,
-    sol_a: PartSolution,
-    sol_b: PartSolution,
+    g: Graph, dec: SplitDecomposition, ctx: _CapContext
 ) -> list[Bordering]:
-    ncomp = len(ctx.bg.components)
-    if ncomp <= _EXHAUSTIVE_COMPONENTS:
-        out = []
-        for b in enumerate_borderings(ctx.bg):
-            ls, rs = _sides(ctx, b)
-            _, ok = _find_violation(g, dec, ctx, ls, rs, sol_a, sol_b)
-            if ok:
-                out.append(b)
-        return out
-    start = enumerate_borderings(ctx.bg, limit=1)[0]
-    return apply_bordering_constraints(g, dec, ctx, start, sol_a, sol_b)
+    """The cap borderings that pass the constraints: every one of them up to
+    _EXHAUSTIVE_COMPONENTS constraint components, and beyond that the at
+    most one that the sweep from the first bordering keeps.
+    """
+    if len(ctx.bg.components) > _EXHAUSTIVE_COMPONENTS:
+        start = enumerate_borderings(ctx.bg, limit=1)[0]
+        return apply_bordering_constraints(g, dec, ctx, start)
+    out = []
+    for b in enumerate_borderings(ctx.bg):
+        ls, rs = _sides(ctx, b)
+        if _find_violation(g, dec, ctx, ls, rs)[1]:
+            out.append(b)
+    return out

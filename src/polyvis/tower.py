@@ -8,10 +8,9 @@ one Hamiltonian cycle candidate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import CycleCandidate, Graph, canonicalize, is_cycle_in_graph
+from .graph import CycleCandidate, Graph, bfs_layers, canonicalize, is_cycle_in_graph
 
 
 class NotTowerError(ValueError):
@@ -186,24 +185,21 @@ def bordering_constraints(
         adj[a].add(b)
         adj[b].add(a)
 
+    # Color by BFS layer parity; the graph is bipartite iff no edge joins two
+    # vertices of one layer.
     coloring: dict[int, int] = {}
     comps: list[frozenset[int]] = []
+    unvisited = set(nodes)
     for start in sorted(nodes):
-        if start in coloring:
+        if start not in unvisited:
             continue
-        coloring[start] = 0
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in coloring:
-                    coloring[w] = coloring[u] ^ 1
-                    comp.add(w)
-                    queue.append(w)
-                elif coloring[w] == coloring[u]:
+        layers = bfs_layers(adj.__getitem__, start, unvisited)
+        for depth, layer in enumerate(layers):
+            for u in layer:
+                if adj[u] & layer:
                     raise NotTowerError("constraint graph has an odd cycle")
-        comps.append(frozenset(comp))
+                coloring[u] = depth & 1
+        comps.append(frozenset().union(*layers))
     return BorderingGraph(nodes, frozenset(constraints), tuple(comps), coloring)
 
 
@@ -291,28 +287,18 @@ def check_strong_ordering(g: Graph, h: CycleCandidate) -> bool:
     if not residual:
         return True
 
-    res_deg: dict[int, int] = {v: 0 for v in range(n)}
     res_adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in residual:
-        res_deg[u] += 1
-        res_deg[v] += 1
         res_adj[u].add(v)
         res_adj[v].add(u)
-    isolated = [v for v in range(n) if res_deg[v] == 0]
+    isolated = [v for v in range(n) if not res_adj[v]]
     if not 1 <= len(isolated) <= 2:
         return False
 
-    active = {v for v in range(n) if res_deg[v] > 0}
-    start = min(active)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in res_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != active:
+    # The rest is connected iff one BFS leaves no active vertex unvisited.
+    active = {v for v in range(n) if res_adj[v]}
+    bfs_layers(res_adj.__getitem__, min(active), active)
+    if active:
         return False
 
     return any(_strong_from_top(g, h, residual, t) for t in isolated)

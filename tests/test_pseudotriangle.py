@@ -9,13 +9,9 @@ from polyvis import (
     assemble_hamiltonian,
     boundary_cycle,
     canonicalize,
-    chain_neighborhood,
-    compute_split_chain,
-    degenerate_candidates,
     extract_cap,
     gen_pseudo_triangle,
     solve_pseudo_triangle,
-    split_edge_candidates,
     split_parts,
     top_joint_candidates,
     verify_candidate,
@@ -49,46 +45,13 @@ def test_top_candidates_too_many_rejected():
         top_joint_candidates(g)  # six minimum-degree vertices
 
 
-def test_chain_neighborhood_contiguous(pt6_graph):
-    w = Chain((2, 3, 4))
-    assert chain_neighborhood(pt6_graph, w, 0) == frozenset({3})
-    window = sorted(
-        w.vertices.index(v) for v in chain_neighborhood(pt6_graph, w, 1)
-    )
-    assert window == list(range(window[0], window[0] + len(window)))
-
-
-def test_split_edge_candidates_k3(k3):
-    assert split_edge_candidates(k3, 0) == [(1, 2), (2, 1)]
-
-
-def test_split_edge_candidates_count_pt6(pt6_graph):
-    cands = split_edge_candidates(pt6_graph, 0)
-    assert len(cands) == 2 * (pt6_graph.m - pt6_graph.degree(0)) == 18
-
-
-def test_split_edge_candidates_edgeless():
-    g = Graph(3, frozenset())
-    assert split_edge_candidates(g, 0) == []
-
-
-def test_degenerate_candidates_match(pt6_graph, k3):
-    assert degenerate_candidates(k3, 0) == split_edge_candidates(k3, 0)
-    assert degenerate_candidates(pt6_graph, 0) == split_edge_candidates(pt6_graph, 0)
-
-
 def test_extract_cap_pt6(pt6_graph):
-    caps = extract_cap(pt6_graph, 0, (3, 4))
-    assert len(caps) == 1
-    cap, base, upper = caps[0]
-    assert cap == frozenset({0, 1, 5})
-    assert base == frozenset({1, 5})
-    assert upper == frozenset({0})
+    assert extract_cap(pt6_graph, 0, (3, 4)) == [frozenset({0, 1, 5})]
 
 
 def test_extract_cap_top_in_base(k3):
     caps = extract_cap(k3, 0, (1, 2))
-    assert caps == [(frozenset({0}), frozenset({0}), frozenset())]
+    assert caps == [frozenset({0})]
 
 
 def test_extract_cap_rejects_without_common_neighbor():
@@ -103,8 +66,11 @@ def test_extract_cap_shared_tree_matches_fresh():
     g = visibility_graph(gen_pseudo_triangle(24, 3))
     for top in sorted(top_joint_candidates(g)):
         tree = _LevelTree(g, top)
-        for e in split_edge_candidates(g, top):
-            assert extract_cap(g, top, e, tree) == extract_cap(g, top, e)
+        for u, v in sorted(g.edges):
+            if top in (u, v):
+                continue
+            for e in ((u, v), (v, u)):
+                assert extract_cap(g, top, e, tree) == extract_cap(g, top, e)
         assert tree.truncated == 0
 
 
@@ -122,38 +88,34 @@ def test_split_parts_rejects_connected_rest(pt6_graph):
 
 
 def _pt6_true_decomposition(pt6_graph):
-    (cap, base, upper), = extract_cap(pt6_graph, 0, (3, 4))
+    (cap,) = extract_cap(pt6_graph, 0, (3, 4))
     part_a, part_b = split_parts(pt6_graph, cap, (3, 4))
-    dec = SplitDecomposition(0, (3, 4), cap, part_a, part_b, base, upper)
+    dec = SplitDecomposition(0, (3, 4), cap, part_a, part_b)
     sol_a = PartSolution((2, 3), 2)
     sol_b = PartSolution((4,), 4)
     return dec, sol_a, sol_b
 
 
-def test_compute_split_chain_pt6(pt6_graph):
-    dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    sc = compute_split_chain(pt6_graph, dec, 1, 5, sol_a, sol_b)
-    assert sc is not None
-    assert 3 in sc.shared  # both deepest cap vertices see the bottom dent
-    assert sc.near_a == frozenset() and sc.near_b == frozenset()
-    assert list(sc.ordered) == sorted(sc.shared, key=sc.ordered.index)
-
-
-def test_compute_split_chain_empty_rejects(pt6_graph):
-    dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    # vertex 0 sees nothing of the parts except via 3; pairing it with itself
-    # as both chain bottoms gives a window, but a vertex with no shared view
-    # must reject: use 2 and 4 whose common view inside the parts is empty.
-    g2 = Graph(6, frozenset(set(pt6_graph.edges) - {(0, 3)}))
-    sc = compute_split_chain(g2, dec, 0, 0, sol_a, sol_b)
-    assert sc is None
+def test_apply_bordering_constraints_rejects_no_shared_view(pt6_graph):
+    dec, _, _ = _pt6_true_decomposition(pt6_graph)
+    ctx = _cap_context(pt6_graph, dec.cap, 0)
+    (start,) = enumerate_borderings(ctx.bg)
+    # 1 and 5 are the deepest cap vertices of the two sides.  With every edge
+    # from 1 into the parts cut, they share no neighbor there, so either
+    # orientation of the one constraint component is rejected.
+    parts = dec.part_a | dec.part_b
+    g2 = Graph(6, frozenset(set(pt6_graph.edges) - {(1, 2), (1, 3), (1, 4)}))
+    assert pt6_graph.nbr_set(1) & pt6_graph.nbr_set(5) & parts
+    assert not g2.nbr_set(1) & g2.nbr_set(5) & parts
+    assert apply_bordering_constraints(pt6_graph, dec, ctx, start) == [start]
+    assert apply_bordering_constraints(g2, dec, ctx, start) == []
 
 
 def test_apply_bordering_constraints_pt6(pt6_graph):
     dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
     ctx = _cap_context(pt6_graph, dec.cap, 0)
     (start,) = enumerate_borderings(ctx.bg)
-    accepted = apply_bordering_constraints(pt6_graph, dec, ctx, start, sol_a, sol_b)
+    accepted = apply_bordering_constraints(pt6_graph, dec, ctx, start)
     assert len(accepted) == 1
     sols = assemble_hamiltonian(pt6_graph, dec, ctx, accepted[0], sol_a, sol_b)
     assert any(s.cycle.order == (0, 1, 2, 3, 4, 5) for s in sols)
@@ -198,8 +160,7 @@ def test_verify_candidate_rejects_same_chain_chord(pt6_graph):
     # Claim a wrong chain split for the true cycle: bottom chain (1, 2, 3)
     # carries the visibility chord 1-3, violating concavity.
     dec = SplitDecomposition(
-        5, (2, 3), frozenset({5, 0, 1}), frozenset({2}), frozenset({3, 4}),
-        frozenset({0, 1}), frozenset({5}),
+        5, (2, 3), frozenset({5, 0, 1}), frozenset({2}), frozenset({3, 4})
     )
     sol = PseudoTriangleSolution(
         canonicalize((0, 1, 2, 3, 4, 5)),
@@ -256,3 +217,29 @@ def test_solution_chains_concatenate_to_cycle(pt6_graph):
         left, bottom, right = (c.vertices for c in s.chains)
         walk = list(left) + list(bottom[1:]) + list(reversed(right))[1:-1]
         assert canonicalize(walk) == s.cycle
+
+
+def _ladder(levels: int) -> Graph:
+    # Top 0 sees 1 and 2; each level {2i+1, 2i+2} is a clique and consecutive
+    # levels are completely joined.
+    edges = [(0, 1), (0, 2)]
+    for i in range(levels):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges.append((a, b))
+        if i + 1 < levels:
+            edges += [(x, y) for x in (a, b) for y in (a + 2, b + 2)]
+    return Graph.from_edges(2 * levels + 1, edges)
+
+
+def test_solve_counts_bordering_sweeps():
+    # Eight levels stay within the exhaustive bordering check; ten give caps
+    # with more constraint components, whose borderings the sweep cuts down
+    # to at most one per decomposition, and the stats say so.
+    stats: dict[str, int] = {}
+    assert len(solve_pseudo_triangle(_ladder(8), stats)) == 128
+    assert "bordering_swept" not in stats
+    stats = {}
+    g = _ladder(10)
+    sols = solve_pseudo_triangle(g, stats)
+    assert sols and all(verify_candidate(g, s) for s in sols)
+    assert stats["bordering_swept"] > 0
