@@ -1,9 +1,10 @@
 """Ground-truth geometry: exact polygons, visibility graphs and generators.
 
 Everything here works on an integer grid with exact arithmetic, so the
-visible/blocked predicate is two-valued.  Generators enforce general position
-(no three vertices collinear anywhere) by resampling, and are deterministic
-per (n, seed).
+visible/blocked predicate is two-valued.  Visibility comes from ``kernels``,
+the one exact visibility kernel (pure Python, O(n^3) per graph).  Generators
+enforce general position (no three vertices collinear anywhere) by
+resampling, and are deterministic per (n, seed).
 """
 
 from __future__ import annotations

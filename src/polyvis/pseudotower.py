@@ -75,9 +75,7 @@ def extract_tail(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(tail), residual
 
 
-def solve_pseudo_tower(
-    g: Graph, bordering_limit: int | None = None
-) -> list[PseudoTowerSolution]:
+def solve_pseudo_tower(g: Graph) -> list[PseudoTowerSolution]:
     """All consistent chain pairs: extract the tail, run tower leveling and
     borderings on the residual for every apex candidate, and append the tail
     to the chain ending at its attachment vertex.
@@ -111,7 +109,7 @@ def solve_pseudo_tower(
             continue
         any_leveling = True
         lv_orig = _relabel_leveling(lv, old_of)
-        for b in enumerate_borderings(bg, limit=bordering_limit):
+        for b in enumerate_borderings(bg):
             chains = _original_chains(lv, b, old_of)
             if tail:
                 chains = _attach_tail(chains, attachment, tail)

@@ -18,14 +18,14 @@ keeps the walk from emitting most of the caps that would then fail to level
 as a tower.  Each walk has a state budget, which no corpus graph reaches; the
 stats of ``solve`` count every walk it cuts short as ``cap_truncated``.
 
-The cap's borderings are filtered once per decomposition.  Up to
-``_EXHAUSTIVE_COMPONENTS`` constraint components every bordering is checked;
-beyond that a sweep keeps at most one, and the stats of ``solve`` count each
-such decomposition as ``bordering_swept``.
+The cap's borderings are filtered once per decomposition: every one of them
+is checked against the cross-visibility constraint, as ``solve_tower`` checks
+every bordering of a tower.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
@@ -56,7 +56,6 @@ class NotPseudoTriangleError(ValueError):
 
 _BRANCH_CAP = 64  # cap-discovery states per split-edge walk: max(this, 4n)
 _PART_LIMIT = 64  # boundary readings kept per side part
-_EXHAUSTIVE_COMPONENTS = 7  # up to this, check every cap bordering directly
 
 
 @dataclass(frozen=True)
@@ -314,7 +313,7 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     sub, old_of = induced_subgraph(g, part)
     new_end = old_of.index(end)
     try:
-        sols = solve_pseudo_tower(sub, bordering_limit=1024)
+        sols = solve_pseudo_tower(sub)
     except NotPseudoTowerError:
         return []
     out: list[PartSolution] = []
@@ -342,27 +341,19 @@ def _sides(ctx: _CapContext, b: Bordering) -> tuple[list[int], list[int]]:
     return sorted(b.left, key=key), sorted(b.right, key=key)
 
 
-def _find_violation(
-    g: Graph,
-    dec: SplitDecomposition,
-    ctx: _CapContext,
-    left: list[int],
-    right: list[int],
-) -> tuple[int | None, bool]:
-    """First constraint violation in top-to-bottom order, or (None, ok).
+def _bordering_ok(
+    g: Graph, dec: SplitDecomposition, ctx: _CapContext, b: Bordering
+) -> bool:
+    """Does the cap bordering pass the cross-visibility constraints?
 
     The deepest cap vertices of the two sides must share a neighbor in the
-    parts; if they share none, the left side's deepest vertex (the right
-    side's when the left is empty) is the violation.
+    parts.
     """
+    left, right = _sides(ctx, b)
     pa = left[-1] if left else dec.top
     pb = right[-1] if right else dec.top
     if not g.nbr_set(pa) & g.nbr_set(pb) & (dec.part_a | dec.part_b):
-        if left:
-            return left[-1], False
-        if right:
-            return right[-1], False
-        return None, False
+        return False
 
     # The one cross-visibility constraint that held on every generated
     # instance: walking a side of the cap downward, visibility into that
@@ -380,40 +371,9 @@ def _find_violation(
         own_part = dec.part_a if on_left else dec.part_b
         p = prev.get(on_left)
         if p is not None and not (nb & own_part) >= (g.nbr_set(p) & own_part):
-            return v, False
+            return False
         prev[on_left] = v
-    return None, True
-
-
-def apply_bordering_constraints(
-    g: Graph,
-    dec: SplitDecomposition,
-    ctx: _CapContext,
-    cb: Bordering,
-) -> list[Bordering]:
-    """Sweep the cap top-to-bottom from the given bordering; on a violation the
-    violating vertex's whole constraint component is swapped.   A component
-    asked to swap twice rejects the run.  Returns the surviving bordering (at
-    most one from a given start).
-    """
-    comps = ctx.bg.components
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    left, right = set(cb.left), set(cb.right)
-    swaps = [0] * len(comps)
-    for _ in range(2 * len(comps) + 2):
-        ls, rs = _sides(ctx, Bordering(frozenset(left), frozenset(right)))
-        bad, ok = _find_violation(g, dec, ctx, ls, rs)
-        if ok:
-            return [Bordering(frozenset(left), frozenset(right))]
-        if bad is None:
-            return []
-        ci = comp_of[bad]
-        swaps[ci] += 1
-        if swaps[ci] >= 2:
-            return []
-        comp = comps[ci]
-        left, right = (left - comp) | (right & comp), (right - comp) | (left & comp)
-    return []
+    return True
 
 
 def assemble_hamiltonian(
@@ -546,6 +506,12 @@ def verify_cycle(g: Graph, order) -> bool:
     """Can some joint triple make this vertex order a plausible pseudo-triangle
     boundary?  Checks the decomposition-free necessary conditions over all
     cyclic chain splits; used by the CLI and as the brute-force filter.
+
+    A chain with a chord fails ``_chain_concave``, so the triples that give
+    one are never visited.  On the doubled cycle, ``reach[p]`` is the least
+    q' >= p' + 2 over the positions p' >= p whose vertices see each other: the
+    arc from p to q is chordless iff q < reach[p].  Every other triple gets
+    the full check.
     """
     seq = list(order)
     n = g.n
@@ -555,9 +521,18 @@ def verify_cycle(g: Graph, order) -> bool:
     if not is_cycle_in_graph(g, cand):
         return False
     seq = list(cand.order)
+    ring = seq + seq
+    reach = [2 * n] * (2 * n + 1)
+    for p in range(2 * n - 1, -1, -1):
+        nb = g.nbr_set(ring[p])
+        first = next((q for q in range(p + 2, 2 * n) if ring[q] in nb), 2 * n)
+        reach[p] = min(first, reach[p + 1])
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
+        # left = seq[i..j], bottom = seq[j..k], right = seq[k..n+i] reversed;
+        # reach is nondecreasing, so the right arc is chordless from k_lo on.
+        k_lo = bisect_right(reach, n + i)
+        for j in range(i + 1, min(reach[i], n)):
+            for k in range(max(j + 1, k_lo), min(reach[j], n)):
                 left = tuple(seq[i : j + 1])
                 bottom = tuple(seq[j : k + 1])
                 right = tuple(reversed(seq[k:] + seq[: i + 1]))  # top joint first
@@ -652,8 +627,6 @@ def _solve_from_tops(
                     if not sols_a or not sols_b:
                         bump("part_rejected")
                         continue
-                    if len(cap_ctx.bg.components) > _EXHAUSTIVE_COMPONENTS:
-                        bump("bordering_swept")
                     borderings = _cap_borderings(g, dec, cap_ctx)
                     for sol_a, sol_b, b in product(sols_a, sols_b, borderings):
                         variants = assemble_hamiltonian(g, dec, cap_ctx, b, sol_a, sol_b)
@@ -740,16 +713,5 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> _CapContext | None:
 def _cap_borderings(
     g: Graph, dec: SplitDecomposition, ctx: _CapContext
 ) -> list[Bordering]:
-    """The cap borderings that pass the constraints: every one of them up to
-    _EXHAUSTIVE_COMPONENTS constraint components, and beyond that the at
-    most one that the sweep from the first bordering keeps.
-    """
-    if len(ctx.bg.components) > _EXHAUSTIVE_COMPONENTS:
-        start = enumerate_borderings(ctx.bg, limit=1)[0]
-        return apply_bordering_constraints(g, dec, ctx, start)
-    out = []
-    for b in enumerate_borderings(ctx.bg):
-        ls, rs = _sides(ctx, b)
-        if _find_violation(g, dec, ctx, ls, rs)[1]:
-            out.append(b)
-    return out
+    """Every cap bordering that passes the cross-visibility constraints."""
+    return [b for b in enumerate_borderings(ctx.bg) if _bordering_ok(g, dec, ctx, b)]

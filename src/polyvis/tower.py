@@ -213,22 +213,16 @@ def bordering_graph(g: Graph, lv: Leveling) -> BorderingGraph:
     return bordering_constraints({v: g.nbr_set(v) for v in range(g.n)}, lv)
 
 
-def enumerate_borderings(bg: BorderingGraph, limit: int | None = None) -> list[Bordering]:
+def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:
     """All chain assignments up to global left/right swap: exactly 2^(c-1) of
     them for c constraint components (one when there are no nodes).
-
-    ``limit`` truncates the enumeration deterministically; the public count
-    contract only holds when it is None.
     """
     comps = bg.components
     c = len(comps)
     if c == 0:
         return [Bordering(frozenset(), frozenset())]
-    total = 1 << (c - 1)
-    if limit is not None:
-        total = min(total, limit)
     out: list[Bordering] = []
-    for bits in range(total):
+    for bits in range(1 << (c - 1)):
         left: set[int] = set()
         right: set[int] = set()
         for idx, comp in enumerate(comps):

@@ -1,7 +1,8 @@
 """Independent oracles for the acceptance suite.
 
-Brute-force Hamiltonian enumeration and convex-polygon sampling stay separate
-from the solver code they are used to check.
+Brute-force Hamiltonian enumeration, convex-polygon sampling and the plain
+scans that the pruned or hashed library routines must agree with stay
+separate from the code they are used to check.
 """
 
 from __future__ import annotations
@@ -9,7 +10,8 @@ from __future__ import annotations
 import math
 import random
 
-from polyvis import Graph, Point, Polygon, canonicalize
+from polyvis import Graph, Point, Polygon, canonicalize, is_cycle_in_graph
+from polyvis.pseudotriangle import _necessary_conditions
 
 
 def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -88,3 +90,40 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
     for e in pool[:extra_edges]:
         edges.add(e)
     return Graph(n, frozenset(edges))
+
+
+def collinear_triple_scan(coords) -> bool:
+    """True iff some three distinct vertices are collinear, by trying every
+    triple."""
+    n = len(coords)
+    for i in range(n):
+        ax, ay = coords[i]
+        for j in range(i + 1, n):
+            bx, by = coords[j]
+            for k in range(j + 1, n):
+                cx, cy = coords[k]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0:
+                    return True
+    return False
+
+
+def verify_cycle_scan(g: Graph, order) -> bool:
+    """``verify_cycle`` without pruning: the necessary conditions are checked
+    for every joint triple of the cycle."""
+    seq = list(order)
+    n = g.n
+    if sorted(seq) != list(range(n)):
+        return False
+    cand = canonicalize(seq)
+    if not is_cycle_in_graph(g, cand):
+        return False
+    seq = list(cand.order)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                left = tuple(seq[i : j + 1])
+                bottom = tuple(seq[j : k + 1])
+                right = tuple(reversed(seq[k:] + seq[: i + 1]))  # top joint first
+                if _necessary_conditions(g, (left, bottom, right)):
+                    return True
+    return False

@@ -1,71 +1,119 @@
-"""The compiled and pure kernels must agree everywhere they both apply."""
+"""The exact visibility kernel, checked against its own pairwise predicate and
+the triple-loop oracle, on polygons that need not be in general position."""
 
-import pytest
+import math
 
-from polyvis import _kernels_py, gen_pseudo_triangle, gen_tower, kernels
+from hypothesis import assume, given, settings, strategies as st
 
-try:
-    from polyvis import _kernels_c
-except ImportError:  # pragma: no cover - environment without the extension
-    _kernels_c = None
+from polyvis import Polygon, PolygonError, gen_pseudo_triangle, gen_tower, kernels
 
-needs_ext = pytest.mark.skipif(_kernels_c is None, reason="compiled kernel not built")
+from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
+from oracles import collinear_triple_scan
 
-T5 = ((0, 4), (-1, 2), (-3, 0), (3, 0), (1, 2))
-PT6 = ((0, 6), (-1, 3), (-4, 0), (0, 1), (4, 0), (1, 3))
+# A rectangle with a notch from the top whose tip, vertex 4, lies on the
+# diagonal 0-2 (not at its midpoint): the diagonal grazes the tip.
+GRAZED = ((0, 0), (12, 0), (12, 6), (5, 6), (4, 2), (3, 6), (0, 6))
 
 
-def _sample_polygons():
-    polys = [T5, PT6]
-    for n, seed in [(6, 0), (9, 3), (12, 5), (20, 1), (27, 2)]:
+def _orient(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+@st.composite
+def grid_polygons(draw) -> Polygon:
+    """Simple polygons on a small grid, so that non-consecutive vertices are
+    often collinear: distinct points sorted by angle around their centroid,
+    with the middle vertex of each consecutive collinear triple dropped.
+    """
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
+            min_size=8, max_size=24, unique=True,
+        )
+    )
+    cx = sum(x for x, _ in pts) / len(pts)
+    cy = sum(y for _, y in pts) / len(pts)
+    pts.sort(key=lambda p: (math.atan2(p[1] - cy, p[0] - cx), (p[0] - cx) ** 2 + (p[1] - cy) ** 2))
+    i = 0
+    while len(pts) >= 3 and i < len(pts):
+        if _orient(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) == 0:
+            del pts[i]
+            i = 0
+        else:
+            i += 1
+    try:
+        return Polygon(tuple(pts))
+    except PolygonError:
+        assume(False)
+
+
+def _sample_polygons() -> list[tuple[tuple[int, int], ...]]:
+    polys = [T5_POINTS, PT6_POINTS, GRAZED]
+    for n, seed in [(6, 0), (9, 3), (12, 5), (20, 1)]:
         polys.append(gen_tower(n, seed).coords())
         polys.append(gen_pseudo_triangle(n, seed).coords())
     return polys
 
 
-@needs_ext
-def test_visibility_edges_equivalence():
+def _pairwise(coords) -> list[tuple[int, int]]:
+    n = len(coords)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if kernels.segment_visible(coords, i, j)]
+
+
+def test_visibility_edges_matches_segment_visible():
     for coords in _sample_polygons():
-        assert _kernels_c.visibility_edges(coords) == _kernels_py.visibility_edges(
-            coords
-        )
+        assert kernels.visibility_edges(coords) == _pairwise(coords)
+    assert set(kernels.visibility_edges(T5_POINTS)) == T5_EDGES
+    assert set(kernels.visibility_edges(PT6_POINTS)) == PT6_EDGES
 
 
-@needs_ext
-def test_segment_visible_equivalence():
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid_polygons())
+def test_visibility_edges_matches_segment_visible_on_grid(poly):
+    coords = poly.coords()
+    edges = kernels.visibility_edges(coords)
+    assert edges == _pairwise(coords)
+    assert all(kernels.segment_visible(coords, j, i) for i, j in edges)
+    n = len(coords)
+    assert all(tuple(sorted((i, (i + 1) % n))) in edges for i in range(n))
+
+
+def test_grazing_segment_blocked():
+    Polygon(GRAZED)  # a valid simple polygon
+    assert (0, 2) not in kernels.visibility_edges(GRAZED)
+    # One unit higher, the tip clears the diagonal.
+    lifted = GRAZED[:4] + ((4, 3),) + GRAZED[5:]
+    assert (0, 2) in kernels.visibility_edges(lifted)
+
+
+def test_visibility_edges_huge_coordinates():
+    big = 1 << 31
+    square = [(0, 0), (big, 0), (big, big), (0, big)]
+    assert len(kernels.visibility_edges(square)) == 6  # convex square: complete
+    for coords in (T5_POINTS, PT6_POINTS, GRAZED):
+        scaled = [(x * big + big, y * big - big) for x, y in coords]
+        assert kernels.visibility_edges(scaled) == kernels.visibility_edges(coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=9),
+    st.lists(st.integers(0, 8), max_size=3),
+)
+def test_has_collinear_triple_matches_scan(pts, repeats):
+    # Repeats copy earlier points; the small grid makes collinear runs common.
+    for r in repeats:
+        if pts:
+            pts.append(pts[r % len(pts)])
+    assert kernels.has_collinear_triple(pts) == collinear_triple_scan(pts)
+
+
+def test_has_collinear_triple_cases():
+    assert kernels.has_collinear_triple([(0, 0), (2, 2), (4, 4), (1, 5)])
+    assert kernels.has_collinear_triple([(5, 0), (0, 0), (1, 7), (-5, 0)])
+    assert kernels.has_collinear_triple([(1, 1), (3, 2), (1, 1)])
+    assert not kernels.has_collinear_triple([(1, 1), (1, 1)])
+    assert not kernels.has_collinear_triple([(0, 0), (1, 0), (0, 1)])
     for coords in _sample_polygons():
-        n = len(coords)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    assert _kernels_c.segment_visible(
-                        coords, i, j
-                    ) == _kernels_py.segment_visible(coords, i, j)
-
-
-@needs_ext
-def test_collinear_triple_equivalence():
-    cases = _sample_polygons() + [
-        [(0, 0), (2, 2), (4, 4), (1, 5)],  # collinear triple present
-        [(0, 0), (1, 0), (0, 1)],
-    ]
-    for coords in cases:
-        assert _kernels_c.has_collinear_triple(coords) == _kernels_py.has_collinear_triple(
-            coords
-        )
-
-
-def test_dispatcher_handles_huge_coordinates():
-    # Beyond the int64-safe bound the dispatcher must use the pure kernel.
-    big = kernels.COORD_LIMIT * 4
-    coords = [(0, 0), (big, 0), (big, big), (0, big)]
-    assert kernels.visibility_edges(coords) == _kernels_py.visibility_edges(coords)
-    assert len(kernels.visibility_edges(coords)) == 6  # convex square: complete
-
-
-def test_dispatcher_matches_pure_on_fixture():
-    assert kernels.visibility_edges(T5) == _kernels_py.visibility_edges(T5)
-
-
-def test_active_kernel_reported():
-    assert kernels.ACTIVE_KERNEL in ("compiled", "pure")
+        assert kernels.has_collinear_triple(coords) == collinear_triple_scan(coords)

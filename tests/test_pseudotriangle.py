@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polyvis import (
@@ -5,13 +7,14 @@ from polyvis import (
     Graph,
     NotPseudoTriangleError,
     PartSolution,
-    apply_bordering_constraints,
     assemble_hamiltonian,
     boundary_cycle,
     canonicalize,
     extract_cap,
     gen_pseudo_triangle,
+    gen_tower,
     solve_pseudo_triangle,
+    solve_tower,
     split_parts,
     top_joint_candidates,
     verify_candidate,
@@ -21,12 +24,14 @@ from polyvis import (
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
     SplitDecomposition,
+    _cap_borderings,
     _cap_context,
     _LevelTree,
 )
 from polyvis.tower import enumerate_borderings
 
 from conftest import PT6_EDGES
+from oracles import verify_cycle_scan
 
 
 def test_top_candidates_k3(k3):
@@ -96,7 +101,7 @@ def _pt6_true_decomposition(pt6_graph):
     return dec, sol_a, sol_b
 
 
-def test_apply_bordering_constraints_rejects_no_shared_view(pt6_graph):
+def test_cap_borderings_rejects_no_shared_view(pt6_graph):
     dec, _, _ = _pt6_true_decomposition(pt6_graph)
     ctx = _cap_context(pt6_graph, dec.cap, 0)
     (start,) = enumerate_borderings(ctx.bg)
@@ -107,15 +112,14 @@ def test_apply_bordering_constraints_rejects_no_shared_view(pt6_graph):
     g2 = Graph(6, frozenset(set(pt6_graph.edges) - {(1, 2), (1, 3), (1, 4)}))
     assert pt6_graph.nbr_set(1) & pt6_graph.nbr_set(5) & parts
     assert not g2.nbr_set(1) & g2.nbr_set(5) & parts
-    assert apply_bordering_constraints(pt6_graph, dec, ctx, start) == [start]
-    assert apply_bordering_constraints(g2, dec, ctx, start) == []
+    assert _cap_borderings(pt6_graph, dec, ctx) == [start]
+    assert _cap_borderings(g2, dec, ctx) == []
 
 
-def test_apply_bordering_constraints_pt6(pt6_graph):
+def test_cap_borderings_pt6(pt6_graph):
     dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
     ctx = _cap_context(pt6_graph, dec.cap, 0)
-    (start,) = enumerate_borderings(ctx.bg)
-    accepted = apply_bordering_constraints(pt6_graph, dec, ctx, start)
+    accepted = _cap_borderings(pt6_graph, dec, ctx)
     assert len(accepted) == 1
     sols = assemble_hamiltonian(pt6_graph, dec, ctx, accepted[0], sol_a, sol_b)
     assert any(s.cycle.order == (0, 1, 2, 3, 4, 5) for s in sols)
@@ -181,6 +185,30 @@ def test_verify_cycle_rejects_non_cycle(pt6_graph):
     assert not verify_cycle(pt6_graph, (0, 2, 4, 1, 3, 5))
 
 
+def _toggle_chords(g: Graph, seed: int) -> Graph:
+    # Add or remove one or two non-boundary edges, so that the boundary order
+    # stays a cycle of the graph and every joint triple is in play.
+    rng = random.Random(f"chords:{g.n}:{seed}")
+    edges = set(g.edges)
+    chords = [(u, v) for u in range(g.n) for v in range(u + 2, g.n) if (u, v) != (0, g.n - 1)]
+    for e in rng.sample(chords, rng.randint(1, 2)):
+        edges ^= {e}
+    return Graph(g.n, frozenset(edges))
+
+
+def test_verify_cycle_matches_scan():
+    # The pruned scan gives the verdict of the full triple scan.
+    verdicts = []
+    for n, seed in [(5, 0), (8, 1), (11, 2), (14, 3), (17, 4), (20, 5)]:
+        for poly in (gen_tower(n, seed), gen_pseudo_triangle(n, seed)):
+            g = visibility_graph(poly)
+            for h in [g] + [_toggle_chords(g, s) for s in range(4)]:
+                verdict = verify_cycle(h, range(n))
+                assert verdict == verify_cycle_scan(h, range(n))
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 @pytest.mark.parametrize("n", [4, 6, 9, 13, 18, 24, 30])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_generated_round_trip(n, seed):
@@ -232,14 +260,14 @@ def _ladder(levels: int) -> Graph:
 
 
 def test_solve_counts_bordering_sweeps():
-    # Eight levels stay within the exhaustive bordering check; ten give caps
-    # with more constraint components, whose borderings the sweep cuts down
-    # to at most one per decomposition, and the stats say so.
+    # Every cap bordering is checked, however many constraint components the
+    # cap has, and no stat reports a sweep: the ten-level ladder keeps all 512
+    # readings, the same cycles as the tower solver finds.
     stats: dict[str, int] = {}
     assert len(solve_pseudo_triangle(_ladder(8), stats)) == 128
-    assert "bordering_swept" not in stats
-    stats = {}
     g = _ladder(10)
     sols = solve_pseudo_triangle(g, stats)
-    assert sols and all(verify_candidate(g, s) for s in sols)
-    assert stats["bordering_swept"] > 0
+    assert "bordering_swept" not in stats
+    assert len(sols) == 512
+    assert all(verify_candidate(g, s) for s in sols)
+    assert [s.cycle for s in sols] == solve_tower(g)
