@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import geometry, pseudotriangle, pseudotower, tower
@@ -190,6 +189,9 @@ def cmd_bench(args) -> int:
     ]
     print("kind,n,m,millis,candidates")
     if args.threads > 1:
+        # Imported here: multiprocessing is heavy, and no other command needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:

@@ -2,9 +2,10 @@
 
 Everything here works on an integer grid with exact arithmetic, so the
 visible/blocked predicate is two-valued.  Visibility comes from ``kernels``,
-the one exact visibility kernel (pure Python, O(n^3) per graph).  Generators
-enforce general position (no three vertices collinear anywhere) by
-resampling, and are deterministic per (n, seed).
+the one exact visibility kernel (pure Python, about O(m*n) per graph with m
+edges, O(n^3) for a convex polygon).  Generators enforce general position (no
+three vertices collinear anywhere) by resampling, and are deterministic per
+(n, seed).
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ class Polygon:
 
 
 def segment_inside(poly: Polygon, i: int, j: int) -> bool:
-    """True iff vertices i and j see each other: boundary-adjacent, or the open
-    segment crosses no boundary edge, grazes no other vertex, and has a
-    strictly interior midpoint.
+    """True iff vertices i and j see each other: boundary-adjacent, or the
+    segment leaves both i and j strictly inside their interior angles, crosses
+    no boundary edge and grazes no other vertex.
     """
     if i == j:
         raise ValueError("endpoints must differ")

@@ -127,3 +127,70 @@ def verify_cycle_scan(g: Graph, order) -> bool:
                 if _necessary_conditions(g, (left, bottom, right)):
                     return True
     return False
+
+
+def _orient(ax, ay, bx, by, cx, cy) -> int:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _on_open_segment(px, py, qx, qy, rx, ry) -> bool:
+    """r strictly inside the segment p-q (collinear and strictly between)."""
+    if _orient(px, py, qx, qy, rx, ry) != 0:
+        return False
+    if px != qx:
+        lo, hi = (px, qx) if px < qx else (qx, px)
+        return lo < rx < hi
+    lo, hi = (py, qy) if py < qy else (qy, py)
+    return lo < ry < hi
+
+
+def _proper_cross(px, py, qx, qy, ax, ay, bx, by) -> bool:
+    d1 = _orient(ax, ay, bx, by, px, py)
+    d2 = _orient(ax, ay, bx, by, qx, qy)
+    d3 = _orient(px, py, qx, qy, ax, ay)
+    d4 = _orient(px, py, qx, qy, bx, by)
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
+def _point_inside_doubled(coords, qx: int, qy: int) -> bool:
+    """Strict interior test for (qx, qy) against the polygon scaled by 2."""
+    n = len(coords)
+    for k in range(n):
+        ax, ay = coords[k]
+        bx, by = coords[(k + 1) % n]
+        ax, ay, bx, by = 2 * ax, 2 * ay, 2 * bx, 2 * by
+        if (qx == ax and qy == ay) or _on_open_segment(ax, ay, bx, by, qx, qy):
+            return False
+    inside = False
+    jx, jy = 2 * coords[-1][0], 2 * coords[-1][1]
+    for k in range(n):
+        kx, ky = 2 * coords[k][0], 2 * coords[k][1]
+        if (jy > qy) != (ky > qy):
+            t = (kx - jx) * (qy - jy) - (qx - jx) * (ky - jy)
+            if (t > 0) if ky > jy else (t < 0):
+                inside = not inside
+        jx, jy = kx, ky
+    return inside
+
+
+def segment_visible_scan(coords, i: int, j: int) -> bool:
+    """Vertices i and j see each other, by three scans of the boundary: no
+    other vertex on the open segment, no proper crossing with an edge
+    disjoint from {i, j}, and a strictly interior midpoint."""
+    n = len(coords)
+    if i == j:
+        return False
+    if (i + 1) % n == j or (j + 1) % n == i:
+        return True
+    px, py = coords[i]
+    qx, qy = coords[j]
+    for k in range(n):
+        if k != i and k != j and _on_open_segment(px, py, qx, qy, *coords[k]):
+            return False
+    for a in range(n):
+        b = (a + 1) % n
+        if a in (i, j) or b in (i, j):
+            continue
+        if _proper_cross(px, py, qx, qy, *coords[a], *coords[b]):
+            return False
+    return _point_inside_doubled(coords, px + qx, py + qy)

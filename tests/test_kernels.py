@@ -1,5 +1,6 @@
-"""The exact visibility kernel, checked against its own pairwise predicate and
-the triple-loop oracle, on polygons that need not be in general position."""
+"""The exact visibility kernel, checked against its own pairwise predicate,
+the three-scan visibility oracle and the triple-loop collinearity oracle, on
+polygons that need not be in general position."""
 
 import math
 
@@ -8,11 +9,15 @@ from hypothesis import assume, given, settings, strategies as st
 from polyvis import Polygon, PolygonError, gen_pseudo_triangle, gen_tower, kernels
 
 from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
-from oracles import collinear_triple_scan
+from oracles import collinear_triple_scan, segment_visible_scan
 
 # A rectangle with a notch from the top whose tip, vertex 4, lies on the
 # diagonal 0-2 (not at its midpoint): the diagonal grazes the tip.
 GRAZED = ((0, 0), (12, 0), (12, 6), (5, 6), (4, 2), (3, 6), (0, 6))
+
+# An arrowhead with its notch at vertex 1: the chord 0-2 runs below the notch,
+# outside the polygon, and every edge shares an endpoint with it.
+ARROWHEAD = ((0, 0), (4, 2), (8, 0), (4, 6))
 
 
 def _orient(a, b, c) -> int:
@@ -55,15 +60,22 @@ def _sample_polygons() -> list[tuple[tuple[int, int], ...]]:
     return polys
 
 
-def _pairwise(coords) -> list[tuple[int, int]]:
+def _pairwise(coords, visible=kernels.segment_visible) -> list[tuple[int, int]]:
     n = len(coords)
-    return [(i, j) for i in range(n) for j in range(i + 1, n)
-            if kernels.segment_visible(coords, i, j)]
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if visible(coords, i, j)]
+
+
+def _scaled(coords):
+    """The same polygon with coordinates near 2^48, far past 64-bit products."""
+    big = 1 << 45
+    return [(x * big + 3, y * big - 7) for x, y in coords]
 
 
 def test_visibility_edges_matches_segment_visible():
     for coords in _sample_polygons():
-        assert kernels.visibility_edges(coords) == _pairwise(coords)
+        edges = kernels.visibility_edges(coords)
+        assert edges == _pairwise(coords)
+        assert edges == _pairwise(coords, segment_visible_scan)
     assert set(kernels.visibility_edges(T5_POINTS)) == T5_EDGES
     assert set(kernels.visibility_edges(PT6_POINTS)) == PT6_EDGES
 
@@ -74,6 +86,8 @@ def test_visibility_edges_matches_segment_visible_on_grid(poly):
     coords = poly.coords()
     edges = kernels.visibility_edges(coords)
     assert edges == _pairwise(coords)
+    assert edges == _pairwise(coords, segment_visible_scan)
+    assert kernels.visibility_edges(_scaled(coords)) == edges
     assert all(kernels.segment_visible(coords, j, i) for i, j in edges)
     n = len(coords)
     assert all(tuple(sorted((i, (i + 1) % n))) in edges for i in range(n))
@@ -85,6 +99,17 @@ def test_grazing_segment_blocked():
     # One unit higher, the tip clears the diagonal.
     lifted = GRAZED[:4] + ((4, 3),) + GRAZED[5:]
     assert (0, 2) in kernels.visibility_edges(lifted)
+    for coords in (GRAZED, lifted, _scaled(GRAZED), _scaled(lifted)):
+        assert kernels.visibility_edges(coords) == _pairwise(coords, segment_visible_scan)
+
+
+def test_exterior_chord_blocked():
+    # No vertex lies on the chord and no edge disjoint from it crosses it, so
+    # only the angle test at its ends can reject it.
+    Polygon(ARROWHEAD)
+    assert not kernels.segment_visible(ARROWHEAD, 0, 2)
+    assert not segment_visible_scan(ARROWHEAD, 0, 2)
+    assert kernels.visibility_edges(ARROWHEAD) == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_visibility_edges_huge_coordinates():
