@@ -163,8 +163,8 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _bench_one(task: tuple[str, int, int]) -> tuple[str, int, int, float, int]:
-    kind, n, seed = task
+def _bench_one(kind: str, n: int, seed: int) -> tuple[int, float, int]:
+    """Generate one instance, solve it: (edge count, solve millis, candidates)."""
     if kind == "tower":
         g = geometry.visibility_graph(geometry.gen_tower(n, seed))
         t0 = time.perf_counter()
@@ -178,26 +178,15 @@ def _bench_one(task: tuple[str, int, int]) -> tuple[str, int, int, float, int]:
         t0 = time.perf_counter()
         cands = pseudotriangle.solve(g)
     millis = (time.perf_counter() - t0) * 1000.0
-    return kind, n, g.m, millis, len(cands)
+    return g.m, millis, len(cands)
 
 
 def cmd_bench(args) -> int:
-    tasks = [
-        (args.kind, n, seed)
-        for n in args.sizes
-        for seed in range(args.seed, args.seed + args.repeat)
-    ]
     print("kind,n,m,millis,candidates")
-    if args.threads > 1:
-        # Imported here: multiprocessing is heavy, and no other command needs it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
-    for kind, n, m, millis, cands in rows:
-        print(f"{kind},{n},{m},{millis:.3f},{cands}")
+    for n in args.sizes:
+        for seed in range(args.seed, args.seed + args.repeat):
+            m, millis, cands = _bench_one(args.kind, n, seed)
+            print(f"{args.kind},{n},{m},{millis:.3f},{cands}")
     return 0
 
 
@@ -243,7 +232,6 @@ def build_parser() -> _Parser:
     bp.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 40])
     bp.add_argument("--repeat", type=int, default=3)
     bp.add_argument("--seed", type=int, default=0)
-    bp.add_argument("--threads", type=int, default=1)
     bp.set_defaults(func=cmd_bench)
     return p
 

@@ -78,6 +78,11 @@ class Graph:
     def nbr_set(self, v: int) -> frozenset[int]:
         return self._nbr_sets[v]
 
+    @property
+    def nbr_sets(self) -> tuple[frozenset[int], ...]:
+        """Every vertex's neighbor set, indexed by vertex."""
+        return self._nbr_sets
+
     def degree(self, v: int) -> int:
         return len(self._nbr_sets[v])
 

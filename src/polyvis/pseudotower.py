@@ -36,7 +36,6 @@ class PseudoTowerSolution:
     """
 
     tail: tuple[int, ...]
-    tower_levels: Leveling
     chains: tuple[tuple[int, ...], tuple[int, ...]]
 
     def chain_key(self) -> tuple[tuple[int, ...], ...]:
@@ -108,14 +107,13 @@ def solve_pseudo_tower(g: Graph) -> list[PseudoTowerSolution]:
         except NotTowerError:
             continue
         any_leveling = True
-        lv_orig = _relabel_leveling(lv, old_of)
         for b in enumerate_borderings(bg):
             chains = _original_chains(lv, b, old_of)
             if tail:
                 chains = _attach_tail(chains, attachment, tail)
                 if chains is None:
                     continue
-            sol = PseudoTowerSolution(tail, lv_orig, chains)
+            sol = PseudoTowerSolution(tail, chains)
             key = sol.chain_key()
             if key not in seen:
                 seen.add(key)
@@ -124,12 +122,6 @@ def solve_pseudo_tower(g: Graph) -> list[PseudoTowerSolution]:
         raise NotPseudoTowerError("residual fails tower leveling from every apex candidate")
     solutions.sort(key=PseudoTowerSolution.chain_key)
     return solutions
-
-
-def _relabel_leveling(lv: Leveling, old_of: tuple[int, ...]) -> Leveling:
-    levels = tuple(frozenset(old_of[v] for v in lvl) for lvl in lv.levels)
-    level_of = {old_of[v]: i for v, i in lv.level_of.items()}
-    return Leveling(levels, level_of)
 
 
 def _original_chains(

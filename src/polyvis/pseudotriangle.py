@@ -8,15 +8,14 @@ constraints, and assemble + verify the boundary cycle.  Everything that fails
 a necessary condition is dropped; the result is the deduplicated, canonically
 sorted list of surviving boundary candidates.
 
-Cap discovery is done once per top.  The levels grown from the top by the
-rules of ``tower.level_sets`` form a branching tree whose states do not
-depend on the split edge, so each state is expanded once and shared by every
-edge (``_LevelTree``).  Each edge walks that tree without its own endpoints
-and reads its caps off the states where its base shows up; ``extract_cap``
-returns them as a sorted list of vertex sets.  Obeying the leveling rules
-keeps the walk from emitting most of the caps that would then fail to level
-as a tower.  Each walk has a state budget, which no corpus graph reaches; the
-stats of ``solve`` count every walk it cuts short as ``cap_truncated``.
+Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
+(the loop of ``tower.level_sets``), once per (top, split edge): the levels
+grow from the top in the graph without the edge's endpoints, and the caps
+are read off the candidate levels that meet the edge's base.  The walk does
+not branch: where a candidate pair meets the base in one vertex, one flank
+rule also reads the cap that leveling the other vertex alone would give (see
+``extract_cap``).  Every closed level places a vertex, so a walk ends within
+n levels and needs no budget.
 
 The cap's borderings are filtered once per decomposition: every one of them
 is checked against the cross-visibility constraint, as ``solve_tower`` checks
@@ -45,17 +44,15 @@ from .tower import (
     Leveling,
     NotTowerError,
     bordering_constraints,
+    carriers,
     enumerate_borderings,
     level_sets,
+    walk_levels,
 )
 
 
 class NotPseudoTriangleError(ValueError):
     """The input cannot be the visibility graph of a pseudo-triangle."""
-
-
-_BRANCH_CAP = 64  # cap-discovery states per split-edge walk: max(this, 4n)
-_PART_LIMIT = 64  # boundary readings kept per side part
 
 
 @dataclass(frozen=True)
@@ -130,71 +127,19 @@ def top_joint_candidates(g: Graph) -> frozenset[int]:
     return cands
 
 
-class _LevelTree:
-    """The branching leveling from one top, shared by all its split edges.
-
-    A state is ``(placed, current)``: the vertices leveled so far and the last
-    level.  Its candidate next level (the unplaced common neighbors of
-    ``current``) and its single-vertex successors do not depend on the split
-    edge.  Both are computed once per state and read by every edge's walk,
-    which also reuses the same state objects.  ``truncated`` counts the walks
-    that the state budget cut short.
-    """
-
-    def __init__(self, g: Graph, top: int) -> None:
-        self.g = g
-        self.root = (frozenset({top}), frozenset({top}))
-        self.truncated = 0
-        self._cand: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
-        self._singles: dict[tuple, tuple] = {}
-
-    def cand(self, state: tuple[frozenset[int], frozenset[int]]) -> frozenset[int]:
-        out = self._cand.get(state)
-        if out is None:
-            placed, current = state
-            nbr = self.g.nbr_set
-            out = frozenset.intersection(*(nbr(v) for v in current)) - placed
-            self._cand[state] = out
-        return out
-
-    def singles(
-        self, state: tuple[frozenset[int], frozenset[int]], p: int
-    ) -> tuple[tuple[frozenset[int], tuple[frozenset[int], frozenset[int]]], ...]:
-        """For each x in current: the unplaced neighbors of x other than p,
-        and the state after the single-vertex level {p, x}.
-        """
-        key = (state, p)
-        out = self._singles.get(key)
-        if out is None:
-            placed, current = state
-            below = placed | {p}
-            out = tuple(
-                (self.g.nbr_set(x) - below, (below, frozenset({p, x})))
-                for x in sorted(current)
-            )
-            self._singles[key] = out
-        return out
-
-
-def extract_cap(
-    g: Graph, top: int, e: tuple[int, int], tree: _LevelTree | None = None
-) -> list[frozenset[int]]:
+def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     """Candidate caps for split edge ``e``, sorted by their sorted members.
 
     base = vertices adjacent to both endpoints of e; if the top is among them
-    the cap is just the base.  Otherwise levels are grown from the top inside
-    the graph minus e's endpoints by the rules of ``tower.level_sets``: a
-    candidate level of more than two vertices ends the walk, a two-vertex
-    level must be a clique, and a single-vertex level needs exactly one
-    carrier.  A two-vertex candidate may also hold a flank vertex that sees
-    the whole current level, so each member is tried alone as well.  Wherever
-    a candidate level meets the base, everything placed so far plus the base
-    is a cap.  An empty list rejects the edge.
-
-    ``tree`` is the top's shared level tree; solve passes one per top so that
-    the states are expanded once for all edges.  Each edge's walk expands at
-    most max(_BRANCH_CAP, 4n) states; a walk cut short counts in
-    ``tree.truncated``.
+    the cap is just the base.  Otherwise the levels are grown from the top by
+    ``tower.walk_levels``, the loop of ``tower.level_sets``, with e's
+    endpoints placed beforehand so that the walk runs in the graph without
+    them.  Wherever a candidate level meets the base, everything placed so
+    far plus the base is a cap, and the walk stops once a candidate lies
+    inside the base.  A flank rule stands in for branching: a two-vertex
+    clique candidate {p, q} with only q in the base also gives the cap with
+    p added, provided p alone would have exactly one carrier.  The walk ends
+    within n levels or where leveling fails.  An empty list rejects the edge.
     """
     w0, w1 = e
     if top in e:
@@ -206,43 +151,25 @@ def extract_cap(
         return []
     if top in base:
         return [base]
-    if tree is None:
-        tree = _LevelTree(g, top)
 
     cut = frozenset(e)
+    nbrs = g.nbr_sets
+    levels = [frozenset({top})]
+    placed = {top, w0, w1}
     caps: set[frozenset[int]] = set()
-    stack = [tree.root]
-    visited: set[tuple[frozenset[int], frozenset[int]]] = set()
-    budget = max(_BRANCH_CAP, 4 * g.n)
-    while stack:
-        state = stack.pop()
-        if state in visited:
-            continue
-        if len(visited) >= budget:
-            tree.truncated += 1
-            break
-        visited.add(state)
-        placed, current = state
-        cand = tree.cand(state) - cut
-        if not cand:
-            continue
-        if cand & base:
-            # The leveling reached the base.  A candidate level that also holds
-            # non-base vertices may be a flank intruder's doing, so the descent
-            # goes on below it as well.
-            caps.add(placed | base)
-            if cand <= base:
+    try:
+        for cand in walk_levels(nbrs, levels, placed):
+            if not cand & base:
                 continue
-        if len(cand) > 2:
-            continue
-        for p in sorted(cand, reverse=True):
-            carried = [child for below, child in tree.singles(state, p) if below - cut]
-            if len(carried) == 1:
-                stack.append(carried[0])
-        if len(cand) == 2 and g.has_edge(*cand):
-            # Pushed last so that the pair reading, the usual one, is followed
-            # first should the budget cut the walk.
-            stack.append((placed | cand, cand))
+            caps.add((base | placed) - cut)
+            if cand <= base:
+                break
+            if len(cand) == 2 and g.has_edge(*cand):
+                (p,) = cand - base
+                if len(carriers(nbrs, levels[-1], placed, p)) == 1:
+                    caps.add((base | placed | {p}) - cut)
+    except NotTowerError:
+        pass
 
     # The cap must level as a tower from the top, so the top needs at most two
     # cap neighbors forming a clique.
@@ -331,8 +258,6 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
                 continue
             seen_paths.add(path)
             out.append(PartSolution(path, old_of[chain_w[0]]))
-            if len(out) >= _PART_LIMIT:
-                return sorted(out, key=lambda p: p.path)
     return sorted(out, key=lambda p: p.path)
 
 
@@ -478,19 +403,9 @@ def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     the chain endpoints.
     """
     chains = tuple(ch.vertices for ch in sol.chains)
-    return (
-        is_cycle_in_graph(g, sol.cycle)
-        and _necessary_conditions(g, chains)
-        and _decomposition_ok(g, sol)
-    )
-
-
-def _decomposition_ok(g: Graph, sol: PseudoTriangleSolution) -> bool:
-    """The conditions of verify_candidate that read the decomposition: the
-    joints are the chain endpoints, and visibility into each side part grows
-    monotonically down the cap.
-    """
-    left, _, right = (ch.vertices for ch in sol.chains)
+    if not (is_cycle_in_graph(g, sol.cycle) and _necessary_conditions(g, chains)):
+        return False
+    left, _, right = chains
     dec = sol.decomposition
     if sol.joints != (left[0], left[-1], right[-1]):
         return False
@@ -592,10 +507,9 @@ def _solve_from_tops(
     bump,
 ) -> None:
     for top in tops:
-        tree = _LevelTree(g, top)
         pairs = sorted({(u, v) for u, v in g.edges if top != u and top != v})
         for pair in pairs:
-            caps = extract_cap(g, top, pair, tree)
+            caps = extract_cap(g, top, pair)
             if not caps:
                 bump("cap_rejected")
                 continue
@@ -633,20 +547,20 @@ def _solve_from_tops(
                         if not variants:
                             bump("assembly_rejected")
                             continue
-                        # The cycle is in g; verify_candidate's other checks
-                        # are the cached chain verdict and _decomposition_ok.
+                        # The cycle is in g, and assembly met verify_candidate's
+                        # decomposition checks: the joints are the chain ends and
+                        # _bordering_ok passed the cap's nested neighborhoods.
+                        # What is left is the cached chain verdict.
                         for sol in variants:
                             chains = tuple(c.vertices for c in sol.chains)
                             if chains not in chain_cache:
                                 chain_cache[chains] = _necessary_conditions(g, chains)
-                            if not chain_cache[chains] or not _decomposition_ok(g, sol):
+                            if not chain_cache[chains]:
                                 bump("verify_rejected")
                                 continue
                             bump("accepted")
                             found.setdefault(sol.cycle.order, sol)
                             break
-        if tree.truncated:
-            bump("cap_truncated", tree.truncated)
 
 
 def _cap_context(g: Graph, cap: frozenset[int], top: int) -> _CapContext | None:

@@ -9,16 +9,13 @@ one Hamiltonian cycle candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Sequence
 
 from .graph import CycleCandidate, Graph, bfs_layers, canonicalize, is_cycle_in_graph
 
 
 class NotTowerError(ValueError):
     """The input cannot be the visibility graph of a tower polygon."""
-
-
-LEFT = "L"
-RIGHT = "R"
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,6 @@ class Bordering:
     left: frozenset[int]
     right: frozenset[int]
 
-    def side(self, v: int) -> str:
-        if v in self.left:
-            return LEFT
-        if v in self.right:
-            return RIGHT
-        raise KeyError(v)
-
 
 def tower_top_candidates(g: Graph) -> frozenset[int]:
     """Vertices of degree 2 whose two neighbors are adjacent to each other.
@@ -91,22 +81,47 @@ def tower_top_candidates(g: Graph) -> frozenset[int]:
 def level_sets(nbrs: dict[int, frozenset[int]], top: int) -> Leveling:
     """Leveling core over a neighbor-set view (keys are the vertex universe).
 
-    Grow levels from ``top``: l_2 = N(top), then each new level is the set of
-    unplaced common neighbors of the current one, closed by the three rules
-    for exhaustion, two-vertex levels, and single-vertex levels.  Raises
-    NotTowerError on any structural violation.
+    Runs ``walk_levels``, the package's one leveling loop, from ``top`` until
+    every vertex is placed: l_2 = N(top), then each level is closed from the
+    unplaced common neighbors of the one before.  Every level places a
+    vertex, so there are at most n.  Raises NotTowerError on any structural
+    violation.
+    """
+    levels: list[frozenset[int]] = [frozenset({top})]
+    for _ in walk_levels(nbrs, levels, {top}):
+        pass
+    level_of: dict[int, int] = {}
+    for i, lvl in enumerate(levels, start=1):
+        for v in lvl:
+            level_of.setdefault(v, i)
+    return Leveling(tuple(levels), level_of)
+
+
+def walk_levels(
+    nbrs: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    levels: list[frozenset[int]],
+    placed: set[int],
+) -> Iterator[frozenset[int]]:
+    """The one leveling loop: grow ``levels`` greedily below its last level.
+
+    ``nbrs[v]`` is v's neighbor set and ``len(nbrs)`` the number of vertices.
+    Each candidate level is the set of unplaced common neighbors of the last
+    level; it is yielded before it is closed by the rules for exhaustion,
+    two-vertex levels (a clique) and single-vertex levels (see ``carriers``).
+    ``levels`` and ``placed`` are extended in place, so a consumer reads the
+    walk's state from them between steps.  Vertices already in ``placed`` at
+    the start are outside the walk: the candidate and carrier tests skip them.
+    Every closed level places at least one vertex, so the walk ends within n
+    levels.  Raises NotTowerError on any structural violation.
     """
     total = len(nbrs)
-    levels: list[frozenset[int]] = [frozenset({top})]
-    placed: set[int] = {top}
-    current: frozenset[int] = levels[0]
-
     while len(placed) < total:
+        current = levels[-1]
         cand = frozenset.intersection(*(nbrs[v] for v in current)) - placed
-        remaining = total - len(placed)
         if not cand:
             raise NotTowerError("leveling stalled: no common neighbor outside placed levels")
-        if len(cand) == remaining:
+        yield cand
+        if len(cand) == total - len(placed):
             if len(cand) > 2:
                 raise NotTowerError(f"last level would have {len(cand)} vertices")
             if len(cand) == 2:
@@ -115,7 +130,7 @@ def level_sets(nbrs: dict[int, frozenset[int]], top: int) -> Leveling:
                     raise NotTowerError("last level is not a clique")
             levels.append(cand)
             placed |= cand
-            break
+            return
         if len(cand) > 2:
             raise NotTowerError(f"level would have {len(cand)} vertices")
         if len(cand) == 2:
@@ -124,28 +139,31 @@ def level_sets(nbrs: dict[int, frozenset[int]], top: int) -> Leveling:
                 raise NotTowerError("two-vertex level is not a clique")
             levels.append(cand)
             placed |= cand
-            current = cand
         else:
             (p,) = cand
-            carriers = [
-                x
-                for x in sorted(current)
-                if any(w != p and w not in placed for w in nbrs[x])
-            ]
-            if len(carriers) != 1:
+            xs = carriers(nbrs, current, placed, p)
+            if len(xs) != 1:
                 raise NotTowerError(
-                    f"{len(carriers)} level vertices reach below a single-vertex level"
+                    f"{len(xs)} level vertices reach below a single-vertex level"
                 )
-            new = frozenset({p, carriers[0]})
-            levels.append(new)
+            levels.append(frozenset({p, xs[0]}))
             placed.add(p)
-            current = new
 
-    level_of: dict[int, int] = {}
-    for i, lvl in enumerate(levels, start=1):
-        for v in lvl:
-            level_of.setdefault(v, i)
-    return Leveling(tuple(levels), level_of)
+
+def carriers(
+    nbrs: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    current: frozenset[int],
+    placed: set[int],
+    p: int,
+) -> list[int]:
+    """The single-vertex rule's test: the vertices of ``current`` with an
+    unplaced neighbor other than ``p``, in order.  Below the candidate level
+    {p} the next level is {p, x} for the one carrier x; none or several
+    reject the leveling.
+    """
+    return [
+        x for x in sorted(current) if any(w != p and w not in placed for w in nbrs[x])
+    ]
 
 
 def compute_leveling(g: Graph, top: int) -> Leveling:

@@ -187,16 +187,13 @@ def test_criterion_6_scaling():
     worst_160 = 0.0
     misses = 0
     slowest: dict[int, tuple[float, int]] = {}  # n -> (seconds, seed)
-    truncated = 0
     for n in (20, 40, 80, 160):
         for seed in range(20):
             poly = gen_pseudo_triangle(n, seed)
             g = visibility_graph(poly)
-            stats: dict[str, int] = {}
             t0 = time.perf_counter()
-            sols = solve_pseudo_triangle(g, stats)
+            sols = solve_pseudo_triangle(g)
             dt = time.perf_counter() - t0
-            truncated += stats.get("cap_truncated", 0)
             slowest[n] = max(slowest.get(n, (0.0, seed)), (dt, seed))
             if n == 160:
                 worst_160 = max(worst_160, dt)
@@ -218,7 +215,7 @@ def test_criterion_6_scaling():
         "criterion 6 (scaling consistency)",
         ok,
         f"log-log slope {slope:.2f} <= 2.3, worst n=160 solve {worst_160:.2f}s < 10s, "
-        f"misses={misses}; slowest: {slow}; cap-search truncations: {truncated}",
+        f"misses={misses}; slowest: {slow}",
     )
 
 

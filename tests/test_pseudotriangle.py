@@ -26,7 +26,6 @@ from polyvis.pseudotriangle import (
     SplitDecomposition,
     _cap_borderings,
     _cap_context,
-    _LevelTree,
 )
 from polyvis.tower import enumerate_borderings
 
@@ -65,18 +64,28 @@ def test_extract_cap_rejects_without_common_neighbor():
     assert extract_cap(g, 0, (2, 3)) == []
 
 
-def test_extract_cap_shared_tree_matches_fresh():
-    # One level tree serves every split edge of a top with the same caps as
-    # a tree built for that edge alone.
-    g = visibility_graph(gen_pseudo_triangle(24, 3))
-    for top in sorted(top_joint_candidates(g)):
-        tree = _LevelTree(g, top)
-        for u, v in sorted(g.edges):
-            if top in (u, v):
-                continue
-            for e in ((u, v), (v, u)):
-                assert extract_cap(g, top, e, tree) == extract_cap(g, top, e)
-        assert tree.truncated == 0
+@pytest.mark.parametrize(
+    "n, edges, e, caps",
+    [
+        # Flank rule: the candidate {2, 4} meets the base {2} in 2 only, and 4
+        # alone would have one carrier, so {0, 2, 4} is a cap besides {0, 2}.
+        (5, [(0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)], (1, 3), [{0, 2}, {0, 2, 4}]),
+        # The candidate {1, 3} meets the base {3, 5} in 3 only: it gives {0, 3, 5}
+        # and the flank cap {0, 1, 3, 5}, and the walk goes on below it to
+        # {0, 1, 3, 5, 6}.
+        (
+            7,
+            [(0, 1), (0, 3), (1, 3), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+             (3, 6), (4, 5), (5, 6)],
+            (2, 4),
+            [{0, 1, 3, 5}, {0, 1, 3, 5, 6}, {0, 3, 5}],
+        ),
+    ],
+    ids=["flank", "below-base"],
+)
+def test_extract_cap_walk_past_base(n, edges, e, caps):
+    g = Graph.from_edges(n, edges)
+    assert extract_cap(g, 0, e) == [frozenset(c) for c in caps]
 
 
 def test_split_parts_pt6(pt6_graph):
