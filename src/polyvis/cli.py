@@ -109,6 +109,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.degenerate and args.kind != "pseudo-triangle":
+        print("error: --degenerate applies only to --kind pseudo-triangle", file=sys.stderr)
+        return 1
     try:
         if args.kind == "tower":
             poly = geometry.gen_tower(args.n, args.seed)
@@ -185,7 +188,11 @@ def cmd_bench(args) -> int:
     print("kind,n,m,millis,candidates")
     for n in args.sizes:
         for seed in range(args.seed, args.seed + args.repeat):
-            m, millis, cands = _bench_one(args.kind, n, seed)
+            try:
+                m, millis, cands = _bench_one(args.kind, n, seed)
+            except (ValueError, RuntimeError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             print(f"{args.kind},{n},{m},{millis:.3f},{cands}")
     return 0
 

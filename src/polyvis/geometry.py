@@ -5,7 +5,11 @@ visible/blocked predicate is two-valued.  Visibility comes from ``kernels``,
 the one exact visibility kernel (pure Python, about O(m*n) per graph with m
 edges, O(n^3) for a convex polygon).  Generators enforce general position (no
 three vertices collinear anywhere) by resampling, and are deterministic per
-(n, seed).
+(n, seed).  They build no graph beyond the one they return: a pseudo-triangle
+attempt tests its side visibility, and a pseudo-tower attempt the degrees of
+its cut's two flanks, on those vertex pairs alone, so a pseudo-tower costs one
+kernel pass and a pseudo-triangle none.  Polygon validation runs the exact
+edge-touch test only on edge pairs whose bounding boxes meet.
 """
 
 from __future__ import annotations
@@ -94,13 +98,22 @@ class Polygon:
         for i in range(n):
             if _orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == 0:
                 raise PolygonError(f"three consecutive collinear vertices at {i}")
+        # Edges whose axis-aligned boxes are apart cannot touch, so only the
+        # pairs with overlapping boxes get the exact test.
+        ends = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+        lo_x = [min(a.x, b.x) for a, b in ends]
+        hi_x = [max(a.x, b.x) for a, b in ends]
+        lo_y = [min(a.y, b.y) for a, b in ends]
+        hi_y = [max(a.y, b.y) for a, b in ends]
         for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue  # shares a vertex; consecutive-collinearity already excluded
-                c, d = pts[j], pts[(j + 1) % n]
-                if _segments_touch(a, b, c, d):
+            a, b = ends[i]
+            lx, hx, ly, hy = lo_x[i], hi_x[i], lo_y[i], hi_y[i]
+            # Skip the next edge, and edge n-1 for edge 0: they share a vertex,
+            # and consecutive collinearity is already excluded.
+            for j in range(i + 2, n if i else n - 1):
+                if lo_x[j] > hx or hi_x[j] < lx or lo_y[j] > hy or hi_y[j] < ly:
+                    continue
+                if _segments_touch(a, b, *ends[j]):
                     raise PolygonError(f"boundary edges {i} and {j} intersect")
 
     @property
@@ -268,15 +281,19 @@ def _chain_index_sets(n: int, info: dict[str, object]) -> dict[str, tuple[int, .
     return {"left": upper_left + (left_corner,), "bottom": bottom, "right": upper_right + (right_corner,)}
 
 
-def _sees_both_sides(g: Graph, chains: dict[str, tuple[int, ...]]) -> list[int]:
-    left_targets = set(chains["left"][:-1])  # left chain without its base corner
-    right_targets = set(chains["right"][:-1])
-    out = []
-    for w in chains["bottom"]:
-        nb = g.nbr_set(w)
-        if nb & left_targets and nb & right_targets:
-            out.append(w)
-    return out
+def _sees_both_sides(poly: Polygon, chains: dict[str, tuple[int, ...]]) -> list[int]:
+    """The bottom vertices that see some vertex of each side chain (a side
+    chain without its base corner), tested pair by pair without a graph.
+    """
+    coords = poly.coords()
+    left_targets = chains["left"][:-1]
+    right_targets = chains["right"][:-1]
+    return [
+        w
+        for w in chains["bottom"]
+        if any(kernels.segment_visible(coords, w, t) for t in left_targets)
+        and any(kernels.segment_visible(coords, w, t) for t in right_targets)
+    ]
 
 
 def _degenerate_points(
@@ -364,8 +381,7 @@ def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
         if len(convex_vertex_indices(poly)) != 3:
             continue
         chains = _chain_index_sets(n, info)
-        g = visibility_graph(poly)
-        both = _sees_both_sides(g, chains)
+        both = _sees_both_sides(poly, chains)
         if degenerate:
             if len(both) == 1:
                 return poly
@@ -414,6 +430,17 @@ class PseudoTowerInstance:
     tail: tuple[int, ...]  # relabeled, outermost vertex first
 
 
+def _kept_degree_upto_2(coords: kernels.Coords, v: int, kept: tuple[int, ...]) -> int:
+    """How many kept vertices v sees, counting no further than 2."""
+    seen = 0
+    for w in kept:
+        if w != v and kernels.segment_visible(coords, v, w):
+            seen += 1
+            if seen == 2:
+                break
+    return seen
+
+
 def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
     """Random pseudo-tower with a nonempty tail; its graph has exactly one
     degree-1 vertex.  Deterministic per (n, seed).
@@ -436,17 +463,19 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         left_corner = int(info["left_corner"])
         right_corner = int(info["right_corner"])
         if cut_left:
-            cut = set(range(left_corner - removed + 1, left_corner + 1))
+            cut = range(left_corner - removed + 1, left_corner + 1)
         else:
-            cut = set(range(right_corner, right_corner + removed))
+            cut = range(right_corner, right_corner + removed)
         kept = tuple(v for v in range(parent_n) if v not in cut)
+        # The cut is a run without the apex, so every kept vertex but its two
+        # flanks keeps both boundary neighbours: only a flank can have degree 1.
+        flanks = (cut.start - 1, cut.stop)
+        coords = parent.coords()
+        if [_kept_degree_upto_2(coords, f, kept) for f in flanks].count(1) != 1:
+            continue
         relabel = {old: new for new, old in enumerate(kept)}
 
-        parent_graph = visibility_graph(parent)
-        sub, _ = induced_subgraph(parent_graph, kept)
-        deg_one = [v for v in range(sub.n) if sub.degree(v) == 1]
-        if len(deg_one) != 1:
-            continue
+        sub, _ = induced_subgraph(visibility_graph(parent), kept)
         try:
             tail, residual = extract_tail(sub)
         except ValueError:

@@ -11,6 +11,7 @@ import math
 import random
 
 from polyvis import Graph, Point, Polygon, canonicalize, is_cycle_in_graph
+from polyvis.geometry import _segments_touch
 from polyvis.pseudotriangle import _necessary_conditions
 
 
@@ -194,3 +195,20 @@ def segment_visible_scan(coords, i: int, j: int) -> bool:
         if _proper_cross(px, py, qx, qy, *coords[a], *coords[b]):
             return False
     return _point_inside_doubled(coords, px + qx, py + qy)
+
+
+def polygon_edges_touch_scan(points):
+    """The first pair (i, j), i < j, of boundary edges that share no vertex
+    and touch, trying every pair in order; None when no two touch.  Edge i
+    runs from point i to point i+1 (wrapping round)."""
+    pts = [Point(int(x), int(y)) for x, y in points]
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            c, d = pts[j], pts[(j + 1) % n]
+            if _segments_touch(a, b, c, d):
+                return i, j
+    return None

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polyvis import gen_pseudo_triangle, serialize_graph, visibility_graph, write_polygon
 from polyvis.cli import main
 
@@ -79,6 +81,17 @@ def test_gen_invalid_n_exit_1(capsys):
     assert main(["gen", "--kind", "tower", "--n", "3"]) == 1
 
 
+@pytest.mark.parametrize("kind", ["tower", "pseudo-tower"])
+def test_gen_degenerate_needs_pseudo_triangle_exit_1(tmp_path, capsys, kind):
+    out_path = tmp_path / "p.txt"
+    assert main(["gen", "--kind", kind, "--n", "9", "--degenerate", "-o", str(out_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "--degenerate" in out.err
+    assert out.out == "" and not out_path.exists()
+    assert main(["gen", "--kind", "pseudo-triangle", "--n", "9", "--degenerate",
+                 "-o", str(out_path)]) == 0
+
+
 def test_auto_solves_generated_pseudo_tower(tmp_path, capsys):
     out_path = tmp_path / "pt.txt"
     assert main(["gen", "--kind", "pseudo-tower", "--n", "9", "--seed", "2",
@@ -126,6 +139,18 @@ def test_bench_csv(capsys):
         assert int(n) in (6, 8)
         assert float(millis) >= 0
         assert int(cands) >= 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--sizes", "2"],
+    ["--kind", "tower", "--sizes", "3"],
+    ["--kind", "pseudo-tower", "--sizes", "6", "4"],
+])
+def test_bench_generator_error_exit_1(capsys, args):
+    assert main(["bench", "--repeat", "1", *args]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "Traceback" not in out.err
+    assert out.out.splitlines()[0] == "kind,n,m,millis,candidates"
 
 
 def test_usage_error_exit_1(capsys):

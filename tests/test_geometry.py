@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyvis import (
     Point,
@@ -15,9 +17,11 @@ from polyvis import (
     visibility_graph,
     write_polygon,
 )
-from polyvis.geometry import parse_polygon, PolygonParseError
+from polyvis import geometry, kernels
+from polyvis.geometry import parse_polygon, pseudo_triangle_chains, PolygonParseError
 
 from conftest import PT6_EDGES, T5_EDGES
+from oracles import polygon_edges_touch_scan
 
 
 def test_segment_inside_t5_chord(t5_polygon):
@@ -215,3 +219,102 @@ def test_generated_towers_always_valid(n, seed):
     # boundary edges are always present
     for i in range(n):
         assert g.has_edge(i, (i + 1) % n)
+
+
+def _check_edge_validation(pts) -> bool:
+    """Polygon(pts) accepts iff the all-pairs scan finds no touching edges,
+    and otherwise names the scan's first pair; False when pts fails an
+    earlier check."""
+    touching = polygon_edges_touch_scan(pts)
+    try:
+        Polygon(tuple(pts))
+    except PolygonError as exc:
+        message = str(exc)
+        if not message.startswith("boundary edges"):
+            return False
+        assert touching is not None
+        assert message == f"boundary edges {touching[0]} and {touching[1]} intersect"
+    else:
+        assert touching is None
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=9,
+             unique=True),
+    st.booleans(),
+)
+def test_polygon_edge_validation_matches_scan(pts, around_centre):
+    # On a small grid many sequences cross or touch themselves; sorting by
+    # angle round the centroid gives mostly simple ones, often with a vertex
+    # resting on an edge.
+    if around_centre:
+        cx = sum(x for x, _ in pts) / len(pts)
+        cy = sum(y for _, y in pts) / len(pts)
+        pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    if area2 < 0:
+        pts.reverse()
+    # Each quarter turn moves a touch onto another side of the boxes, and each
+    # starting vertex changes which touching pair comes first.
+    checked = False
+    for _ in range(4):
+        pts = [(-y, x) for x, y in pts]
+        for start in range(len(pts)):
+            checked |= _check_edge_validation(pts[start:] + pts[:start])
+    assume(checked)  # otherwise rejected before the edge test
+
+
+# oracle-gen's generator mix: (n, seeds) per size.
+_ORACLE_GEN_SIZES = ((20, range(8)), (40, range(4)), (80, (0,)))
+
+
+def _count_kernel_passes(monkeypatch) -> list[int]:
+    calls = [0]
+    full_pass = kernels.visibility_edges
+
+    def counted(coords):
+        calls[0] += 1
+        return full_pass(coords)
+
+    monkeypatch.setattr(kernels, "visibility_edges", counted)
+    return calls
+
+
+def test_gen_pseudo_triangle_builds_no_graph(monkeypatch):
+    calls = _count_kernel_passes(monkeypatch)
+    polys = []
+    for degenerate, sizes in ((False, _ORACLE_GEN_SIZES), (True, _ORACLE_GEN_SIZES[:2])):
+        for n, seeds in sizes:
+            for seed in seeds:
+                polys.append((gen_pseudo_triangle(n, seed, degenerate), degenerate))
+    assert calls[0] == 0
+    for poly, degenerate in polys:
+        chains = pseudo_triangle_chains(poly)
+        g = visibility_graph(poly)
+        left = set(chains["left"][:-1])
+        right = set(chains["right"][:-1])
+        want = [w for w in chains["bottom"] if g.nbr_set(w) & left and g.nbr_set(w) & right]
+        assert geometry._sees_both_sides(poly, chains) == want
+        if degenerate:
+            assert len(want) == 1
+        else:
+            pos = {v: i for i, v in enumerate(chains["bottom"])}
+            assert any(pos[b] == pos[a] + 1 for a in want for b in want)
+
+
+def test_gen_pseudo_tower_builds_one_graph(monkeypatch):
+    calls = _count_kernel_passes(monkeypatch)
+    for n, seeds in _ORACLE_GEN_SIZES:
+        for seed in seeds:
+            before = calls[0]
+            inst = gen_pseudo_tower(n, seed)
+            assert calls[0] == before + 1
+            # The removed vertices are one run without the apex; the degree-1
+            # vertex sits next to it.
+            cut = sorted(set(range(inst.parent.n)) - set(inst.kept))
+            assert cut == list(range(cut[0], cut[-1] + 1)) and cut[0] > 0
+            deg_one = [v for v in range(inst.graph.n) if inst.graph.degree(v) == 1]
+            assert len(deg_one) == 1
+            assert inst.kept[deg_one[0]] in (cut[0] - 1, cut[-1] + 1)
