@@ -8,6 +8,7 @@ stdout one per line; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -197,7 +198,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by every later call:
+    each parse fills a fresh namespace, so no option carries over.
+    """
     p = _Parser(prog="polyvis", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -3,23 +3,27 @@ the bottom of one chain.
 
 The tail's outermost vertex has degree 1; walking through degree-2 vertices
 recovers the whole tail, and the rest of the graph is solved with the tower
-machinery.  All output refers to the input vertex ids.
+machinery.  The solver works on neighbor-set views (``tower.NbrView``): a
+mapping from each vertex, in the caller's own ids, to its neighbor set.  A
+``Graph`` is turned into its view once, at entry; the residual below the tail
+is the view restricted to it, so no subgraph is built and nothing is
+renumbered.  All output refers to the input vertex ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph, is_connected
+from .graph import Graph, bfs_layers
 from .tower import (
-    Bordering,
-    Leveling,
+    NbrView,
     NotTowerError,
-    bordering_graph,
+    apex_candidates,
+    bordering_constraints,
     chains_from_bordering,
-    compute_leveling,
     enumerate_borderings,
-    tower_top_candidates,
+    level_sets,
+    nbr_view,
 )
 
 
@@ -42,58 +46,67 @@ class PseudoTowerSolution:
         return tuple(sorted(self.chains))
 
 
-def extract_tail(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
+def _as_view(g: Graph | NbrView) -> NbrView:
+    return nbr_view(g) if isinstance(g, Graph) else g
+
+
+def extract_tail(g: Graph | NbrView) -> tuple[tuple[int, ...], frozenset[int]]:
     """Split off the tail: start at the unique degree-1 vertex and walk through
     degree-2 vertices; the first vertex of degree >= 3 stays in the residual.
 
-    No degree-1 vertex means an empty tail (the input is treated as a tower).
-    Two or more degree-1 vertices reject the input.
+    ``g`` is a graph or a neighbor-set view.  No degree-1 vertex means an
+    empty tail (the input is treated as a tower).  Two or more degree-1
+    vertices reject the input.
     """
-    deg_one = [v for v in range(g.n) if g.degree(v) == 1]
+    nbrs = _as_view(g)
+    deg_one = [v for v, nb in nbrs.items() if len(nb) == 1]
     if len(deg_one) >= 2:
         raise NotPseudoTowerError(f"{len(deg_one)} degree-1 vertices, expected at most 1")
     if not deg_one:
-        return (), frozenset(range(g.n))
+        return (), frozenset(nbrs)
 
     tail = [deg_one[0]]
     visited = {deg_one[0]}
-    current = g.neighbors(deg_one[0])[0]
-    while g.degree(current) == 2:
-        if current in visited:
-            raise NotPseudoTowerError("tail walk revisited a vertex")
+    (current,) = nbrs[deg_one[0]]
+    while len(nbrs[current]) == 2:
         tail.append(current)
         visited.add(current)
-        a, b = g.neighbors(current)
-        nxt = b if a in visited else a
-        if nxt in visited:
+        nxt = nbrs[current] - visited
+        if not nxt:
             raise NotPseudoTowerError("tail walk closed a cycle")
-        current = nxt
-    if g.degree(current) < 3:
+        (current,) = nxt
+    if len(nbrs[current]) < 3:
         raise NotPseudoTowerError("tail consumed the whole graph")
-    residual = frozenset(range(g.n)) - set(tail)
+    residual = frozenset(nbrs) - visited
     return tuple(tail), residual
 
 
-def solve_pseudo_tower(g: Graph) -> list[PseudoTowerSolution]:
+def solve_pseudo_tower(g: Graph | NbrView) -> list[PseudoTowerSolution]:
     """All consistent chain pairs: extract the tail, run tower leveling and
     borderings on the residual for every apex candidate, and append the tail
     to the chain ending at its attachment vertex.
+
+    ``g`` is a graph or a neighbor-set view; the chains use its vertex ids.
     """
-    if g.n < 3:
+    nbrs = _as_view(g)
+    if len(nbrs) < 3:
         raise NotPseudoTowerError("pseudo-tower graphs need at least 3 vertices")
-    if not is_connected(g):
+    unvisited = set(nbrs)
+    bfs_layers(nbrs.__getitem__, min(unvisited), unvisited)
+    if unvisited:
         raise NotPseudoTowerError("graph is not connected")
 
-    tail, residual = extract_tail(g)
+    tail, residual = extract_tail(nbrs)
     if len(residual) < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
-    sub, old_of = induced_subgraph(g, residual)
+    res = nbrs
     attachment = None
     if tail:
-        (attachment,) = set(g.neighbors(tail[-1])) - set(tail)
+        res = {v: nbrs[v] & residual for v in residual}
+        (attachment,) = nbrs[tail[-1]] & residual
 
     try:
-        tops = tower_top_candidates(sub)
+        tops = apex_candidates(res)
     except NotTowerError as exc:
         raise NotPseudoTowerError(f"residual is not a tower graph: {exc}") from exc
 
@@ -102,13 +115,13 @@ def solve_pseudo_tower(g: Graph) -> list[PseudoTowerSolution]:
     any_leveling = False
     for top in sorted(tops):
         try:
-            lv = compute_leveling(sub, top)
-            bg = bordering_graph(sub, lv)
+            lv = level_sets(res, top)
+            bg = bordering_constraints(res, lv)
         except NotTowerError:
             continue
         any_leveling = True
         for b in enumerate_borderings(bg):
-            chains = _original_chains(lv, b, old_of)
+            chains = chains_from_bordering(lv, b)
             if tail:
                 chains = _attach_tail(chains, attachment, tail)
                 if chains is None:
@@ -122,13 +135,6 @@ def solve_pseudo_tower(g: Graph) -> list[PseudoTowerSolution]:
         raise NotPseudoTowerError("residual fails tower leveling from every apex candidate")
     solutions.sort(key=PseudoTowerSolution.chain_key)
     return solutions
-
-
-def _original_chains(
-    lv: Leveling, b: Bordering, old_of: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    c1, c2 = chains_from_bordering(lv, b)
-    return tuple(old_of[v] for v in c1), tuple(old_of[v] for v in c2)
 
 
 def _attach_tail(

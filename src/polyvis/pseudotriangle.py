@@ -33,7 +33,6 @@ from .graph import (
     Graph,
     bfs_layers,
     canonicalize,
-    induced_subgraph,
     is_connected,
     is_cycle_in_graph,
 )
@@ -212,14 +211,17 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     """Boundary readings of a side part as Hamiltonian paths ending at its
     split-edge endpoint.
 
-    Singletons and chordless paths are read directly; anything else is solved
-    as a pseudo-tower and unfolded around its joint.
+    Singletons and chordless paths are read directly.  Anything else is
+    solved as a pseudo-tower on the part's neighbor-set view, in g's own
+    vertex ids, and each solution whose chain ends at ``end`` is unfolded
+    around its joint: the other chain upward, then this chain downward.
     """
     if end not in part:
         return []
     if len(part) == 1:
         return [PartSolution((end,), end)]
-    inner = {v: g.nbr_set(v) & part for v in part}
+    gn = g.nbr_sets
+    inner = {v: gn[v] & part for v in part}
     degs = [len(nb) for nb in inner.values()]
     if max(degs) <= 2 and degs.count(1) == 2 and sum(degs) == 2 * (len(part) - 1):
         ends = sorted(v for v, nb in inner.items() if len(nb) == 1)
@@ -237,10 +239,8 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
             return []
         return [PartSolution(tuple(walk), walk[0])]
 
-    sub, old_of = induced_subgraph(g, part)
-    new_end = old_of.index(end)
     try:
-        sols = solve_pseudo_tower(sub)
+        sols = solve_pseudo_tower(inner)
     except NotPseudoTowerError:
         return []
     out: list[PartSolution] = []
@@ -248,16 +248,13 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     for s in sols:
         c1, c2 = s.chains
         for chain_w, chain_other in ((c1, c2), (c2, c1)):
-            if not chain_w or chain_w[-1] != new_end:
+            if not chain_w or chain_w[-1] != end:
                 continue
-            walk = list(reversed(chain_other)) + list(chain_w[1:])
-            if len(walk) != sub.n:
-                continue
-            path = tuple(old_of[v] for v in walk)
-            if path in seen_paths:
+            path = (*reversed(chain_other), *chain_w[1:])
+            if len(path) != len(part) or path in seen_paths:
                 continue
             seen_paths.add(path)
-            out.append(PartSolution(path, old_of[chain_w[0]]))
+            out.append(PartSolution(path, chain_w[0]))
     return sorted(out, key=lambda p: p.path)
 
 
@@ -572,7 +569,8 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> _CapContext | None:
     and the tail vertices rejoin as deeper single-vertex levels glued to their
     attachment's constraint component (same chain, so same color).
     """
-    nbrs = {v: g.nbr_set(v) & cap for v in cap}
+    gn = g.nbr_sets
+    nbrs = {v: gn[v] & cap for v in cap}  # the cap's view, one per cap
 
     tail: list[int] = []  # outermost vertex first
     attachment = top
@@ -591,8 +589,10 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> _CapContext | None:
             seen.add(cur)
         attachment = cur
 
-    residual = cap - set(tail)
-    res_nbrs = {v: nbrs[v] & residual for v in residual}
+    res_nbrs = nbrs
+    if tail:
+        residual = cap - set(tail)
+        res_nbrs = {v: nbrs[v] & residual for v in residual}
     try:
         lv = level_sets(res_nbrs, top)
         bg = bordering_constraints(res_nbrs, lv)

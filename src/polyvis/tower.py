@@ -60,25 +60,43 @@ class Bordering:
     right: frozenset[int]
 
 
+NbrView = Mapping[int, frozenset[int]]
+"""A neighbor-set view of a graph in its caller's vertex ids: the keys are
+the vertex universe and each value is that vertex's neighbor set, which lies
+inside the keys.  Restricting every set to a vertex subset gives the view of
+the induced subgraph without renumbering anything."""
+
+
+def nbr_view(g: Graph) -> dict[int, frozenset[int]]:
+    """The neighbor-set view of a whole graph."""
+    return dict(enumerate(g.nbr_sets))
+
+
 def tower_top_candidates(g: Graph) -> frozenset[int]:
     """Vertices of degree 2 whose two neighbors are adjacent to each other.
 
     A genuine tower graph has one or two such vertices (the apex, and possibly
     one base corner); anything the filter admits is tried downstream.
     """
-    if g.n < 3:
+    return apex_candidates(nbr_view(g))
+
+
+def apex_candidates(nbrs: NbrView) -> frozenset[int]:
+    """Apex-candidate core over a neighbor-set view; see tower_top_candidates."""
+    if len(nbrs) < 3:
         raise NotTowerError("tower graphs need at least 3 vertices")
     out = []
-    for v in range(g.n):
-        nb = g.neighbors(v)
-        if len(nb) == 2 and g.has_edge(nb[0], nb[1]):
-            out.append(v)
+    for v, nb in nbrs.items():
+        if len(nb) == 2:
+            a, b = nb
+            if a in nbrs[b]:
+                out.append(v)
     if not out:
         raise NotTowerError("no apex candidate: not a tower visibility graph")
     return frozenset(out)
 
 
-def level_sets(nbrs: dict[int, frozenset[int]], top: int) -> Leveling:
+def level_sets(nbrs: NbrView, top: int) -> Leveling:
     """Leveling core over a neighbor-set view (keys are the vertex universe).
 
     Runs ``walk_levels``, the package's one leveling loop, from ``top`` until
@@ -98,7 +116,7 @@ def level_sets(nbrs: dict[int, frozenset[int]], top: int) -> Leveling:
 
 
 def walk_levels(
-    nbrs: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    nbrs: NbrView | Sequence[frozenset[int]],
     levels: list[frozenset[int]],
     placed: set[int],
 ) -> Iterator[frozenset[int]]:
@@ -106,8 +124,9 @@ def walk_levels(
 
     ``nbrs[v]`` is v's neighbor set and ``len(nbrs)`` the number of vertices.
     Each candidate level is the set of unplaced common neighbors of the last
-    level; it is yielded before it is closed by the rules for exhaustion,
-    two-vertex levels (a clique) and single-vertex levels (see ``carriers``).
+    level, which has one or two vertices.  It is yielded before it is closed
+    by the rules for exhaustion, two-vertex levels (a clique) and
+    single-vertex levels (see ``carriers``).
     ``levels`` and ``placed`` are extended in place, so a consumer reads the
     walk's state from them between steps.  Vertices already in ``placed`` at
     the start are outside the walk: the candidate and carrier tests skip them.
@@ -117,7 +136,12 @@ def walk_levels(
     total = len(nbrs)
     while len(placed) < total:
         current = levels[-1]
-        cand = frozenset.intersection(*(nbrs[v] for v in current)) - placed
+        if len(current) == 1:
+            (a,) = current
+            cand = nbrs[a] - placed
+        else:
+            a, b = current
+            cand = (nbrs[a] & nbrs[b]) - placed
         if not cand:
             raise NotTowerError("leveling stalled: no common neighbor outside placed levels")
         yield cand
@@ -151,7 +175,7 @@ def walk_levels(
 
 
 def carriers(
-    nbrs: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    nbrs: NbrView | Sequence[frozenset[int]],
     current: frozenset[int],
     placed: set[int],
     p: int,
@@ -161,21 +185,17 @@ def carriers(
     {p} the next level is {p, x} for the one carrier x; none or several
     reject the leveling.
     """
-    return [
-        x for x in sorted(current) if any(w != p and w not in placed for w in nbrs[x])
-    ]
+    return [x for x in sorted(current) if nbrs[x] - placed - {p}]
 
 
 def compute_leveling(g: Graph, top: int) -> Leveling:
     """Leveling of a whole graph from ``top``; see level_sets."""
     if not (0 <= top < g.n):
         raise ValueError(f"top {top} out of range")
-    return level_sets({v: g.nbr_set(v) for v in range(g.n)}, top)
+    return level_sets(nbr_view(g), top)
 
 
-def bordering_constraints(
-    nbrs: dict[int, frozenset[int]], lv: Leveling
-) -> BorderingGraph:
+def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
     """Constraint-graph core over a neighbor-set view; see bordering_graph."""
     top = lv.top
     nodes = frozenset(v for v in nbrs if v != top)
@@ -228,7 +248,7 @@ def bordering_graph(g: Graph, lv: Leveling) -> BorderingGraph:
     endpoints' levels are at least 2 apart, and the pair inside every
     two-vertex level.  Raises NotTowerError if 2-coloring fails.
     """
-    return bordering_constraints({v: g.nbr_set(v) for v in range(g.n)}, lv)
+    return bordering_constraints(nbr_view(g), lv)
 
 
 def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polyvis import gen_pseudo_triangle, serialize_graph, visibility_graph, write_polygon
-from polyvis.cli import main
+from polyvis.cli import build_parser, main
 
 from conftest import PT6_EDGES, T5_EDGES
 
@@ -156,6 +156,37 @@ def test_bench_generator_error_exit_1(capsys, args):
 def test_usage_error_exit_1(capsys):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def _answer(argv, capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    out = capsys.readouterr()
+    if "--json" in argv:
+        report = json.loads(out.out)
+        del report["millis"]  # wall time, the one field that varies
+        return code, json.dumps(report, sort_keys=True), out.err
+    return code, out.out, out.err
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    pt6 = _graph_file(tmp_path, 6, PT6_EDGES)
+    calls = [
+        ["solve", pt6, "--kind", "pseudo-triangle", "--json"],
+        ["verify", pt6, "0", "1", "2", "3", "4", "5"],
+        ["solve", pt6, "--no-such-option"],
+        ["solve", pt6],
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(_answer(argv, capsys))
+    build_parser.cache_clear()
+    in_sequence = [_answer(argv, capsys) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0]
+    assert alone[2][2].startswith("error: ")
+    assert "kind: " in alone[3][2] and not alone[3][1].startswith("{")
 
 
 def test_deterministic_stdout(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from polyvis import (
     Graph,
     NotPseudoTowerError,
+    PseudoTowerSolution,
     extract_tail,
     gen_pseudo_tower,
     solve_pseudo_tower,
@@ -83,3 +84,59 @@ def test_generated_chains_reconstruct_vertices():
         c1, c2 = s.chains
         combined = list(c1) + list(c2[1:])
         assert sorted(combined) == list(range(inst.graph.n))
+
+
+def _relabel_inputs() -> list[tuple[str, Graph]]:
+    """Generated pseudo-towers, the tower fixtures, and every one-edge flip
+    (an edge removed or a non-edge added) of each."""
+    bases = [(f"gen-n{n}-s{seed}", gen_pseudo_tower(n, seed).graph)
+             for n in (8, 12, 20) for seed in range(5)]
+    bases += [("t5", Graph(5, T5_EDGES)), ("t5-pendant", _t5_with_pendant())]
+    out = list(bases)
+    for name, g in bases:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                out.append((f"{name}-flip{u}-{v}", Graph(g.n, g.edges ^ {(u, v)})))
+    return out
+
+
+def _mapped(v: int) -> int:
+    return 3 * v + 1  # monotone and sparse: ids keep their order, not their values
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except NotPseudoTowerError:
+        return "rejected"
+
+
+def test_view_solver_ignores_vertex_ids():
+    """On a relabelled neighbor-set view (keys in descending order, so no
+    answer can lean on insertion order) both entry points give exactly the
+    relabelled answers of the Graph call, or both reject."""
+    solved = 0
+    for name, g in _relabel_inputs():
+        view = {
+            _mapped(v): frozenset(_mapped(w) for w in g.nbr_set(v))
+            for v in reversed(range(g.n))
+        }
+
+        want = _outcome(solve_pseudo_tower, g)
+        if want != "rejected":
+            solved += 1
+            want = [
+                PseudoTowerSolution(
+                    tuple(map(_mapped, s.tail)),
+                    tuple(tuple(map(_mapped, c)) for c in s.chains),
+                )
+                for s in want
+            ]
+        assert _outcome(solve_pseudo_tower, view) == want, name
+
+        want_tail = _outcome(extract_tail, g)
+        if want_tail != "rejected":
+            tail, residual = want_tail
+            want_tail = (tuple(map(_mapped, tail)), frozenset(map(_mapped, residual)))
+        assert _outcome(extract_tail, view) == want_tail, name
+    assert solved >= 17  # every generated instance and both fixtures at least
