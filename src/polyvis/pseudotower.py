@@ -8,6 +8,9 @@ mapping from each vertex, in the caller's own ids, to its neighbor set.  A
 ``Graph`` is turned into its view once, at entry; the residual below the tail
 is the view restricted to it, so no subgraph is built and nothing is
 renumbered.  All output refers to the input vertex ids.
+
+The pseudo-triangle solver reads its caps and side parts with the same tail
+walk (``extract_tail`` with a known top) and chain reader (``tower_chains``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 
 from .graph import Graph, bfs_layers
 from .tower import (
+    BorderingGraph,
+    Leveling,
     NbrView,
     NotTowerError,
     apex_candidates,
@@ -50,16 +55,20 @@ def _as_view(g: Graph | NbrView) -> NbrView:
     return nbr_view(g) if isinstance(g, Graph) else g
 
 
-def extract_tail(g: Graph | NbrView) -> tuple[tuple[int, ...], frozenset[int]]:
+def extract_tail(
+    g: Graph | NbrView, top: int | None = None
+) -> tuple[tuple[int, ...], frozenset[int]]:
     """Split off the tail: start at the unique degree-1 vertex and walk through
     degree-2 vertices; the first vertex of degree >= 3 stays in the residual.
 
-    ``g`` is a graph or a neighbor-set view.  No degree-1 vertex means an
-    empty tail (the input is treated as a tower).  Two or more degree-1
-    vertices reject the input.
+    ``g`` is a graph or a neighbor-set view.  A known ``top`` is never a tail
+    end, whatever its degree, and the walk stops on reaching it, so the
+    residual always keeps it (a chordless path ending at ``top`` leaves the
+    residual ``{top}``).  No degree-1 vertex means an empty tail (the input
+    is treated as a tower).  Two or more degree-1 vertices reject the input.
     """
     nbrs = _as_view(g)
-    deg_one = [v for v, nb in nbrs.items() if len(nb) == 1]
+    deg_one = [v for v, nb in nbrs.items() if len(nb) == 1 and v != top]
     if len(deg_one) >= 2:
         raise NotPseudoTowerError(f"{len(deg_one)} degree-1 vertices, expected at most 1")
     if not deg_one:
@@ -68,14 +77,14 @@ def extract_tail(g: Graph | NbrView) -> tuple[tuple[int, ...], frozenset[int]]:
     tail = [deg_one[0]]
     visited = {deg_one[0]}
     (current,) = nbrs[deg_one[0]]
-    while len(nbrs[current]) == 2:
+    while current != top and len(nbrs[current]) == 2:
         tail.append(current)
         visited.add(current)
         nxt = nbrs[current] - visited
         if not nxt:
             raise NotPseudoTowerError("tail walk closed a cycle")
         (current,) = nxt
-    if len(nbrs[current]) < 3:
+    if current != top and len(nbrs[current]) < 3:
         raise NotPseudoTowerError("tail consumed the whole graph")
     residual = frozenset(nbrs) - visited
     return tuple(tail), residual
@@ -120,12 +129,7 @@ def solve_pseudo_tower(g: Graph | NbrView) -> list[PseudoTowerSolution]:
         except NotTowerError:
             continue
         any_leveling = True
-        for b in enumerate_borderings(bg):
-            chains = chains_from_bordering(lv, b)
-            if tail:
-                chains = _attach_tail(chains, attachment, tail)
-                if chains is None:
-                    continue
+        for chains in tower_chains(lv, bg, tail, attachment):
             sol = PseudoTowerSolution(tail, chains)
             key = sol.chain_key()
             if key not in seen:
@@ -137,15 +141,27 @@ def solve_pseudo_tower(g: Graph | NbrView) -> list[PseudoTowerSolution]:
     return solutions
 
 
-def _attach_tail(
-    chains: tuple[tuple[int, ...], tuple[int, ...]],
-    attachment: int,
+def tower_chains(
+    lv: Leveling,
+    bg: BorderingGraph,
     tail: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    c1, c2 = chains
+    attachment: int | None,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The chain pair of every bordering of a leveled residual, each chain
+    from the apex down, with the tail (outermost vertex first) appended below
+    the chain that ends at ``attachment``.  A bordering that leaves the
+    attachment above the bottom of its chain is inconsistent and dropped.
+    """
+    out = []
     suffix = tuple(reversed(tail))  # innermost tail vertex first
-    if c1 and c1[-1] == attachment:
-        return c1 + suffix, c2
-    if c2 and c2[-1] == attachment:
-        return c1, c2 + suffix
-    return None  # attachment is not at a chain bottom: bordering inconsistent
+    for b in enumerate_borderings(bg):
+        c1, c2 = chains_from_bordering(lv, b)
+        if tail:
+            if c1[-1] == attachment:
+                c1 += suffix
+            elif c2[-1] == attachment:
+                c2 += suffix
+            else:
+                continue
+        out.append((c1, c2))
+    return out

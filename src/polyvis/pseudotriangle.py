@@ -17,9 +17,13 @@ rule also reads the cap that leveling the other vertex alone would give (see
 ``extract_cap``).  Every closed level places a vertex, so a walk ends within
 n levels and needs no budget.
 
-The cap's borderings are filtered once per decomposition: every one of them
-is checked against the cross-visibility constraint, as ``solve_tower`` checks
-every bordering of a tower.
+Caps and side parts are read by the pseudo-tower code: ``_cap_context``
+walks the cap's tail with ``pseudotower.extract_tail`` up to the known top,
+levels the residual and reads each bordering's sides with
+``pseudotower.tower_chains``, and ``part_paths`` reads a chordless path off
+the same walk.  The cap's sides are filtered once per decomposition: every
+bordering is checked against the cross-visibility constraint, as
+``solve_tower`` checks every bordering of a tower.
 """
 
 from __future__ import annotations
@@ -36,18 +40,8 @@ from .graph import (
     is_connected,
     is_cycle_in_graph,
 )
-from .pseudotower import NotPseudoTowerError, solve_pseudo_tower
-from .tower import (
-    Bordering,
-    BorderingGraph,
-    Leveling,
-    NotTowerError,
-    bordering_constraints,
-    carriers,
-    enumerate_borderings,
-    level_sets,
-    walk_levels,
-)
+from .pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower, tower_chains
+from .tower import NotTowerError, bordering_constraints, carriers, level_sets, walk_levels
 
 
 class NotPseudoTriangleError(ValueError):
@@ -105,10 +99,9 @@ class PseudoTriangleSolution:
     decomposition: SplitDecomposition
 
 
-@dataclass(frozen=True)
-class _CapContext:
-    leveling: Leveling
-    bg: BorderingGraph
+Sides = tuple[tuple[int, ...], tuple[int, ...]]
+"""A cap bordering: the cap's left and right vertices below the top, each
+side from the top down."""
 
 
 def top_joint_candidates(g: Graph) -> frozenset[int]:
@@ -211,10 +204,12 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     """Boundary readings of a side part as Hamiltonian paths ending at its
     split-edge endpoint.
 
-    Singletons and chordless paths are read directly.  Anything else is
-    solved as a pseudo-tower on the part's neighbor-set view, in g's own
-    vertex ids, and each solution whose chain ends at ``end`` is unfolded
-    around its joint: the other chain upward, then this chain downward.
+    Singletons are read directly.  The part's neighbor-set view, in g's own
+    vertex ids, is walked by ``pseudotower.extract_tail`` with ``end`` as its
+    top: a residual of ``{end}`` means a chordless path ending at ``end``,
+    read as it stands.  Anything else is solved as a pseudo-tower, and each
+    solution whose chain ends at ``end`` is unfolded around its joint: the
+    other chain upward, then this chain downward.
     """
     if end not in part:
         return []
@@ -222,24 +217,12 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
         return [PartSolution((end,), end)]
     gn = g.nbr_sets
     inner = {v: gn[v] & part for v in part}
-    degs = [len(nb) for nb in inner.values()]
-    if max(degs) <= 2 and degs.count(1) == 2 and sum(degs) == 2 * (len(part) - 1):
-        ends = sorted(v for v, nb in inner.items() if len(nb) == 1)
-        if end not in ends:
-            return []
-        walk = [ends[0] if ends[1] == end else ends[1]]
-        seen = {walk[0]}
-        while len(walk) < len(part):
-            nxt = inner[walk[-1]] - seen
-            if not nxt:
-                return []
-            walk.append(min(nxt))
-            seen.add(walk[-1])
-        if walk[-1] != end:
-            return []
-        return [PartSolution(tuple(walk), walk[0])]
-
     try:
+        # The walk rejects only a part with two loose ends besides ``end``,
+        # which the pseudo-tower solver rejects as well.
+        tail, residual = extract_tail(inner, end)
+        if residual == {end}:
+            return [PartSolution((*tail, end), tail[0])]
         sols = solve_pseudo_tower(inner)
     except NotPseudoTowerError:
         return []
@@ -258,51 +241,39 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     return sorted(out, key=lambda p: p.path)
 
 
-def _sides(ctx: _CapContext, b: Bordering) -> tuple[list[int], list[int]]:
-    key = lambda v: (ctx.leveling.level_of[v], v)
-    return sorted(b.left, key=key), sorted(b.right, key=key)
+def _nested(g: Graph, side: tuple[int, ...], part: frozenset[int]) -> bool:
+    """Walking down one side of the cap, visibility into that side's own part
+    grows monotonically (nested neighborhoods).
+    """
+    return all(
+        g.nbr_set(b) & part >= g.nbr_set(a) & part for a, b in zip(side, side[1:])
+    )
 
 
-def _bordering_ok(
-    g: Graph, dec: SplitDecomposition, ctx: _CapContext, b: Bordering
-) -> bool:
+def _bordering_ok(g: Graph, dec: SplitDecomposition, sides: Sides) -> bool:
     """Does the cap bordering pass the cross-visibility constraints?
 
     The deepest cap vertices of the two sides must share a neighbor in the
     parts.
     """
-    left, right = _sides(ctx, b)
+    left, right = sides
     pa = left[-1] if left else dec.top
     pb = right[-1] if right else dec.top
     if not g.nbr_set(pa) & g.nbr_set(pb) & (dec.part_a | dec.part_b):
         return False
 
     # The one cross-visibility constraint that held on every generated
-    # instance: walking a side of the cap downward, visibility into that
-    # side's own part grows monotonically (nested neighborhoods).  Stricter
-    # published constraints (side-chain invisibility of the far window,
-    # blocker domination) misfire on genuine polygons, so wrong borderings
-    # are left to the assembly and verification stages instead.
-    level = ctx.leveling.level_of
-    merged = sorted(set(left) | set(right), key=lambda v: (level[v], v))
-    left_set = frozenset(left)
-    prev: dict[bool, int] = {}
-    for v in merged:
-        on_left = v in left_set
-        nb = g.nbr_set(v)
-        own_part = dec.part_a if on_left else dec.part_b
-        p = prev.get(on_left)
-        if p is not None and not (nb & own_part) >= (g.nbr_set(p) & own_part):
-            return False
-        prev[on_left] = v
-    return True
+    # instance is ``_nested`` on each side.  Stricter published constraints
+    # (side-chain invisibility of the far window, blocker domination) misfire
+    # on genuine polygons, so wrong borderings are left to the assembly and
+    # verification stages instead.
+    return _nested(g, left, dec.part_a) and _nested(g, right, dec.part_b)
 
 
 def assemble_hamiltonian(
     g: Graph,
     dec: SplitDecomposition,
-    ctx: _CapContext,
-    b: Bordering,
+    sides: Sides,
     sol_a: PartSolution,
     sol_b: PartSolution,
 ) -> list[PseudoTriangleSolution]:
@@ -315,7 +286,7 @@ def assemble_hamiltonian(
     deepest cap vertex of that side (corner splits put it there).  Empty list
     when the walk is not a cycle of g.
     """
-    left, right = _sides(ctx, b)
+    left, right = sides
     order = [dec.top, *left, *sol_a.path, *reversed(sol_b.path), *reversed(right)]
     if len(order) != g.n or len(set(order)) != g.n:
         return []
@@ -407,10 +378,9 @@ def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     if sol.joints != (left[0], left[-1], right[-1]):
         return False
     for side_chain, part in ((left, dec.part_a), (right, dec.part_b)):
-        inside_cap = [v for v in side_chain if v in dec.cap and v != dec.top]
-        for a, b in zip(inside_cap, inside_cap[1:]):
-            if not (g.nbr_set(b) & part) >= (g.nbr_set(a) & part):
-                return False
+        inside_cap = tuple(v for v in side_chain if v in dec.cap and v != dec.top)
+        if not _nested(g, inside_cap, part):
+            return False
     return True
 
 
@@ -475,7 +445,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         return []
 
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
-    ctx_cache: dict[tuple[int, frozenset[int]], _CapContext | None] = {}
+    ctx_cache: dict[tuple[int, frozenset[int]], list[Sides] | None] = {}
     path_cache: dict[tuple[frozenset[int], int], list[PartSolution]] = {}
     # Many decompositions assemble the same chains; their decomposition-free
     # verdict is computed once.
@@ -498,7 +468,7 @@ def _solve_from_tops(
     g: Graph,
     tops: list[int],
     found: dict[tuple[int, ...], PseudoTriangleSolution],
-    ctx_cache: dict[tuple[int, frozenset[int]], _CapContext | None],
+    ctx_cache: dict[tuple[int, frozenset[int]], list[Sides] | None],
     path_cache: dict[tuple[frozenset[int], int], list[PartSolution]],
     chain_cache: dict[tuple[tuple[int, ...], ...], bool],
     bump,
@@ -514,8 +484,8 @@ def _solve_from_tops(
                 ctx_key = (top, cap)
                 if ctx_key not in ctx_cache:
                     ctx_cache[ctx_key] = _cap_context(g, cap, top)
-                cap_ctx = ctx_cache[ctx_key]
-                if cap_ctx is None:
+                cap_sides = ctx_cache[ctx_key]
+                if cap_sides is None:
                     bump("cap_not_tower")
                     continue
                 split = split_parts(g, cap, pair)
@@ -538,9 +508,9 @@ def _solve_from_tops(
                     if not sols_a or not sols_b:
                         bump("part_rejected")
                         continue
-                    borderings = _cap_borderings(g, dec, cap_ctx)
-                    for sol_a, sol_b, b in product(sols_a, sols_b, borderings):
-                        variants = assemble_hamiltonian(g, dec, cap_ctx, b, sol_a, sol_b)
+                    borderings = [s for s in cap_sides if _bordering_ok(g, dec, s)]
+                    for sol_a, sol_b, sides in product(sols_a, sols_b, borderings):
+                        variants = assemble_hamiltonian(g, dec, sides, sol_a, sol_b)
                         if not variants:
                             bump("assembly_rejected")
                             continue
@@ -560,72 +530,30 @@ def _solve_from_tops(
                             break
 
 
-def _cap_context(g: Graph, cap: frozenset[int], top: int) -> _CapContext | None:
-    """Leveling and bordering structure of a cap.
+def _cap_context(g: Graph, cap: frozenset[int], top: int) -> list[Sides] | None:
+    """The cap's borderings as (left, right) sides, or None if the cap does
+    not level.
 
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
-    chain.  The tail is split off first, the residual is leveled as a tower,
-    and the tail vertices rejoin as deeper single-vertex levels glued to their
-    attachment's constraint component (same chain, so same color).
+    chain.  The cap is read by the pseudo-tower code with its apex known:
+    ``extract_tail`` walks the tail up to the top at most, the residual is
+    leveled from the top as a tower, and ``tower_chains`` hangs the tail
+    below the chain ending at its attachment.
     """
     gn = g.nbr_sets
     nbrs = {v: gn[v] & cap for v in cap}  # the cap's view, one per cap
-
-    tail: list[int] = []  # outermost vertex first
-    attachment = top
-    ends = [v for v in cap if v != top and len(nbrs[v]) == 1]
-    if len(ends) > 1:
-        return None
-    if ends:
-        seen = {ends[0]}
-        cur = ends[0]
-        while cur != top and len(nbrs[cur]) <= 2:
-            tail.append(cur)
-            nxt = [w for w in nbrs[cur] if w not in seen]
-            if not nxt:
-                return None
-            cur = nxt[0]
-            seen.add(cur)
-        attachment = cur
-
-    res_nbrs = nbrs
-    if tail:
-        residual = cap - set(tail)
-        res_nbrs = {v: nbrs[v] & residual for v in residual}
     try:
-        lv = level_sets(res_nbrs, top)
-        bg = bordering_constraints(res_nbrs, lv)
+        tail, residual = extract_tail(nbrs, top)
+    except NotPseudoTowerError:
+        return None
+    attachment = None
+    if tail:
+        (attachment,) = nbrs[tail[-1]] & residual
+        nbrs = {v: nbrs[v] & residual for v in residual}
+    try:
+        lv = level_sets(nbrs, top)
+        bg = bordering_constraints(nbrs, lv)
     except NotTowerError:
         return None
-    if not tail:
-        return _CapContext(lv, bg)
-
-    inner_first = list(reversed(tail))
-    levels = lv.levels + tuple(frozenset({v}) for v in inner_first)
-    level_of = dict(lv.level_of)
-    for i, v in enumerate(inner_first, start=len(lv.levels) + 1):
-        level_of[v] = i
-
-    coloring = dict(bg.coloring)
-    comps = list(bg.components)
-    if attachment == top:
-        comps.append(frozenset(tail))
-        for v in tail:
-            coloring[v] = 0
-    else:
-        idx = next(i for i, c in enumerate(comps) if attachment in c)
-        comps[idx] = comps[idx] | frozenset(tail)
-        for v in tail:
-            coloring[v] = coloring[attachment]
-    bg2 = BorderingGraph(
-        bg.nodes | frozenset(tail), bg.constraint_edges, tuple(comps), coloring
-    )
-    return _CapContext(Leveling(levels, level_of), bg2)
-
-
-def _cap_borderings(
-    g: Graph, dec: SplitDecomposition, ctx: _CapContext
-) -> list[Bordering]:
-    """Every cap bordering that passes the cross-visibility constraints."""
-    return [b for b in enumerate_borderings(ctx.bg) if _bordering_ok(g, dec, ctx, b)]
+    return [(c1[1:], c2[1:]) for c1, c2 in tower_chains(lv, bg, tail, attachment)]

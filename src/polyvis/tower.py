@@ -46,7 +46,6 @@ class Leveling:
 class BorderingGraph:
     """Constraint graph whose edges force opposite chain assignments."""
 
-    nodes: frozenset[int]
     constraint_edges: frozenset[tuple[int, int]]
     components: tuple[frozenset[int], ...]
     coloring: dict[int, int] = field(compare=False)  # 0/1 within each component
@@ -238,7 +237,7 @@ def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
                     raise NotTowerError("constraint graph has an odd cycle")
                 coloring[u] = depth & 1
         comps.append(frozenset().union(*layers))
-    return BorderingGraph(nodes, frozenset(constraints), tuple(comps), coloring)
+    return BorderingGraph(frozenset(constraints), tuple(comps), coloring)
 
 
 def bordering_graph(g: Graph, lv: Leveling) -> BorderingGraph:

@@ -35,6 +35,30 @@ def test_extract_tail_star_rejected():
         extract_tail(star)
 
 
+def test_extract_tail_top_of_degree_one():
+    # The cap {top, p}: both ends have degree 1, but the top is never a tail
+    # end, so p is the tail and the residual keeps the top alone.
+    view = {4: frozenset({9}), 9: frozenset({4})}
+    assert extract_tail(view, 4) == ((9,), frozenset({4}))
+    with pytest.raises(NotPseudoTowerError):
+        extract_tail(view)
+
+
+def test_extract_tail_stops_at_degree_two_top():
+    # 5 - 4 - 0 - 1 with the triangle 1-2-3 below: without a top the walk
+    # runs on through the degree-2 vertex 0; with top 0 it stops there.
+    g = Graph.from_edges(6, [(0, 1), (0, 4), (4, 5), (1, 2), (1, 3), (2, 3)])
+    assert extract_tail(g) == ((5, 4, 0), frozenset({1, 2, 3}))
+    assert extract_tail(g, 0) == ((5, 4), frozenset({0, 1, 2, 3}))
+
+
+def test_extract_tail_top_ends_chordless_path():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert extract_tail(path, 3) == ((0, 1, 2), frozenset({3}))
+    with pytest.raises(NotPseudoTowerError):
+        extract_tail(path, 1)  # two loose ends besides the top
+
+
 def test_solve_pure_tower_two_solutions(t5_graph):
     sols = solve_pseudo_tower(t5_graph)
     assert len(sols) == 2

@@ -24,10 +24,10 @@ from polyvis import (
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
     SplitDecomposition,
-    _cap_borderings,
+    _bordering_ok,
     _cap_context,
+    part_paths,
 )
-from polyvis.tower import enumerate_borderings
 
 from conftest import PT6_EDGES
 from oracles import verify_cycle_scan
@@ -112,35 +112,86 @@ def _pt6_true_decomposition(pt6_graph):
 
 def test_cap_borderings_rejects_no_shared_view(pt6_graph):
     dec, _, _ = _pt6_true_decomposition(pt6_graph)
-    ctx = _cap_context(pt6_graph, dec.cap, 0)
-    (start,) = enumerate_borderings(ctx.bg)
+    (sides,) = _cap_context(pt6_graph, dec.cap, 0)
     # 1 and 5 are the deepest cap vertices of the two sides.  With every edge
     # from 1 into the parts cut, they share no neighbor there, so either
-    # orientation of the one constraint component is rejected.
+    # orientation of the cap's one bordering is rejected.
     parts = dec.part_a | dec.part_b
     g2 = Graph(6, frozenset(set(pt6_graph.edges) - {(1, 2), (1, 3), (1, 4)}))
     assert pt6_graph.nbr_set(1) & pt6_graph.nbr_set(5) & parts
     assert not g2.nbr_set(1) & g2.nbr_set(5) & parts
-    assert _cap_borderings(pt6_graph, dec, ctx) == [start]
-    assert _cap_borderings(g2, dec, ctx) == []
+    assert _bordering_ok(pt6_graph, dec, sides)
+    assert not _bordering_ok(g2, dec, sides)
+    assert not _bordering_ok(g2, dec, sides[::-1])
 
 
 def test_cap_borderings_pt6(pt6_graph):
     dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    ctx = _cap_context(pt6_graph, dec.cap, 0)
-    accepted = _cap_borderings(pt6_graph, dec, ctx)
+    accepted = [s for s in _cap_context(pt6_graph, dec.cap, 0) if _bordering_ok(pt6_graph, dec, s)]
     assert len(accepted) == 1
-    sols = assemble_hamiltonian(pt6_graph, dec, ctx, accepted[0], sol_a, sol_b)
+    sols = assemble_hamiltonian(pt6_graph, dec, accepted[0], sol_a, sol_b)
     assert any(s.cycle.order == (0, 1, 2, 3, 4, 5) for s in sols)
     assert any(verify_candidate(pt6_graph, s) for s in sols)
 
 
 def test_assemble_rejects_missing_edge(pt6_graph):
     dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    ctx = _cap_context(pt6_graph, dec.cap, 0)
-    (b,) = enumerate_borderings(ctx.bg)
+    (sides,) = _cap_context(pt6_graph, dec.cap, 0)
     broken = Graph(6, frozenset(set(pt6_graph.edges) - {(4, 5)}))
-    assert assemble_hamiltonian(broken, dec, ctx, b, sol_a, sol_b) == []
+    assert assemble_hamiltonian(broken, dec, sides, sol_a, sol_b) == []
+
+
+def test_cap_context_hangs_tail_below_its_attachment():
+    # Cap {0, 1, 2, 3}: the triangle 0-1-2 levels from the top 0, and 3 hangs
+    # off 2 as a tail, so it goes below 2 on 2's side.
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert _cap_context(g, frozenset(range(4)), 0) == [((1,), (2, 3))]
+
+
+def test_cap_context_tail_at_the_top():
+    # Cap {0, 1}: the top 0 has degree 1 too, but is never a tail end, so 1
+    # is the tail and hangs below the top on the first side.
+    g = Graph.from_edges(2, [(0, 1)])
+    assert _cap_context(g, frozenset({0, 1}), 0) == [((1,), ())]
+
+
+def test_cap_context_two_loose_ends_rejected():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    assert _cap_context(g, frozenset(range(4)), 0) is None
+
+
+@pytest.mark.parametrize(
+    "edges, part, end, want",
+    [
+        # A chordless path ending at ``end``, read from its other end.
+        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 3, [((1, 2, 3), 1)]),
+        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 1, [((3, 2, 1), 3)]),
+        # ``end`` inside the path: no reading ends there.
+        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 2, []),
+        ([(0, 1)], {1}, 1, [((1,), 1)]),
+        ([(0, 1)], {1}, 0, []),
+    ],
+    ids=["path", "path-reversed", "interior-end", "singleton", "end-outside"],
+)
+def test_part_paths_direct_readings(edges, part, end, want):
+    g = Graph.from_edges(4, edges)
+    assert [(s.path, s.top) for s in part_paths(g, frozenset(part), end)] == want
+
+
+def test_part_paths_pseudo_tower_part():
+    # The part {1, .., 5} is the tower 1-2-3-4 (1 is its apex) with the tail 5
+    # hanging off 4; it goes to the pseudo-tower solver.  Its two readings
+    # have chains ending at 5, 2 and 3, never at 4.
+    edges = [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)]
+    g = Graph.from_edges(6, edges)
+    part = frozenset(range(1, 6))
+
+    def read(end):
+        return [(s.path, s.top) for s in part_paths(g, part, end)]
+
+    assert read(5) == [((2, 1, 3, 4, 5), 1), ((3, 1, 2, 4, 5), 1)]
+    assert read(3) == [((5, 4, 2, 1, 3), 1)]
+    assert read(4) == []
 
 
 def test_solve_k3(k3):

@@ -1,9 +1,10 @@
 """The three solvers still give the answers they gave on the benchmark's
 auto-mixed graphs: one sha256 over every tower candidate, every pseudo-tower
 solution (a rejection counts as an answer) and every pseudo-triangle
-candidate pins the candidate lists, rejection path included.  The store is
-only read.  When a change is meant to alter these answers, recompute the
-digest with ``_digest`` and say why in CHANGES.md.
+candidate with its split decomposition pins the candidate lists, rejection
+path included.  The store is only read.  When a change is meant to alter
+these answers, recompute the digest with ``_digest`` and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -19,7 +20,12 @@ from polyvis import (
 
 STORE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
-EXPECTED = "65455c9a892de1ec1f48c12ef58925955c0e2601cc3fe960aa25f0a9d6760983"
+EXPECTED = "edf89acf545ebdc2f9ede1765f66bbac4261d09a7598a41e8885ac02dcd1e385"
+
+
+def _dec(d) -> tuple:
+    # Sorted members: a frozenset's repr follows its insertion history.
+    return d.top, d.split_edge, sorted(d.cap), sorted(d.part_a), sorted(d.part_b)
 
 
 def _answers(g) -> tuple:
@@ -29,7 +35,7 @@ def _answers(g) -> tuple:
     except NotPseudoTowerError:
         pseudo = "rejected"
     triangles = [
-        (s.cycle.order, tuple(c.vertices for c in s.chains), s.joints)
+        (s.cycle.order, tuple(c.vertices for c in s.chains), s.joints, _dec(s.decomposition))
         for s in solve_pseudo_triangle(g)
     ]
     return towers, pseudo, triangles
