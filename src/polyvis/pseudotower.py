@@ -66,6 +66,9 @@ def extract_tail(
     residual always keeps it (a chordless path ending at ``top`` leaves the
     residual ``{top}``).  No degree-1 vertex means an empty tail (the input
     is treated as a tower).  Two or more degree-1 vertices reject the input.
+    In a symmetric view the walk never meets a visited vertex again (each
+    already has all its neighbours on the walk), and it cannot stop at a
+    second degree-1 vertex, so it ends at ``top`` or at degree >= 3.
     """
     nbrs = _as_view(g)
     deg_one = [v for v, nb in nbrs.items() if len(nb) == 1 and v != top]
@@ -80,12 +83,7 @@ def extract_tail(
     while current != top and len(nbrs[current]) == 2:
         tail.append(current)
         visited.add(current)
-        nxt = nbrs[current] - visited
-        if not nxt:
-            raise NotPseudoTowerError("tail walk closed a cycle")
-        (current,) = nxt
-    if current != top and len(nbrs[current]) < 3:
-        raise NotPseudoTowerError("tail consumed the whole graph")
+        (current,) = nbrs[current] - visited
     residual = frozenset(nbrs) - visited
     return tuple(tail), residual
 

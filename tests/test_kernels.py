@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from polyvis import Polygon, PolygonError, gen_pseudo_triangle, gen_tower, kernels
 
 from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
-from oracles import collinear_triple_scan, segment_visible_scan
+from oracles import collinear_triple_scan, random_convex_polygon, segment_visible_scan
 
 # A rectangle with a notch from the top whose tip, vertex 4, lies on the
 # diagonal 0-2 (not at its midpoint): the diagonal grazes the tip.
@@ -142,3 +142,51 @@ def test_has_collinear_triple_cases():
     assert not kernels.has_collinear_triple([(0, 0), (1, 0), (0, 1)])
     for coords in _sample_polygons():
         assert kernels.has_collinear_triple(coords) == collinear_triple_scan(coords)
+
+
+def test_has_collinear_triple_float_slopes_collide():
+    # Distinct slopes 1/2^60 and 1/(2^60 + 1) round to one float, so the row
+    # of (0, 0) goes to the exact scan, which finds no collinear pair.
+    assert 1 / 2**60 == 1 / (2**60 + 1)
+    pts = [(0, 0), (2**60, 1), (2**60 + 1, 1)]
+    assert not kernels.has_collinear_triple(pts)
+    assert not collinear_triple_scan(pts)
+
+
+def test_has_collinear_triple_horizontal_both_ways():
+    # From (0, 0) the horizontal slope is 0.0 to the right and -0.0 to the
+    # left; the two compare equal, so the row is checked exactly.
+    for pts, expected in (
+        ([(0, 0), (5, 0), (1, 7), (-3, 0)], True),
+        ([(0, 0), (5, 0), (1, 7), (-3, 1)], False),
+    ):
+        assert kernels.has_collinear_triple(pts) == collinear_triple_scan(pts) == expected
+
+
+def test_has_collinear_triple_vertical():
+    # Vertical directions have no float slope; they share the key None.
+    for pts, expected in (
+        ([(0, 0), (0, 3), (2, 1), (0, -5)], True),
+        ([(0, 0), (0, 3), (2, 1), (1, -5)], False),
+    ):
+        assert kernels.has_collinear_triple(pts) == collinear_triple_scan(pts) == expected
+
+
+def test_has_collinear_triple_slope_overflow():
+    # A slope near 2^1100 overflows a float: the row falls back to the exact
+    # scan.
+    big = 2**1100
+    for pts, expected in (
+        ([(0, 0), (1, big), (2, 2 * big), (5, 3)], True),
+        ([(0, 0), (1, big), (2, 2 * big + 1), (5, 3)], False),
+        ([(3, big), (0, 0), (1, -big), (4, 7)], False),
+    ):
+        assert kernels.has_collinear_triple(pts) == collinear_triple_scan(pts) == expected
+
+
+def test_visibility_edges_dense_convex():
+    for seed in range(3):
+        coords = random_convex_polygon(30, seed).coords()
+        edges = kernels.visibility_edges(coords)
+        assert edges == _pairwise(coords, segment_visible_scan)
+        assert len(edges) == 30 * 29 // 2  # a convex polygon sees everything

@@ -59,6 +59,18 @@ def test_extract_tail_top_ends_chordless_path():
         extract_tail(path, 1)  # two loose ends besides the top
 
 
+def test_extract_tail_cycle_is_empty():
+    cycle = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert extract_tail(cycle) == ((), frozenset(range(6)))
+    assert extract_tail(cycle, 2) == ((), frozenset(range(6)))
+
+
+def test_extract_tail_path_rejected():
+    path = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+    with pytest.raises(NotPseudoTowerError, match="2 degree-1 vertices"):
+        extract_tail(path)
+
+
 def test_solve_pure_tower_two_solutions(t5_graph):
     sols = solve_pseudo_tower(t5_graph)
     assert len(sols) == 2
