@@ -4,21 +4,16 @@ geometric oracle used to generate and check ground truth.
 """
 
 from .graph import (
-    CycleCandidate,
     Graph,
     GraphParseError,
     canonicalize,
     connected_components,
     induced_subgraph,
-    is_connected,
     is_cycle_in_graph,
     parse_graph,
     serialize_graph,
 )
 from .tower import (
-    Bordering,
-    BorderingGraph,
-    Leveling,
     NotTowerError,
     bordering_graph,
     check_strong_ordering,
@@ -38,8 +33,6 @@ from .pseudotriangle import (
     Chain,
     NotPseudoTriangleError,
     PartSolution,
-    PseudoTriangleSolution,
-    SplitDecomposition,
     assemble_hamiltonian,
     extract_cap,
     solve as solve_pseudo_triangle,
@@ -52,13 +45,11 @@ from .geometry import (
     Point,
     Polygon,
     PolygonError,
-    PseudoTowerInstance,
     boundary_cycle,
     convex_vertex_indices,
     gen_pseudo_tower,
     gen_pseudo_triangle,
     gen_tower,
-    parse_polygon,
     render_svg,
     segment_inside,
     visibility_graph,
@@ -68,13 +59,9 @@ from .geometry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bordering",
-    "BorderingGraph",
     "Chain",
-    "CycleCandidate",
     "Graph",
     "GraphParseError",
-    "Leveling",
     "NotPseudoTowerError",
     "NotPseudoTriangleError",
     "NotTowerError",
@@ -82,10 +69,7 @@ __all__ = [
     "Point",
     "Polygon",
     "PolygonError",
-    "PseudoTowerInstance",
     "PseudoTowerSolution",
-    "PseudoTriangleSolution",
-    "SplitDecomposition",
     "assemble_hamiltonian",
     "boundary_cycle",
     "bordering_graph",
@@ -101,10 +85,8 @@ __all__ = [
     "gen_pseudo_triangle",
     "gen_tower",
     "induced_subgraph",
-    "is_connected",
     "is_cycle_in_graph",
     "parse_graph",
-    "parse_polygon",
     "render_svg",
     "segment_inside",
     "serialize_graph",

@@ -8,7 +8,8 @@ threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable, Sequence
+from collections.abc import Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 
 class GraphParseError(ValueError):
@@ -23,22 +24,26 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+NbrView = Mapping[int, frozenset[int]]
+"""A neighbor-set view of a graph in its caller's vertex ids: the keys are
+the vertex universe and each value is that vertex's neighbor set, which lies
+inside the keys.  A ``Graph`` is one; restricting every set to a vertex subset,
+``{v: g[v] & part for v in part}``, gives the view of the induced subgraph
+without renumbering anything."""
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(Mapping[int, frozenset[int]]):
     """Undirected simple graph on vertices 0..n-1.
 
-    ``edges`` holds each edge once as a sorted pair.  Neighbor sets and sorted
-    adjacency lists are derived on construction and cached.
+    ``edges`` holds each edge once as a sorted pair.  The graph is also a
+    read-only mapping from each vertex to its neighbor set (``g[v]``), built
+    on construction, so every solver reads it as an ``NbrView``.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _nbr_sets: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
-    _nbr_sorted: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
+    _nbrs: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -53,8 +58,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) not stored in sorted order")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        object.__setattr__(self, "_nbr_sets", tuple(frozenset(s) for s in nbrs))
-        object.__setattr__(self, "_nbr_sorted", tuple(tuple(sorted(s)) for s in nbrs))
+        object.__setattr__(self, "_nbrs", {v: frozenset(s) for v, s in enumerate(nbrs)})
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -72,22 +76,20 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbr_sorted[v]
+    def __getitem__(self, v: int) -> frozenset[int]:
+        return self._nbrs[v]
 
-    def nbr_set(self, v: int) -> frozenset[int]:
-        return self._nbr_sets[v]
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._nbrs)
 
-    @property
-    def nbr_sets(self) -> tuple[frozenset[int], ...]:
-        """Every vertex's neighbor set, indexed by vertex."""
-        return self._nbr_sets
+    def __len__(self) -> int:
+        return self.n
 
     def degree(self, v: int) -> int:
-        return len(self._nbr_sets[v])
+        return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        return v in self._nbrs[u]
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def is_cycle_in_graph(g: Graph, c: CycleCandidate) -> bool:
     order = c.order
     if len(order) != g.n or g.n < 3:
         return False
-    nbr = g._nbr_sets
+    nbr = g._nbrs
     return all(b in nbr[a] for a, b in zip(order, order[1:] + order[:1]))
 
 
@@ -157,18 +159,18 @@ def bfs_layers(
         layers.append(reached)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
+def connected_components(nbrs: NbrView) -> list[frozenset[int]]:
     """Partition of the vertex set into maximal connected sets, sorted by smallest member."""
-    unvisited = set(range(g.n))
+    unvisited = set(nbrs)
     comps: list[frozenset[int]] = []
-    for start in range(g.n):
+    for start in sorted(nbrs):
         if start in unvisited:
-            comps.append(frozenset().union(*bfs_layers(g.nbr_set, start, unvisited)))
+            comps.append(frozenset().union(*bfs_layers(nbrs.__getitem__, start, unvisited)))
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+def is_connected(nbrs: NbrView) -> bool:
+    return len(nbrs) <= 1 or len(connected_components(nbrs)) == 1
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

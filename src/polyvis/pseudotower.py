@@ -3,11 +3,11 @@ the bottom of one chain.
 
 The tail's outermost vertex has degree 1; walking through degree-2 vertices
 recovers the whole tail, and the rest of the graph is solved with the tower
-machinery.  The solver works on neighbor-set views (``tower.NbrView``): a
+machinery.  The solver reads neighbor-set views (``graph.NbrView``): a
 mapping from each vertex, in the caller's own ids, to its neighbor set.  A
-``Graph`` is turned into its view once, at entry; the residual below the tail
-is the view restricted to it, so no subgraph is built and nothing is
-renumbered.  All output refers to the input vertex ids.
+``Graph`` is one as it stands; the residual below the tail is the view
+restricted to it, so no subgraph is built and nothing is renumbered.  All
+output refers to the input vertex ids.
 
 The pseudo-triangle solver reads its caps and side parts with the same tail
 walk (``extract_tail`` with a known top) and chain reader (``tower_chains``).
@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bfs_layers
+from .graph import NbrView, is_connected
 from .tower import (
     BorderingGraph,
     Leveling,
-    NbrView,
     NotTowerError,
-    apex_candidates,
     bordering_constraints,
     chains_from_bordering,
     enumerate_borderings,
     level_sets,
-    nbr_view,
+    tower_top_candidates,
 )
 
 
@@ -51,17 +49,11 @@ class PseudoTowerSolution:
         return tuple(sorted(self.chains))
 
 
-def _as_view(g: Graph | NbrView) -> NbrView:
-    return nbr_view(g) if isinstance(g, Graph) else g
-
-
-def extract_tail(
-    g: Graph | NbrView, top: int | None = None
-) -> tuple[tuple[int, ...], frozenset[int]]:
+def extract_tail(nbrs: NbrView, top: int | None = None) -> tuple[tuple[int, ...], frozenset[int]]:
     """Split off the tail: start at the unique degree-1 vertex and walk through
     degree-2 vertices; the first vertex of degree >= 3 stays in the residual.
 
-    ``g`` is a graph or a neighbor-set view.  A known ``top`` is never a tail
+    ``nbrs`` is a graph or a neighbor-set view.  A known ``top`` is never a tail
     end, whatever its degree, and the walk stops on reaching it, so the
     residual always keeps it (a chordless path ending at ``top`` leaves the
     residual ``{top}``).  No degree-1 vertex means an empty tail (the input
@@ -70,7 +62,6 @@ def extract_tail(
     already has all its neighbours on the walk), and it cannot stop at a
     second degree-1 vertex, so it ends at ``top`` or at degree >= 3.
     """
-    nbrs = _as_view(g)
     deg_one = [v for v, nb in nbrs.items() if len(nb) == 1 and v != top]
     if len(deg_one) >= 2:
         raise NotPseudoTowerError(f"{len(deg_one)} degree-1 vertices, expected at most 1")
@@ -88,19 +79,16 @@ def extract_tail(
     return tuple(tail), residual
 
 
-def solve_pseudo_tower(g: Graph | NbrView) -> list[PseudoTowerSolution]:
+def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     """All consistent chain pairs: extract the tail, run tower leveling and
     borderings on the residual for every apex candidate, and append the tail
     to the chain ending at its attachment vertex.
 
-    ``g`` is a graph or a neighbor-set view; the chains use its vertex ids.
+    ``nbrs`` is a graph or a neighbor-set view; the chains use its vertex ids.
     """
-    nbrs = _as_view(g)
     if len(nbrs) < 3:
         raise NotPseudoTowerError("pseudo-tower graphs need at least 3 vertices")
-    unvisited = set(nbrs)
-    bfs_layers(nbrs.__getitem__, min(unvisited), unvisited)
-    if unvisited:
+    if not is_connected(nbrs):
         raise NotPseudoTowerError("graph is not connected")
 
     tail, residual = extract_tail(nbrs)
@@ -113,7 +101,7 @@ def solve_pseudo_tower(g: Graph | NbrView) -> list[PseudoTowerSolution]:
         (attachment,) = nbrs[tail[-1]] & residual
 
     try:
-        tops = apex_candidates(res)
+        tops = tower_top_candidates(res)
     except NotTowerError as exc:
         raise NotPseudoTowerError(f"residual is not a tower graph: {exc}") from exc
 

@@ -18,12 +18,13 @@ rule also reads the cap that leveling the other vertex alone would give (see
 n levels and needs no budget.
 
 Caps and side parts are read by the pseudo-tower code: ``_cap_context``
-walks the cap's tail with ``pseudotower.extract_tail`` up to the known top,
-levels the residual and reads each bordering's sides with
-``pseudotower.tower_chains``, and ``part_paths`` reads a chordless path off
-the same walk.  The cap's sides are filtered once per decomposition: every
-bordering is checked against the cross-visibility constraint, as
-``solve_tower`` checks every bordering of a tower.
+walks the cap's tail with ``pseudotower.extract_tail`` up to the known top
+and levels the residual, once per (top, cap); ``_cap_sides`` reads each
+bordering's sides with ``pseudotower.tower_chains``, only once some
+decomposition of the cap has two parts that solve; and ``part_paths`` reads
+a chordless path off the same walk.  The cap's sides are filtered once per
+decomposition: every bordering is checked against the cross-visibility
+constraint, as ``solve_tower`` checks every bordering of a tower.
 """
 
 from __future__ import annotations
@@ -41,7 +42,15 @@ from .graph import (
     is_cycle_in_graph,
 )
 from .pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower, tower_chains
-from .tower import NotTowerError, bordering_constraints, carriers, level_sets, walk_levels
+from .tower import (
+    BorderingGraph,
+    Leveling,
+    NotTowerError,
+    bordering_constraints,
+    carriers,
+    level_sets,
+    walk_levels,
+)
 
 
 class NotPseudoTriangleError(ValueError):
@@ -103,6 +112,10 @@ Sides = tuple[tuple[int, ...], tuple[int, ...]]
 """A cap bordering: the cap's left and right vertices below the top, each
 side from the top down."""
 
+CapContext = tuple[Leveling, BorderingGraph, tuple[int, ...], int | None]
+"""A leveled cap: its leveling and constraint graph, then its tail and the
+tail's attachment, as ``pseudotower.tower_chains`` takes them."""
+
 
 def top_joint_candidates(g: Graph) -> frozenset[int]:
     """All minimum-degree vertices; in a pseudo-triangle graph they are joints
@@ -138,19 +151,18 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
         raise ValueError("split edge must not touch the top")
     if not g.has_edge(w0, w1):
         raise ValueError("split edge must be an edge of the graph")
-    base = (g.nbr_set(w0) & g.nbr_set(w1)) - {w0, w1}
+    base = (g[w0] & g[w1]) - {w0, w1}
     if not base:
         return []
     if top in base:
         return [base]
 
     cut = frozenset(e)
-    nbrs = g.nbr_sets
     levels = [frozenset({top})]
     placed = {top, w0, w1}
     caps: set[frozenset[int]] = set()
     try:
-        for cand in walk_levels(nbrs, levels, placed):
+        for cand in walk_levels(g, levels, placed):
             if not cand & base:
                 continue
             caps.add((base | placed) - cut)
@@ -158,7 +170,7 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
                 break
             if len(cand) == 2 and g.has_edge(*cand):
                 (p,) = cand - base
-                if len(carriers(nbrs, levels[-1], placed, p)) == 1:
+                if len(carriers(g, levels[-1], placed, p)) == 1:
                     caps.add((base | placed | {p}) - cut)
     except NotTowerError:
         pass
@@ -166,7 +178,7 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     # The cap must level as a tower from the top, so the top needs at most two
     # cap neighbors forming a clique.
     results = []
-    top_nbrs = g.nbr_set(top)
+    top_nbrs = g[top]
     for cap in caps:
         tn = top_nbrs & cap
         if len(tn) > 2 or (len(tn) == 2 and not g.has_edge(*tn)):
@@ -188,7 +200,7 @@ def split_parts(
     cut = {w0: {w1}, w1: {w0}}  # the split edge itself is cut
 
     def nbr(u: int) -> frozenset[int]:
-        nb = g.nbr_set(u)
+        nb = g[u]
         return nb - cut[u] if u in cut else nb
 
     part_a = frozenset().union(*bfs_layers(nbr, w0, rest))
@@ -215,8 +227,7 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
         return []
     if len(part) == 1:
         return [PartSolution((end,), end)]
-    gn = g.nbr_sets
-    inner = {v: gn[v] & part for v in part}
+    inner = {v: g[v] & part for v in part}
     try:
         # The walk rejects only a part with two loose ends besides ``end``,
         # which the pseudo-tower solver rejects as well.
@@ -245,9 +256,7 @@ def _nested(g: Graph, side: tuple[int, ...], part: frozenset[int]) -> bool:
     """Walking down one side of the cap, visibility into that side's own part
     grows monotonically (nested neighborhoods).
     """
-    return all(
-        g.nbr_set(b) & part >= g.nbr_set(a) & part for a, b in zip(side, side[1:])
-    )
+    return all(g[b] & part >= g[a] & part for a, b in zip(side, side[1:]))
 
 
 def _bordering_ok(g: Graph, dec: SplitDecomposition, sides: Sides) -> bool:
@@ -259,7 +268,7 @@ def _bordering_ok(g: Graph, dec: SplitDecomposition, sides: Sides) -> bool:
     left, right = sides
     pa = left[-1] if left else dec.top
     pb = right[-1] if right else dec.top
-    if not g.nbr_set(pa) & g.nbr_set(pb) & (dec.part_a | dec.part_b):
+    if not g[pa] & g[pb] & (dec.part_a | dec.part_b):
         return False
 
     # The one cross-visibility constraint that held on every generated
@@ -359,7 +368,7 @@ def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool
         for ch in chains:
             if any(ch is o for o in owners):
                 continue
-            if not _positions_contiguous(ch, g.nbr_set(v)):
+            if not _positions_contiguous(ch, g[v]):
                 return False
     return True
 
@@ -406,7 +415,7 @@ def verify_cycle(g: Graph, order) -> bool:
     ring = seq + seq
     reach = [2 * n] * (2 * n + 1)
     for p in range(2 * n - 1, -1, -1):
-        nb = g.nbr_set(ring[p])
+        nb = g[ring[p]]
         first = next((q for q in range(p + 2, 2 * n) if ring[q] in nb), 2 * n)
         reach[p] = min(first, reach[p + 1])
     for i in range(n):
@@ -445,12 +454,14 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         return []
 
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
-    ctx_cache: dict[tuple[int, frozenset[int]], list[Sides] | None] = {}
+    ctx_cache: dict[tuple[int, frozenset[int]], CapContext | None] = {}
+    # A cap's sides are read only once some decomposition's parts both solve.
+    sides_cache: dict[tuple[int, frozenset[int]], list[Sides]] = {}
     path_cache: dict[tuple[frozenset[int], int], list[PartSolution]] = {}
     # Many decompositions assemble the same chains; their decomposition-free
     # verdict is computed once.
     chain_cache: dict[tuple[tuple[int, ...], ...], bool] = {}
-    caches = (ctx_cache, path_cache, chain_cache)
+    caches = (ctx_cache, sides_cache, path_cache, chain_cache)
     _solve_from_tops(g, sorted(tops), found, *caches, bump)
     if not found:
         # The minimum-degree joint can face an opposite chain too short to
@@ -468,7 +479,8 @@ def _solve_from_tops(
     g: Graph,
     tops: list[int],
     found: dict[tuple[int, ...], PseudoTriangleSolution],
-    ctx_cache: dict[tuple[int, frozenset[int]], list[Sides] | None],
+    ctx_cache: dict[tuple[int, frozenset[int]], CapContext | None],
+    sides_cache: dict[tuple[int, frozenset[int]], list[Sides]],
     path_cache: dict[tuple[frozenset[int], int], list[PartSolution]],
     chain_cache: dict[tuple[tuple[int, ...], ...], bool],
     bump,
@@ -484,8 +496,8 @@ def _solve_from_tops(
                 ctx_key = (top, cap)
                 if ctx_key not in ctx_cache:
                     ctx_cache[ctx_key] = _cap_context(g, cap, top)
-                cap_sides = ctx_cache[ctx_key]
-                if cap_sides is None:
+                ctx = ctx_cache[ctx_key]
+                if ctx is None:
                     bump("cap_not_tower")
                     continue
                 split = split_parts(g, cap, pair)
@@ -508,7 +520,9 @@ def _solve_from_tops(
                     if not sols_a or not sols_b:
                         bump("part_rejected")
                         continue
-                    borderings = [s for s in cap_sides if _bordering_ok(g, dec, s)]
+                    if ctx_key not in sides_cache:
+                        sides_cache[ctx_key] = _cap_sides(ctx)
+                    borderings = [s for s in sides_cache[ctx_key] if _bordering_ok(g, dec, s)]
                     for sol_a, sol_b, sides in product(sols_a, sols_b, borderings):
                         variants = assemble_hamiltonian(g, dec, sides, sol_a, sol_b)
                         if not variants:
@@ -530,19 +544,16 @@ def _solve_from_tops(
                             break
 
 
-def _cap_context(g: Graph, cap: frozenset[int], top: int) -> list[Sides] | None:
-    """The cap's borderings as (left, right) sides, or None if the cap does
-    not level.
+def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
+    """The leveled cap, or None if the cap does not level.
 
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
     chain.  The cap is read by the pseudo-tower code with its apex known:
     ``extract_tail`` walks the tail up to the top at most, the residual is
-    leveled from the top as a tower, and ``tower_chains`` hangs the tail
-    below the chain ending at its attachment.
+    leveled from the top as a tower, and ``_cap_sides`` reads its borderings.
     """
-    gn = g.nbr_sets
-    nbrs = {v: gn[v] & cap for v in cap}  # the cap's view, one per cap
+    nbrs = {v: g[v] & cap for v in cap}  # the cap's view, one per cap
     try:
         tail, residual = extract_tail(nbrs, top)
     except NotPseudoTowerError:
@@ -556,4 +567,12 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> list[Sides] | None:
         bg = bordering_constraints(nbrs, lv)
     except NotTowerError:
         return None
-    return [(c1[1:], c2[1:]) for c1, c2 in tower_chains(lv, bg, tail, attachment)]
+    return lv, bg, tail, attachment
+
+
+def _cap_sides(ctx: CapContext) -> list[Sides]:
+    """A leveled cap's borderings as (left, right) sides: ``tower_chains``
+    hangs the tail below the chain ending at its attachment, and the top is
+    dropped from both chains.
+    """
+    return [(c1[1:], c2[1:]) for c1, c2 in tower_chains(*ctx)]

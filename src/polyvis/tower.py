@@ -9,9 +9,17 @@ one Hamiltonian cycle candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
-from .graph import CycleCandidate, Graph, bfs_layers, canonicalize, is_cycle_in_graph
+from .graph import (
+    CycleCandidate,
+    Graph,
+    NbrView,
+    bfs_layers,
+    canonicalize,
+    is_connected,
+    is_cycle_in_graph,
+)
 
 
 class NotTowerError(ValueError):
@@ -59,29 +67,12 @@ class Bordering:
     right: frozenset[int]
 
 
-NbrView = Mapping[int, frozenset[int]]
-"""A neighbor-set view of a graph in its caller's vertex ids: the keys are
-the vertex universe and each value is that vertex's neighbor set, which lies
-inside the keys.  Restricting every set to a vertex subset gives the view of
-the induced subgraph without renumbering anything."""
-
-
-def nbr_view(g: Graph) -> dict[int, frozenset[int]]:
-    """The neighbor-set view of a whole graph."""
-    return dict(enumerate(g.nbr_sets))
-
-
-def tower_top_candidates(g: Graph) -> frozenset[int]:
+def tower_top_candidates(nbrs: NbrView) -> frozenset[int]:
     """Vertices of degree 2 whose two neighbors are adjacent to each other.
 
     A genuine tower graph has one or two such vertices (the apex, and possibly
     one base corner); anything the filter admits is tried downstream.
     """
-    return apex_candidates(nbr_view(g))
-
-
-def apex_candidates(nbrs: NbrView) -> frozenset[int]:
-    """Apex-candidate core over a neighbor-set view; see tower_top_candidates."""
     if len(nbrs) < 3:
         raise NotTowerError("tower graphs need at least 3 vertices")
     out = []
@@ -96,7 +87,7 @@ def apex_candidates(nbrs: NbrView) -> frozenset[int]:
 
 
 def level_sets(nbrs: NbrView, top: int) -> Leveling:
-    """Leveling core over a neighbor-set view (keys are the vertex universe).
+    """Ordered level sets of a graph or neighbor-set view from ``top``.
 
     Runs ``walk_levels``, the package's one leveling loop, from ``top`` until
     every vertex is placed: l_2 = N(top), then each level is closed from the
@@ -115,7 +106,7 @@ def level_sets(nbrs: NbrView, top: int) -> Leveling:
 
 
 def walk_levels(
-    nbrs: NbrView | Sequence[frozenset[int]],
+    nbrs: NbrView,
     levels: list[frozenset[int]],
     placed: set[int],
 ) -> Iterator[frozenset[int]]:
@@ -173,12 +164,7 @@ def walk_levels(
             placed.add(p)
 
 
-def carriers(
-    nbrs: NbrView | Sequence[frozenset[int]],
-    current: frozenset[int],
-    placed: set[int],
-    p: int,
-) -> list[int]:
+def carriers(nbrs: NbrView, current: frozenset[int], placed: set[int], p: int) -> list[int]:
     """The single-vertex rule's test: the vertices of ``current`` with an
     unplaced neighbor other than ``p``, in order.  Below the candidate level
     {p} the next level is {p, x} for the one carrier x; none or several
@@ -189,13 +175,16 @@ def carriers(
 
 def compute_leveling(g: Graph, top: int) -> Leveling:
     """Leveling of a whole graph from ``top``; see level_sets."""
-    if not (0 <= top < g.n):
-        raise ValueError(f"top {top} out of range")
-    return level_sets(nbr_view(g), top)
+    return level_sets(g, top)
 
 
 def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
-    """Constraint-graph core over a neighbor-set view; see bordering_graph."""
+    """Constraint graph over the non-apex vertices.
+
+    Two kinds of constraint edges force opposite chains: graph edges whose
+    endpoints' levels are at least 2 apart, and the pair inside every
+    two-vertex level.  Raises NotTowerError if 2-coloring fails.
+    """
     top = lv.top
     nodes = frozenset(v for v in nbrs if v != top)
     # A vertex sits in a run of consecutive levels (a carrier stays on into
@@ -241,13 +230,8 @@ def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
 
 
 def bordering_graph(g: Graph, lv: Leveling) -> BorderingGraph:
-    """Constraint graph over the non-apex vertices.
-
-    Two kinds of constraint edges force opposite chains: graph edges whose
-    endpoints' levels are at least 2 apart, and the pair inside every
-    two-vertex level.  Raises NotTowerError if 2-coloring fails.
-    """
-    return bordering_constraints(nbr_view(g), lv)
+    """Constraint graph of a whole graph's leveling; see bordering_constraints."""
+    return bordering_constraints(g, lv)
 
 
 def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:
@@ -314,31 +298,25 @@ def check_strong_ordering(g: Graph, h: CycleCandidate) -> bool:
     cycle_edges = {
         tuple(sorted((h.order[i], h.order[(i + 1) % n]))) for i in range(n)
     }
-    residual = [e for e in g.edges if e not in cycle_edges]
-    if not residual:
+    residual = Graph(n, g.edges - cycle_edges)
+    if not residual.edges:
         return True
 
-    res_adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in residual:
-        res_adj[u].add(v)
-        res_adj[v].add(u)
-    isolated = [v for v in range(n) if not res_adj[v]]
+    isolated = [v for v in residual if not residual[v]]
     if not 1 <= len(isolated) <= 2:
         return False
 
-    # The rest is connected iff one BFS leaves no active vertex unvisited.
-    active = {v for v in range(n) if res_adj[v]}
-    bfs_layers(res_adj.__getitem__, min(active), active)
-    if active:
+    # The rest, the vertices that keep a residual edge, must be connected.
+    if not is_connected({v: nb for v, nb in residual.items() if nb}):
         return False
 
-    return any(_strong_from_top(g, h, residual, t) for t in isolated)
+    return any(_strong_from_top(g, h, residual.edges, t) for t in isolated)
 
 
 def _strong_from_top(
     g: Graph,
     h: CycleCandidate,
-    residual: list[tuple[int, int]],
+    residual: frozenset[tuple[int, int]],
     top: int,
 ) -> bool:
     n = len(h.order)
@@ -407,8 +385,8 @@ def solve_tower(g: Graph) -> list[CycleCandidate]:
     out: list[CycleCandidate] = []
     for top in sorted(tops):
         try:
-            lv = compute_leveling(g, top)
-            bg = bordering_graph(g, lv)
+            lv = level_sets(g, top)
+            bg = bordering_constraints(g, lv)
         except NotTowerError:
             continue
         for b in enumerate_borderings(bg):

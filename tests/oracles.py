@@ -30,7 +30,7 @@ def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
             if g.has_edge(path[-1], 0):
                 found.add(canonicalize(path).order)
             return
-        for w in g.neighbors(path[-1]):
+        for w in sorted(g[path[-1]]):
             if not used[w]:
                 used[w] = True
                 path.append(w)

@@ -4,13 +4,21 @@ from hypothesis import given, strategies as st
 from polyvis import (
     Graph,
     GraphParseError,
+    NotTowerError,
     canonicalize,
     connected_components,
+    extract_tail,
+    gen_pseudo_tower,
+    gen_tower,
     induced_subgraph,
     is_cycle_in_graph,
     parse_graph,
     serialize_graph,
+    solve_pseudo_tower,
+    tower_top_candidates,
+    visibility_graph,
 )
+from polyvis.tower import bordering_constraints, level_sets
 
 from conftest import T5_EDGES
 
@@ -70,6 +78,64 @@ def test_parse_serialize_round_trip(case):
     norm = {tuple(sorted(e)) for e in raw}
     g = Graph(n, frozenset(norm))
     assert parse_graph(serialize_graph(g)) == g
+
+
+def test_graph_maps_each_vertex_to_its_neighbor_set(t5_graph):
+    g = t5_graph
+    assert len(g) == g.n
+    assert list(g) == list(range(g.n))
+    assert g[0] == frozenset({1, 4})
+    assert dict(g) == {v: frozenset(w for e in T5_EDGES if v in e for w in e if w != v) for v in g}
+
+
+def test_graph_has_no_vertex_outside_its_range(t5_graph):
+    g = t5_graph
+    assert -1 not in g and g.n not in g
+    # A tuple behind the mapping would wrap -1 round to the last vertex.
+    for v in (-1, g.n):
+        with pytest.raises(KeyError):
+            g[v]
+
+
+def test_graph_equality_and_hash_follow_the_edges(t5_graph):
+    same = Graph.from_edges(5, sorted(T5_EDGES, reverse=True))
+    assert same == t5_graph and hash(same) == hash(t5_graph)
+    assert len({same, t5_graph}) == 1
+    fewer = Graph(5, T5_EDGES - {(1, 3)})
+    assert fewer != t5_graph and Graph(6, T5_EDGES) != t5_graph
+    assert t5_graph != dict(t5_graph)
+
+
+def _tower_readings(nbrs):
+    """What the tower readers give on one view; a rejection reads as its message."""
+    out = [extract_tail(nbrs)]
+    try:
+        tops = tower_top_candidates(nbrs)
+    except NotTowerError as exc:
+        return [*out, str(exc)]
+    out.append(tops)
+    for top in sorted(tops):
+        out.append(extract_tail(nbrs, top))
+        try:
+            lv = level_sets(nbrs, top)
+            out.append((lv, lv.level_of))
+            bg = bordering_constraints(nbrs, lv)
+            out.append((bg, bg.coloring))
+        except NotTowerError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 21])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_graph_reads_like_its_plain_dict(n, seed):
+    for g in (visibility_graph(gen_tower(n, seed)), gen_pseudo_tower(n, seed).graph):
+        readings = _tower_readings(g)
+        assert readings == _tower_readings(dict(g))
+        assert len(readings) > 1
+    # A pseudo-tower's whole graph does not level; its residual is leveled
+    # on a view restricted from the Graph or from the dict alike.
+    assert solve_pseudo_tower(g) == solve_pseudo_tower(dict(g)) != []
 
 
 def test_components_k3(k3):

@@ -154,7 +154,7 @@ def test_view_solver_ignores_vertex_ids():
     solved = 0
     for name, g in _relabel_inputs():
         view = {
-            _mapped(v): frozenset(_mapped(w) for w in g.nbr_set(v))
+            _mapped(v): frozenset(_mapped(w) for w in g[v])
             for v in reversed(range(g.n))
         }
 

@@ -26,6 +26,7 @@ from polyvis.pseudotriangle import (
     SplitDecomposition,
     _bordering_ok,
     _cap_context,
+    _cap_sides,
     part_paths,
 )
 
@@ -112,14 +113,14 @@ def _pt6_true_decomposition(pt6_graph):
 
 def test_cap_borderings_rejects_no_shared_view(pt6_graph):
     dec, _, _ = _pt6_true_decomposition(pt6_graph)
-    (sides,) = _cap_context(pt6_graph, dec.cap, 0)
+    (sides,) = _cap_sides(_cap_context(pt6_graph, dec.cap, 0))
     # 1 and 5 are the deepest cap vertices of the two sides.  With every edge
     # from 1 into the parts cut, they share no neighbor there, so either
     # orientation of the cap's one bordering is rejected.
     parts = dec.part_a | dec.part_b
     g2 = Graph(6, frozenset(set(pt6_graph.edges) - {(1, 2), (1, 3), (1, 4)}))
-    assert pt6_graph.nbr_set(1) & pt6_graph.nbr_set(5) & parts
-    assert not g2.nbr_set(1) & g2.nbr_set(5) & parts
+    assert pt6_graph[1] & pt6_graph[5] & parts
+    assert not g2[1] & g2[5] & parts
     assert _bordering_ok(pt6_graph, dec, sides)
     assert not _bordering_ok(g2, dec, sides)
     assert not _bordering_ok(g2, dec, sides[::-1])
@@ -127,7 +128,8 @@ def test_cap_borderings_rejects_no_shared_view(pt6_graph):
 
 def test_cap_borderings_pt6(pt6_graph):
     dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    accepted = [s for s in _cap_context(pt6_graph, dec.cap, 0) if _bordering_ok(pt6_graph, dec, s)]
+    sides = _cap_sides(_cap_context(pt6_graph, dec.cap, 0))
+    accepted = [s for s in sides if _bordering_ok(pt6_graph, dec, s)]
     assert len(accepted) == 1
     sols = assemble_hamiltonian(pt6_graph, dec, accepted[0], sol_a, sol_b)
     assert any(s.cycle.order == (0, 1, 2, 3, 4, 5) for s in sols)
@@ -136,7 +138,7 @@ def test_cap_borderings_pt6(pt6_graph):
 
 def test_assemble_rejects_missing_edge(pt6_graph):
     dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    (sides,) = _cap_context(pt6_graph, dec.cap, 0)
+    (sides,) = _cap_sides(_cap_context(pt6_graph, dec.cap, 0))
     broken = Graph(6, frozenset(set(pt6_graph.edges) - {(4, 5)}))
     assert assemble_hamiltonian(broken, dec, sides, sol_a, sol_b) == []
 
@@ -145,14 +147,14 @@ def test_cap_context_hangs_tail_below_its_attachment():
     # Cap {0, 1, 2, 3}: the triangle 0-1-2 levels from the top 0, and 3 hangs
     # off 2 as a tail, so it goes below 2 on 2's side.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert _cap_context(g, frozenset(range(4)), 0) == [((1,), (2, 3))]
+    assert _cap_sides(_cap_context(g, frozenset(range(4)), 0)) == [((1,), (2, 3))]
 
 
 def test_cap_context_tail_at_the_top():
     # Cap {0, 1}: the top 0 has degree 1 too, but is never a tail end, so 1
     # is the tail and hangs below the top on the first side.
     g = Graph.from_edges(2, [(0, 1)])
-    assert _cap_context(g, frozenset({0, 1}), 0) == [((1,), ())]
+    assert _cap_sides(_cap_context(g, frozenset({0, 1}), 0)) == [((1,), ())]
 
 
 def test_cap_context_two_loose_ends_rejected():
