@@ -20,7 +20,6 @@ from .tower import (
     compute_leveling,
     enumerate_borderings,
     solve_tower,
-    tower_hamiltonian,
     tower_top_candidates,
 )
 from .pseudotower import (
@@ -30,7 +29,6 @@ from .pseudotower import (
     solve_pseudo_tower,
 )
 from .pseudotriangle import (
-    Chain,
     NotPseudoTriangleError,
     PartSolution,
     assemble_hamiltonian,
@@ -51,7 +49,6 @@ from .geometry import (
     gen_pseudo_triangle,
     gen_tower,
     render_svg,
-    segment_inside,
     visibility_graph,
     write_polygon,
 )
@@ -59,7 +56,6 @@ from .geometry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain",
     "Graph",
     "GraphParseError",
     "NotPseudoTowerError",
@@ -88,14 +84,12 @@ __all__ = [
     "is_cycle_in_graph",
     "parse_graph",
     "render_svg",
-    "segment_inside",
     "serialize_graph",
     "solve_pseudo_tower",
     "solve_pseudo_triangle",
     "solve_tower",
     "split_parts",
     "top_joint_candidates",
-    "tower_hamiltonian",
     "tower_top_candidates",
     "verify_candidate",
     "verify_cycle",

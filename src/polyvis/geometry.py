@@ -124,16 +124,6 @@ class Polygon:
         return tuple((p.x, p.y) for p in self.points)
 
 
-def segment_inside(poly: Polygon, i: int, j: int) -> bool:
-    """True iff vertices i and j see each other: boundary-adjacent, or the
-    segment leaves both i and j strictly inside their interior angles, crosses
-    no boundary edge and grazes no other vertex.
-    """
-    if i == j:
-        raise ValueError("endpoints must differ")
-    return kernels.segment_visible(poly.coords(), i, j)
-
-
 def visibility_graph(poly: Polygon) -> Graph:
     """Exact visibility graph; always contains the boundary cycle."""
     return Graph(poly.n, frozenset(kernels.visibility_edges(poly.coords())))
@@ -191,7 +181,7 @@ def _prefix(values: Iterable[int]) -> list[int]:
 
 def _funnel_points(
     rng: random.Random, m_left: int, m_right: int, k_bottom: int, deep_bottom: bool
-) -> tuple[list[Point], dict[str, object]]:
+) -> list[Point]:
     """One sampled tower / pseudo-triangle shape.
 
     Two strictly convex side staircases from the base corners up to a shared
@@ -242,16 +232,7 @@ def _funnel_points(
     for t in range(1, m_right):  # right side, walking up
         pts.append(Point(span - stretch * t, y_right[t]))
 
-    pts = [Point(p.x - stretch * m_left, p.y) for p in pts]
-    info = {
-        "apex": 0,
-        "left_corner": m_left,
-        "right_corner": m_left + k_bottom + 1,
-        "m_left": m_left,
-        "m_right": m_right,
-        "k_bottom": k_bottom,
-    }
-    return pts, info
+    return [Point(p.x - stretch * m_left, p.y) for p in pts]
 
 
 def gen_tower(n: int, seed: int) -> Polygon:
@@ -265,20 +246,11 @@ def gen_tower(n: int, seed: int) -> Polygon:
     for _ in range(_MAX_ATTEMPTS):
         m_left = rng.randint(1, n - 2)
         m_right = n - 1 - m_left
-        pts, _ = _funnel_points(rng, m_left, m_right, 0, False)
+        pts = _funnel_points(rng, m_left, m_right, 0, False)
         if kernels.has_collinear_triple([(p.x, p.y) for p in pts]):
             continue
         return Polygon(tuple(pts))
     raise RuntimeError(f"tower generation failed for n={n}, seed={seed}")
-
-
-def _chain_index_sets(n: int, info: dict[str, object]) -> dict[str, tuple[int, ...]]:
-    left_corner = int(info["left_corner"])
-    right_corner = int(info["right_corner"])
-    upper_left = tuple(range(0, left_corner))  # apex + left interiors
-    bottom = tuple(range(left_corner, right_corner + 1))
-    upper_right = (0,) + tuple(range(n - 1, right_corner, -1))  # apex + right interiors
-    return {"left": upper_left + (left_corner,), "bottom": bottom, "right": upper_right + (right_corner,)}
 
 
 def _sees_both_sides(poly: Polygon, chains: dict[str, tuple[int, ...]]) -> list[int]:
@@ -296,9 +268,7 @@ def _sees_both_sides(poly: Polygon, chains: dict[str, tuple[int, ...]]) -> list[
     ]
 
 
-def _degenerate_points(
-    rng: random.Random, n: int
-) -> tuple[list[Point], dict[str, object]] | None:
+def _degenerate_points(rng: random.Random, n: int) -> list[Point] | None:
     """A pinched shape: shallow-start side chains hide the corners' long
     sightlines behind their own steepening walls, and one tall central dent
     under the apex blocks the low sightlines, leaving the dent top as the only
@@ -334,16 +304,7 @@ def _degenerate_points(
     pts.append(Point(span, 0))
     for t in range(1, m_right):
         pts.append(Point(span - t, y_right[t]))
-    pts = [Point(p.x - m_left, p.y) for p in pts]
-    info = {
-        "apex": 0,
-        "left_corner": m_left,
-        "right_corner": m_left + 2,
-        "m_left": m_left,
-        "m_right": m_right,
-        "k_bottom": 1,
-    }
-    return pts, info
+    return [Point(p.x - m_left, p.y) for p in pts]
 
 
 def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
@@ -363,15 +324,14 @@ def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
     rng = random.Random(f"pseudo-triangle:{n}:{seed}:{degenerate}")
     for _ in range(_MAX_ATTEMPTS):
         if degenerate:
-            made = _degenerate_points(rng, n)
-            if made is None:
+            pts = _degenerate_points(rng, n)
+            if pts is None:
                 continue
-            pts, info = made
         else:
             k_bottom = rng.randint(0, n - 3)
             m_left = rng.randint(1, n - 2 - k_bottom)
             m_right = n - 1 - k_bottom - m_left
-            pts, info = _funnel_points(rng, m_left, m_right, k_bottom, False)
+            pts = _funnel_points(rng, m_left, m_right, k_bottom, False)
         if kernels.has_collinear_triple([(p.x, p.y) for p in pts]):
             continue
         try:
@@ -380,16 +340,12 @@ def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
             continue
         if len(convex_vertex_indices(poly)) != 3:
             continue
-        chains = _chain_index_sets(n, info)
-        both = _sees_both_sides(poly, chains)
+        both = _sees_both_sides(poly, pseudo_triangle_chains(poly))
         if degenerate:
             if len(both) == 1:
                 return poly
-        else:
-            bottom = chains["bottom"]
-            pos = {v: i for i, v in enumerate(bottom)}
-            if any(pos[a] + 1 == pos[b] for a in both for b in both if a != b):
-                return poly
+        elif any(v + 1 in both for v in both):  # two adjacent bottom vertices
+            return poly
     raise RuntimeError(
         f"pseudo-triangle generation failed for n={n}, seed={seed}, degenerate={degenerate}"
     )
@@ -456,12 +412,11 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         m_right = parent_n - 1 - m_left
         if not cut_left:
             m_left, m_right = m_right, m_left
-        pts, info = _funnel_points(rng, m_left, m_right, 0, False)
+        pts = _funnel_points(rng, m_left, m_right, 0, False)
         if kernels.has_collinear_triple([(p.x, p.y) for p in pts]):
             continue
         parent = Polygon(tuple(pts))
-        left_corner = int(info["left_corner"])
-        right_corner = int(info["right_corner"])
+        left_corner, right_corner = m_left, m_left + 1  # no bottom vertices
         if cut_left:
             cut = range(left_corner - removed + 1, left_corner + 1)
         else:

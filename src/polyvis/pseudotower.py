@@ -22,9 +22,8 @@ from .tower import (
     BorderingGraph,
     Leveling,
     NotTowerError,
+    bordering_chains,
     bordering_constraints,
-    chains_from_bordering,
-    enumerate_borderings,
     level_sets,
     tower_top_candidates,
 )
@@ -133,15 +132,15 @@ def tower_chains(
     tail: tuple[int, ...],
     attachment: int | None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The chain pair of every bordering of a leveled residual, each chain
-    from the apex down, with the tail (outermost vertex first) appended below
-    the chain that ends at ``attachment``.  A bordering that leaves the
-    attachment above the bottom of its chain is inconsistent and dropped.
+    """The chain pair of every bordering of a leveled residual, as
+    ``tower.bordering_chains`` reads it, with the tail (outermost vertex
+    first) appended below the chain that ends at ``attachment``.  A bordering
+    that leaves the attachment above the bottom of its chain is inconsistent
+    and dropped.
     """
     out = []
     suffix = tuple(reversed(tail))  # innermost tail vertex first
-    for b in enumerate_borderings(bg):
-        c1, c2 = chains_from_bordering(lv, b)
+    for c1, c2 in bordering_chains(lv, bg):
         if tail:
             if c1[-1] == attachment:
                 c1 += suffix

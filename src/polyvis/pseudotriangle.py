@@ -6,7 +6,9 @@ the split edge), split the remainder into two pseudo-tower parts, solve the
 parts, prune the cap's chain assignments with the cross-visibility
 constraints, and assemble + verify the boundary cycle.  Everything that fails
 a necessary condition is dropped; the result is the deduplicated, canonically
-sorted list of surviving boundary candidates.
+sorted list of surviving boundary candidates.  If no top yields one, the
+search runs once more from the 6 next-lowest-degree vertices.  A solution's
+three chains are plain vertex tuples, each running joint to joint.
 
 Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
 (the loop of ``tower.level_sets``), once per (top, split edge): the levels
@@ -17,14 +19,16 @@ rule also reads the cap that leveling the other vertex alone would give (see
 ``extract_cap``).  Every closed level places a vertex, so a walk ends within
 n levels and needs no budget.
 
-Caps and side parts are read by the pseudo-tower code: ``_cap_context``
-walks the cap's tail with ``pseudotower.extract_tail`` up to the known top
-and levels the residual, once per (top, cap); ``_cap_sides`` reads each
-bordering's sides with ``pseudotower.tower_chains``, only once some
-decomposition of the cap has two parts that solve; and ``part_paths`` reads
-a chordless path off the same walk.  The cap's sides are filtered once per
-decomposition: every bordering is checked against the cross-visibility
-constraint, as ``solve_tower`` checks every bordering of a tower.
+Caps and side parts are read by the pseudo-tower code, whose chains come
+from ``tower.bordering_chains``, the package's one reading of a bordering:
+``_cap_context`` walks the cap's tail with ``pseudotower.extract_tail`` up
+to the known top and levels the residual, once per (top, cap);
+``_cap_sides`` reads each bordering's sides with ``pseudotower.tower_chains``,
+only once some decomposition of the cap has two parts that solve; and
+``part_paths`` reads a chordless path off the same walk.  The cap's sides
+are filtered once per decomposition: every bordering is checked against the
+cross-visibility constraint, as ``solve_tower`` checks every bordering of a
+tower.
 """
 
 from __future__ import annotations
@@ -58,23 +62,6 @@ class NotPseudoTriangleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Chain:
-    """One concave chain of the boundary; its endpoints are joints."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def joints(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-
-@dataclass(frozen=True)
 class SplitDecomposition:
     """A split-edge decomposition: the cap above the split edge plus the two
     flanking parts.  Together they partition the vertices, ``top`` lies in the
@@ -103,7 +90,7 @@ class PartSolution:
 @dataclass(frozen=True)
 class PseudoTriangleSolution:
     cycle: CycleCandidate
-    chains: tuple[Chain, Chain, Chain]  # (left, bottom, right)
+    chains: tuple[tuple[int, ...], ...]  # (left, bottom, right), joint to joint
     joints: tuple[int, int, int]
     decomposition: SplitDecomposition
 
@@ -323,7 +310,7 @@ def assemble_hamiltonian(
             out.append(
                 PseudoTriangleSolution(
                     cand,
-                    (Chain(chain_left), Chain(chain_bottom), Chain(chain_right)),
+                    (chain_left, chain_bottom, chain_right),
                     (dec.top, chain_left[-1], chain_right[-1]),
                     dec,
                 )
@@ -379,10 +366,9 @@ def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     into each side part grows monotonically down the cap, and the joints are
     the chain endpoints.
     """
-    chains = tuple(ch.vertices for ch in sol.chains)
-    if not (is_cycle_in_graph(g, sol.cycle) and _necessary_conditions(g, chains)):
+    if not (is_cycle_in_graph(g, sol.cycle) and _necessary_conditions(g, sol.chains)):
         return False
-    left, _, right = chains
+    left, _, right = sol.chains
     dec = sol.decomposition
     if sol.joints != (left[0], left[-1], right[-1]):
         return False
@@ -454,94 +440,78 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         return []
 
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
-    ctx_cache: dict[tuple[int, frozenset[int]], CapContext | None] = {}
-    # A cap's sides are read only once some decomposition's parts both solve.
-    sides_cache: dict[tuple[int, frozenset[int]], list[Sides]] = {}
+    # A (top, cap) entry holds the leveled cap, or None if it does not level;
+    # once some decomposition of the cap has two parts that solve, it holds
+    # the cap's sides instead.
+    cap_cache: dict[tuple[int, frozenset[int]], CapContext | list[Sides] | None] = {}
     path_cache: dict[tuple[frozenset[int], int], list[PartSolution]] = {}
     # Many decompositions assemble the same chains; their decomposition-free
     # verdict is computed once.
     chain_cache: dict[tuple[tuple[int, ...], ...], bool] = {}
-    caches = (ctx_cache, sides_cache, path_cache, chain_cache)
-    _solve_from_tops(g, sorted(tops), found, *caches, bump)
-    if not found:
-        # The minimum-degree joint can face an opposite chain too short to
-        # carry a workable split edge; retry from the next-smallest-degree
-        # vertices, which include the other joints.
-        fallback = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-        extra = [v for v in fallback if v not in tops][:6]
-        if extra:
+
+    def read_part(part: frozenset[int], end: int) -> list[PartSolution]:
+        if (part, end) not in path_cache:
+            path_cache[part, end] = part_paths(g, part, end)
+        return path_cache[part, end]
+
+    # The minimum-degree joint can face an opposite chain too short to carry a
+    # workable split edge; if nothing is found, the search runs again from the
+    # next-smallest-degree vertices, which include the other joints.
+    by_degree = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    fallback = [v for v in by_degree if v not in tops][:6]
+    for attempt, round_tops in enumerate((sorted(tops), fallback)):
+        if found or not round_tops:
+            break
+        if attempt:
             bump("fallback_tops")
-            _solve_from_tops(g, extra, found, *caches, bump)
-    return [found[k] for k in sorted(found)]
-
-
-def _solve_from_tops(
-    g: Graph,
-    tops: list[int],
-    found: dict[tuple[int, ...], PseudoTriangleSolution],
-    ctx_cache: dict[tuple[int, frozenset[int]], CapContext | None],
-    sides_cache: dict[tuple[int, frozenset[int]], list[Sides]],
-    path_cache: dict[tuple[frozenset[int], int], list[PartSolution]],
-    chain_cache: dict[tuple[tuple[int, ...], ...], bool],
-    bump,
-) -> None:
-    for top in tops:
-        pairs = sorted({(u, v) for u, v in g.edges if top != u and top != v})
-        for pair in pairs:
-            caps = extract_cap(g, top, pair)
-            if not caps:
-                bump("cap_rejected")
-                continue
-            for cap in caps:
-                ctx_key = (top, cap)
-                if ctx_key not in ctx_cache:
-                    ctx_cache[ctx_key] = _cap_context(g, cap, top)
-                ctx = ctx_cache[ctx_key]
-                if ctx is None:
-                    bump("cap_not_tower")
+        for top in round_tops:
+            pairs = sorted({(u, v) for u, v in g.edges if top != u and top != v})
+            for pair in pairs:
+                caps = extract_cap(g, top, pair)
+                if not caps:
+                    bump("cap_rejected")
                     continue
-                split = split_parts(g, cap, pair)
-                for e in (pair, (pair[1], pair[0])):
-                    if split is None:
-                        bump("split_rejected")
+                for cap in caps:
+                    key = (top, cap)
+                    if key not in cap_cache:
+                        cap_cache[key] = _cap_context(g, cap, top)
+                    if cap_cache[key] is None:
+                        bump("cap_not_tower")
                         continue
-                    part_a, part_b = split if e == pair else (split[1], split[0])
-                    dec = SplitDecomposition(top, e, cap, part_a, part_b)
-                    key_a = (part_a, e[0])
-                    if key_a not in path_cache:
-                        path_cache[key_a] = part_paths(g, part_a, e[0])
-                    sols_a = path_cache[key_a]
-                    sols_b: list[PartSolution] = []
-                    if sols_a:
-                        key_b = (part_b, e[1])
-                        if key_b not in path_cache:
-                            path_cache[key_b] = part_paths(g, part_b, e[1])
-                        sols_b = path_cache[key_b]
-                    if not sols_a or not sols_b:
-                        bump("part_rejected")
-                        continue
-                    if ctx_key not in sides_cache:
-                        sides_cache[ctx_key] = _cap_sides(ctx)
-                    borderings = [s for s in sides_cache[ctx_key] if _bordering_ok(g, dec, s)]
-                    for sol_a, sol_b, sides in product(sols_a, sols_b, borderings):
-                        variants = assemble_hamiltonian(g, dec, sides, sol_a, sol_b)
-                        if not variants:
-                            bump("assembly_rejected")
+                    split = split_parts(g, cap, pair)
+                    for e in (pair, (pair[1], pair[0])):
+                        if split is None:
+                            bump("split_rejected")
                             continue
-                        # The cycle is in g, and assembly met verify_candidate's
-                        # decomposition checks: the joints are the chain ends and
-                        # _bordering_ok passed the cap's nested neighborhoods.
-                        # What is left is the cached chain verdict.
-                        for sol in variants:
-                            chains = tuple(c.vertices for c in sol.chains)
-                            if chains not in chain_cache:
-                                chain_cache[chains] = _necessary_conditions(g, chains)
-                            if not chain_cache[chains]:
-                                bump("verify_rejected")
+                        part_a, part_b = split if e == pair else (split[1], split[0])
+                        dec = SplitDecomposition(top, e, cap, part_a, part_b)
+                        sols_a = read_part(part_a, e[0])
+                        sols_b = read_part(part_b, e[1]) if sols_a else []
+                        if not sols_b:
+                            bump("part_rejected")
+                            continue
+                        if not isinstance(cap_cache[key], list):
+                            cap_cache[key] = _cap_sides(cap_cache[key])
+                        borderings = [s for s in cap_cache[key] if _bordering_ok(g, dec, s)]
+                        for sol_a, sol_b, sides in product(sols_a, sols_b, borderings):
+                            variants = assemble_hamiltonian(g, dec, sides, sol_a, sol_b)
+                            if not variants:
+                                bump("assembly_rejected")
                                 continue
-                            bump("accepted")
-                            found.setdefault(sol.cycle.order, sol)
-                            break
+                            # The cycle is in g, and assembly met verify_candidate's
+                            # decomposition checks: the joints are the chain ends
+                            # and _bordering_ok passed the cap's nested
+                            # neighborhoods.  What is left is the chain verdict.
+                            for sol in variants:
+                                if sol.chains not in chain_cache:
+                                    chain_cache[sol.chains] = _necessary_conditions(g, sol.chains)
+                                if not chain_cache[sol.chains]:
+                                    bump("verify_rejected")
+                                    continue
+                                bump("accepted")
+                                found.setdefault(sol.cycle.order, sol)
+                                break
+    return [found[k] for k in sorted(found)]
 
 
 def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:

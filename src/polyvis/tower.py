@@ -2,8 +2,10 @@
 
 A tower's visibility graph is covered by ordered level sets grown greedily from
 the apex.  A 2-coloring of the constraint graph over those levels assigns every
-vertex to the left or right boundary chain; each consistent assignment yields
-one Hamiltonian cycle candidate.
+vertex to the left or right boundary chain.  ``bordering_chains`` reads each
+consistent assignment as two chains from the apex down, the one chain reading
+that the pseudo-tower and pseudo-triangle solvers share; down one chain and
+back up the other is one Hamiltonian cycle candidate.
 """
 
 from __future__ import annotations
@@ -257,31 +259,23 @@ def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:
     return out
 
 
-def tower_hamiltonian(g: Graph, lv: Leveling, b: Bordering) -> CycleCandidate | None:
-    """Cycle: apex, left chain by increasing level, right chain by decreasing
-    level.  Returns None when the bordering does not close into a cycle of g
-    (the bordering is discarded, not an error).
+def bordering_chains(
+    lv: Leveling, bg: BorderingGraph
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The chain pair of every bordering, in ``enumerate_borderings`` order:
+    each chain runs from the apex down, ordered by ``(level_of, v)``.
+
+    No chain holds two vertices of one level: two vertices with the same
+    ``level_of`` first meet in a two-vertex level, whose pair is a constraint
+    edge.  The constraint components cover every vertex but the apex, so the
+    two chains hold all of them.
     """
     top = lv.top
-    left = sorted(b.left, key=lambda v: (lv.level_of[v], v))
-    right = sorted(b.right, key=lambda v: (lv.level_of[v], v), reverse=True)
-    for side in (left, right):
-        seen_levels = [lv.level_of[v] for v in side]
-        if len(set(seen_levels)) != len(seen_levels):
-            return None
-    order = [top] + left + right
-    if len(order) != g.n:
-        return None
-    cand = canonicalize(order)
-    return cand if is_cycle_in_graph(g, cand) else None
 
+    def chain(side: frozenset[int]) -> tuple[int, ...]:
+        return (top, *sorted(side, key=lambda v: (lv.level_of[v], v)))
 
-def chains_from_bordering(lv: Leveling, b: Bordering) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two top-to-bottom chains, each beginning at the apex."""
-    top = lv.top
-    left = sorted(b.left, key=lambda v: (lv.level_of[v], v))
-    right = sorted(b.right, key=lambda v: (lv.level_of[v], v))
-    return (top, *left), (top, *right)
+    return [(chain(b.left), chain(b.right)) for b in enumerate_borderings(bg)]
 
 
 def check_strong_ordering(g: Graph, h: CycleCandidate) -> bool:
@@ -389,11 +383,11 @@ def solve_tower(g: Graph) -> list[CycleCandidate]:
             bg = bordering_constraints(g, lv)
         except NotTowerError:
             continue
-        for b in enumerate_borderings(bg):
-            cand = tower_hamiltonian(g, lv, b)
-            if cand is None or cand.order in found:
-                continue
-            if check_strong_ordering(g, cand):
+        for c1, c2 in bordering_chains(lv, bg):
+            # Down one chain and back up the other; check_strong_ordering
+            # first tests that this is a cycle of g.
+            cand = canonicalize((*c1, *reversed(c2[1:])))
+            if cand.order not in found and check_strong_ordering(g, cand):
                 found.add(cand.order)
                 out.append(cand)
     out.sort(key=lambda c: c.order)

@@ -13,7 +13,6 @@ from polyvis import (
     gen_pseudo_triangle,
     gen_tower,
     render_svg,
-    segment_inside,
     visibility_graph,
     write_polygon,
 )
@@ -22,24 +21,6 @@ from polyvis.geometry import parse_polygon, pseudo_triangle_chains, PolygonParse
 
 from conftest import PT6_EDGES, T5_EDGES
 from oracles import polygon_edges_touch_scan
-
-
-def test_segment_inside_t5_chord(t5_polygon):
-    assert segment_inside(t5_polygon, 1, 4)  # chord between the reflex vertices
-
-
-def test_segment_inside_t5_blocked(t5_polygon):
-    assert not segment_inside(t5_polygon, 0, 2)  # exits above reflex vertex 1
-
-
-def test_segment_inside_adjacent(t5_polygon):
-    for i in range(5):
-        assert segment_inside(t5_polygon, i, (i + 1) % 5)
-
-
-def test_segment_inside_same_vertex_rejected(t5_polygon):
-    with pytest.raises(ValueError):
-        segment_inside(t5_polygon, 2, 2)
 
 
 def test_visibility_graph_t5(t5_polygon):

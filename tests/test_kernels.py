@@ -71,6 +71,14 @@ def _scaled(coords):
     return [(x * big + 3, y * big - 7) for x, y in coords]
 
 
+def test_segment_visible_t5():
+    assert kernels.segment_visible(T5_POINTS, 1, 4)  # chord between the reflex vertices
+    assert not kernels.segment_visible(T5_POINTS, 0, 2)  # exits above reflex vertex 1
+    for i in range(5):  # boundary neighbours, both ways round
+        assert kernels.segment_visible(T5_POINTS, i, (i + 1) % 5)
+        assert kernels.segment_visible(T5_POINTS, (i + 1) % 5, i)
+
+
 def test_visibility_edges_matches_segment_visible():
     for coords in _sample_polygons():
         edges = kernels.visibility_edges(coords)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from polyvis import (
-    Chain,
     Graph,
     NotPseudoTriangleError,
     PartSolution,
@@ -230,7 +229,7 @@ def test_verify_candidate_rejects_same_chain_chord(pt6_graph):
     )
     sol = PseudoTriangleSolution(
         canonicalize((0, 1, 2, 3, 4, 5)),
-        (Chain((5, 0, 1)), Chain((1, 2, 3)), Chain((5, 4, 3))),
+        ((5, 0, 1), (1, 2, 3), (5, 4, 3)),
         (5, 1, 3),
         dec,
     )
@@ -304,7 +303,7 @@ def test_solution_partition_invariant(pt6_graph):
 
 def test_solution_chains_concatenate_to_cycle(pt6_graph):
     for s in solve_pseudo_triangle(pt6_graph):
-        left, bottom, right = (c.vertices for c in s.chains)
+        left, bottom, right = s.chains
         walk = list(left) + list(bottom[1:]) + list(reversed(right))[1:-1]
         assert canonicalize(walk) == s.cycle
 

@@ -35,7 +35,7 @@ def _answers(g) -> tuple:
     except NotPseudoTowerError:
         pseudo = "rejected"
     triangles = [
-        (s.cycle.order, tuple(c.vertices for c in s.chains), s.joints, _dec(s.decomposition))
+        (s.cycle.order, s.chains, s.joints, _dec(s.decomposition))
         for s in solve_pseudo_triangle(g)
     ]
     return towers, pseudo, triangles

@@ -9,12 +9,15 @@ from polyvis import (
     compute_leveling,
     enumerate_borderings,
     gen_tower,
+    solve_pseudo_triangle,
     solve_tower,
-    tower_hamiltonian,
     tower_top_candidates,
     visibility_graph,
     boundary_cycle,
 )
+from polyvis.tower import bordering_chains
+
+from oracles import brute_hamiltonian_cycles
 
 
 def test_top_candidates_t5(t5_graph):
@@ -120,17 +123,21 @@ def test_enumerate_borderings_single_component(k3):
 
 
 def test_tower_hamiltonian_t5(t5_graph):
+    # Each bordering's chain pair, read down one chain and back up the other.
     lv = compute_leveling(t5_graph, 0)
     bg = bordering_graph(t5_graph, lv)
-    cycles = [tower_hamiltonian(t5_graph, lv, b) for b in enumerate_borderings(bg)]
+    pairs = bordering_chains(lv, bg)
+    assert pairs == [((0, 1, 2), (0, 4, 3)), ((0, 1, 3), (0, 4, 2))]
+    cycles = [canonicalize((*c1, *reversed(c2[1:]))) for c1, c2 in pairs]
     assert [c.order for c in cycles] == [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4)]
 
 
 def test_tower_hamiltonian_k3(k3):
     lv = compute_leveling(k3, 0)
     bg = bordering_graph(k3, lv)
-    (b,) = enumerate_borderings(bg)
-    assert tower_hamiltonian(k3, lv, b).order == (0, 1, 2)
+    ((c1, c2),) = bordering_chains(lv, bg)
+    assert (c1, c2) == ((0, 1), (0, 2))
+    assert canonicalize((*c1, *reversed(c2[1:]))).order == (0, 1, 2)
 
 
 def test_strong_ordering_t5(t5_graph):
@@ -186,3 +193,25 @@ def test_generated_tower_bordering_count_law(seed):
     lv = compute_leveling(g, top)
     bg = bordering_graph(g, lv)
     assert len(enumerate_borderings(bg)) == 2 ** (len(bg.components) - 1)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_solve_tower_matches_brute_force(n):
+    # Exact oracle: the readings are the Hamiltonian cycles that pass the
+    # strong ordering criterion, no more and no fewer.
+    for seed in range(10):
+        g = visibility_graph(gen_tower(n, seed))
+        strong = {
+            h for h in brute_hamiltonian_cycles(g) if check_strong_ordering(g, canonicalize(h))
+        }
+        assert {c.order for c in solve_tower(g)} == strong
+
+
+@pytest.mark.parametrize("n", range(5, 41, 5))
+def test_tower_readings_are_pseudo_triangle_readings(n):
+    # A tower is a pseudo-triangle whose base is one edge, so the
+    # pseudo-triangle solver must find every tower reading too.
+    for seed in range(20):
+        g = visibility_graph(gen_tower(n, seed))
+        triangles = {s.cycle.order for s in solve_pseudo_triangle(g)}
+        assert {c.order for c in solve_tower(g)} <= triangles
