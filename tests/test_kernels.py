@@ -71,9 +71,15 @@ def _scaled(coords):
     return [(x * big + 3, y * big - 7) for x, y in coords]
 
 
-def test_segment_visible_t5():
+def test_segment_visible_t5_chord():
     assert kernels.segment_visible(T5_POINTS, 1, 4)  # chord between the reflex vertices
+
+
+def test_segment_visible_t5_blocked():
     assert not kernels.segment_visible(T5_POINTS, 0, 2)  # exits above reflex vertex 1
+
+
+def test_segment_visible_t5_adjacent():
     for i in range(5):  # boundary neighbours, both ways round
         assert kernels.segment_visible(T5_POINTS, i, (i + 1) % 5)
         assert kernels.segment_visible(T5_POINTS, (i + 1) % 5, i)
