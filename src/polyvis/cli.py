@@ -1,8 +1,10 @@
 """Command-line interface: solve, gen, visgraph, verify, render, bench.
 
 Exit codes: 0 with at least one candidate, 2 with none (or a failed
-verification), 1 on I/O, format or usage errors.  Candidate orders go to
-stdout one per line; diagnostics go to stderr.
+verification), 1 on usage, file, format or generator errors, which every
+command reports as ``error: <message>`` on stderr.  Candidate orders go to
+stdout one per line; diagnostics go to stderr.  ``bench`` times the same
+solver dispatch as ``solve --kind``.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 from . import geometry, pseudotriangle, pseudotower, tower
-from .graph import Graph, GraphParseError, parse_graph, serialize_graph
+from .graph import Graph, parse_graph, serialize_graph
 
 
 class _UsageError(Exception):
@@ -25,15 +26,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit 2; we reserve that
         raise _UsageError(message)
-
-
-@dataclass
-class RunReport:
-    input_id: str
-    kind: str
-    candidates: list[list[int]]
-    millis: float
-    rejections: dict[str, int] = field(default_factory=dict)
 
 
 def _read(path: str) -> str:
@@ -74,18 +66,15 @@ def _solve_kind(g: Graph, kind: str, stats: dict[str, int]) -> tuple[str, list[l
 
 
 def cmd_solve(args) -> int:
-    try:
-        g = parse_graph(_read(args.graph))
-    except (OSError, GraphParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = parse_graph(_read(args.graph))
     stats: dict[str, int] = {}
     t0 = time.perf_counter()
     kind, candidates = _solve_kind(g, args.kind, stats)
     millis = (time.perf_counter() - t0) * 1000.0
     if args.json:
-        report = RunReport(args.graph, kind, candidates, millis, stats)
-        print(json.dumps(asdict(report), sort_keys=True))
+        report = {"input_id": args.graph, "kind": kind, "candidates": candidates,
+                  "millis": millis, "rejections": stats}
+        print(json.dumps(report, sort_keys=True))
     else:
         print(f"kind: {kind}", file=sys.stderr)
         for cand in candidates:
@@ -95,90 +84,56 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.degenerate and args.kind != "pseudo-triangle":
-        print("error: --degenerate applies only to --kind pseudo-triangle", file=sys.stderr)
-        return 1
-    try:
-        if args.kind == "tower":
-            poly = geometry.gen_tower(args.n, args.seed)
-            _write_out(geometry.write_polygon(poly), args.output)
-        elif args.kind == "pseudo-triangle":
-            poly = geometry.gen_pseudo_triangle(args.n, args.seed, args.degenerate)
-            _write_out(geometry.write_polygon(poly), args.output)
-        else:
-            # A pseudo-tower exists only at graph level (its graph needs a
-            # degree-1 vertex, impossible for a closed polygon), so this kind
-            # emits a graph file.
-            inst = geometry.gen_pseudo_tower(args.n, args.seed)
-            chains = ", ".join(" ".join(map(str, c)) for c in inst.chains)
-            text = f"# pseudo-tower chains: {chains}\n" + serialize_graph(inst.graph)
-            _write_out(text, args.output)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _UsageError("--degenerate applies only to --kind pseudo-triangle")
+    if args.kind == "tower":
+        text = geometry.write_polygon(geometry.gen_tower(args.n, args.seed))
+    elif args.kind == "pseudo-triangle":
+        text = geometry.write_polygon(
+            geometry.gen_pseudo_triangle(args.n, args.seed, args.degenerate))
+    else:
+        # A pseudo-tower exists only at graph level (its graph needs a
+        # degree-1 vertex, impossible for a closed polygon), so this kind
+        # emits a graph file.
+        inst = geometry.gen_pseudo_tower(args.n, args.seed)
+        chains = ", ".join(" ".join(map(str, c)) for c in inst.chains)
+        text = f"# pseudo-tower chains: {chains}\n" + serialize_graph(inst.graph)
+    _write_out(text, args.output)
     return 0
 
 
 def cmd_visgraph(args) -> int:
-    try:
-        poly = geometry.parse_polygon(_read(args.polygon))
-        g = geometry.visibility_graph(poly)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_out(serialize_graph(g), args.output)
+    poly = geometry.parse_polygon(_read(args.polygon))
+    _write_out(serialize_graph(geometry.visibility_graph(poly)), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = parse_graph(_read(args.graph))
-    except (OSError, GraphParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    ok = pseudotriangle.verify_cycle(g, args.cycle)
+    ok = pseudotriangle.verify_cycle(parse_graph(_read(args.graph)), args.cycle)
     print("ok" if ok else "rejected")
     return 0 if ok else 2
 
 
 def cmd_render(args) -> int:
-    try:
-        poly = geometry.parse_polygon(_read(args.polygon))
-        g = parse_graph(_read(args.graph)) if args.graph else None
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    poly = geometry.parse_polygon(_read(args.polygon))
+    g = parse_graph(_read(args.graph)) if args.graph else None
     _write_out(geometry.render_svg(poly, g), args.output)
     return 0
-
-
-def _bench_one(kind: str, n: int, seed: int) -> tuple[int, float, int]:
-    """Generate one instance, solve it: (edge count, solve millis, candidates)."""
-    if kind == "tower":
-        g = geometry.visibility_graph(geometry.gen_tower(n, seed))
-        t0 = time.perf_counter()
-        cands = tower.solve_tower(g)
-    elif kind == "pseudo-tower":
-        g = geometry.gen_pseudo_tower(n, seed).graph
-        t0 = time.perf_counter()
-        cands = pseudotower.solve_pseudo_tower(g)
-    else:
-        g = geometry.visibility_graph(geometry.gen_pseudo_triangle(n, seed))
-        t0 = time.perf_counter()
-        cands = pseudotriangle.solve(g)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return g.m, millis, len(cands)
 
 
 def cmd_bench(args) -> int:
     print("kind,n,m,millis,candidates")
     for n in args.sizes:
         for seed in range(args.seed, args.seed + args.repeat):
-            try:
-                m, millis, cands = _bench_one(args.kind, n, seed)
-            except (ValueError, RuntimeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            print(f"{args.kind},{n},{m},{millis:.3f},{cands}")
+            if args.kind == "tower":
+                g = geometry.visibility_graph(geometry.gen_tower(n, seed))
+            elif args.kind == "pseudo-tower":
+                g = geometry.gen_pseudo_tower(n, seed).graph
+            else:
+                g = geometry.visibility_graph(geometry.gen_pseudo_triangle(n, seed))
+            t0 = time.perf_counter()
+            _, cands = _solve_kind(g, args.kind, {})
+            millis = (time.perf_counter() - t0) * 1000.0
+            print(f"{args.kind},{n},{g.m},{millis:.3f},{len(cands)}")
     return 0
 
 
@@ -233,15 +188,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

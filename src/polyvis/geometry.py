@@ -179,9 +179,7 @@ def _prefix(values: Iterable[int]) -> list[int]:
     return out
 
 
-def _funnel_points(
-    rng: random.Random, m_left: int, m_right: int, k_bottom: int, deep_bottom: bool
-) -> list[Point]:
+def _funnel_points(rng: random.Random, m_left: int, m_right: int, k_bottom: int) -> list[Point]:
     """One sampled tower / pseudo-triangle shape.
 
     Two strictly convex side staircases from the base corners up to a shared
@@ -202,8 +200,7 @@ def _funnel_points(
         up = rng.randint(1, span - 1)
         down = span - up
         base_area = max(up * (up + 1) // 2, down * (down + 1) // 2)
-        extra = rng.randint(0, base_area) if not deep_bottom else base_area * rng.randint(3, 6)
-        area = base_area + extra
+        area = base_area + rng.randint(0, base_area)
         rises = _increasing_ints(rng, up, area, 1)[::-1]
         falls = _increasing_ints(rng, down, area, 1)
         increments = rises + [-f for f in falls]
@@ -246,8 +243,8 @@ def gen_tower(n: int, seed: int) -> Polygon:
     for _ in range(_MAX_ATTEMPTS):
         m_left = rng.randint(1, n - 2)
         m_right = n - 1 - m_left
-        pts = _funnel_points(rng, m_left, m_right, 0, False)
-        if kernels.has_collinear_triple([(p.x, p.y) for p in pts]):
+        pts = _funnel_points(rng, m_left, m_right, 0)
+        if kernels.has_collinear_triple(pts):
             continue
         return Polygon(tuple(pts))
     raise RuntimeError(f"tower generation failed for n={n}, seed={seed}")
@@ -331,8 +328,8 @@ def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
             k_bottom = rng.randint(0, n - 3)
             m_left = rng.randint(1, n - 2 - k_bottom)
             m_right = n - 1 - k_bottom - m_left
-            pts = _funnel_points(rng, m_left, m_right, k_bottom, False)
-        if kernels.has_collinear_triple([(p.x, p.y) for p in pts]):
+            pts = _funnel_points(rng, m_left, m_right, k_bottom)
+        if kernels.has_collinear_triple(pts):
             continue
         try:
             poly = Polygon(tuple(pts))
@@ -412,8 +409,8 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         m_right = parent_n - 1 - m_left
         if not cut_left:
             m_left, m_right = m_right, m_left
-        pts = _funnel_points(rng, m_left, m_right, 0, False)
-        if kernels.has_collinear_triple([(p.x, p.y) for p in pts]):
+        pts = _funnel_points(rng, m_left, m_right, 0)
+        if kernels.has_collinear_triple(pts):
             continue
         parent = Polygon(tuple(pts))
         left_corner, right_corner = m_left, m_left + 1  # no bottom vertices

@@ -148,6 +148,9 @@ def has_collinear_triple(coords: Coords) -> bool:
     n = len(coords)
     if n < 3:
         return False
+    # Plain tuples: the loops below unpack every pair, and CPython unpacks an
+    # exact tuple faster than a subclass such as ``geometry.Point``.
+    coords = [(x, y) for x, y in coords]
     if len(set(coords)) < n:
         return True
     for i in range(n - 2):

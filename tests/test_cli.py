@@ -200,3 +200,51 @@ def test_deterministic_stdout(tmp_path, capsys):
     g1 = capsys.readouterr().out
     main(["gen", "--kind", "pseudo-triangle", "--n", "10", "--seed", "2"])
     assert capsys.readouterr().out == g1
+
+
+_BOWTIE = "4\n0 0\n2 2\n2 0\n0 2\n"
+
+
+@pytest.mark.parametrize("case", [
+    "visgraph-malformed", "visgraph-self-intersecting", "render-missing-graph",
+    "verify-malformed", "gen-degenerate-too-small",
+])
+def test_error_paths_exit_1(tmp_path, capsys, case):
+    out_path = tmp_path / "out.txt"
+    bad_poly = tmp_path / "bad.poly"
+    bad_poly.write_text("3\n0 0\n1 x\n2 2\n")
+    bowtie = tmp_path / "bowtie.poly"
+    bowtie.write_text(_BOWTIE)
+    good_poly = tmp_path / "good.poly"
+    good_poly.write_text(write_polygon(gen_pseudo_triangle(7, 3)))
+    bad_graph = tmp_path / "bad.graph"
+    bad_graph.write_text("3 1\n0 0\n")
+    argv = {
+        "visgraph-malformed": ["visgraph", str(bad_poly), "-o", str(out_path)],
+        "visgraph-self-intersecting": ["visgraph", str(bowtie), "-o", str(out_path)],
+        "render-missing-graph": ["render", str(good_poly), "--graph",
+                                 str(tmp_path / "missing.graph"), "-o", str(out_path)],
+        "verify-malformed": ["verify", str(bad_graph), "0", "1", "2"],
+        "gen-degenerate-too-small": ["gen", "--kind", "pseudo-triangle", "--degenerate",
+                                     "--n", "5", "-o", str(out_path)],
+    }[case]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "Traceback" not in out.err
+    assert out.out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, T5_EDGES), (6, PT6_EDGES), (6, {(u, v + 3) for u in range(3) for v in range(3)}),
+])
+def test_solve_json_schema(tmp_path, capsys, n, edges):
+    path = _graph_file(tmp_path, n, edges)
+    main(["solve", path, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"candidates", "input_id", "kind", "millis", "rejections"}
+    assert report["kind"] in ("tower", "pseudo-tower", "pseudo-triangle", "none")
+    assert isinstance(report["candidates"], list)
+    assert all(isinstance(c, list) and all(type(v) is int for v in c)
+               for c in report["candidates"])
+    assert isinstance(report["rejections"], dict)
+    assert all(isinstance(k, str) and type(v) is int for k, v in report["rejections"].items())
