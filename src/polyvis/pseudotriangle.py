@@ -7,8 +7,12 @@ parts, prune the cap's chain assignments with the cross-visibility
 constraints, and assemble + verify the boundary cycle.  Everything that fails
 a necessary condition is dropped; the result is the deduplicated, canonically
 sorted list of surviving boundary candidates.  If no top yields one, the
-search runs once more from the 6 next-lowest-degree vertices.  A solution's
-three chains are plain vertex tuples, each running joint to joint.
+search runs once more from the 6 next-lowest-degree vertices.  In both rounds
+a top is skipped unless two of its neighbors leave the rest of its
+neighborhood inducing a chordless path (``_top_neighborhood_ok``): every
+reading that passes the final filter has that shape at its top joint, so a
+skipped top could add none.  A solution's three chains are plain vertex
+tuples, each running joint to joint.
 
 Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
 (the loop of ``tower.level_sets``), once per (top, split edge): the levels
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .graph import (
     CycleCandidate,
@@ -360,6 +364,41 @@ def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool
     return True
 
 
+def _top_neighborhood_ok(g: Graph, top: int) -> bool:
+    """Can ``top`` be the top joint of chains that pass ``_necessary_conditions``?
+
+    Let (left, bottom, right) be such chains, read off a Hamiltonian cycle on
+    n >= 3 vertices, with ``left[0] == right[0] == top``.  Each chain has 2 or
+    more vertices: a one-vertex ``bottom`` lies on both side chains, and a
+    one-vertex side chain makes ``bottom`` start and end at the top, with the
+    top's cycle neighbor before the end a chord.  So the top is off
+    ``bottom``.  Concavity gives it one neighbor on each side chain,
+    ``left[1]`` and ``right[1]``; contiguity makes its ``bottom`` neighbors one
+    run, a chordless path by concavity, which ``left[1]`` can join only as
+    ``bottom[0]``, its end, and ``right[1]`` only as ``bottom[-1]``.  So some
+    two neighbors a, b leave N(top) - {a, b} inducing a chordless path,
+    possibly empty.
+
+    With d = |N(top)|, a neighbor adjacent to more than 4 others in N(top)
+    must be a or b, and the path's d - 3 edges fix deg(a) + deg(b) - [a~b] in
+    N(top); only pairs meeting both get the degree and connectivity test.
+    """
+    nb = g[top]
+    inner = {v: g[v] & nb for v in nb}
+    twice_edges = sum(len(s) for s in inner.values())
+    target = twice_edges // 2 - max(len(nb) - 3, 0)
+    forced = {v for v, s in inner.items() if len(s) > 4}
+    if len(forced) > 2:
+        return False
+    for a, b in combinations(nb, 2):
+        if not forced <= {a, b} or len(inner[a]) + len(inner[b]) - (b in inner[a]) != target:
+            continue
+        path = {v: inner[v] - {a, b} for v in nb - {a, b}}
+        if all(len(s) <= 2 for s in path.values()) and is_connected(path):
+            return True
+    return False
+
+
 def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     """Necessary structural conditions: the cycle is in g, chains are concave
     (no same-chain chords), cross-chain neighborhoods are contiguous, visibility
@@ -424,7 +463,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     Every (top, split-edge) candidate is tried with fast rejection; candidates
     surviving decomposition, part solving, bordering constraints, assembly and
     verification are collected and deduplicated by canonical cycle.  An empty
-    list means no pseudo-triangle reading exists.
+    list means no pseudo-triangle reading exists.  A top that fails
+    ``_top_neighborhood_ok`` starts no accepted reading; it is skipped in both
+    rounds and counted as ``top_rejected``.
     """
     st = stats if stats is not None else {}
 
@@ -456,7 +497,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
 
     # The minimum-degree joint can face an opposite chain too short to carry a
     # workable split edge; if nothing is found, the search runs again from the
-    # next-smallest-degree vertices, which include the other joints.
+    # 6 next-smallest-degree vertices.  They need not include the other joints:
+    # on some pseudo-triangles outside the generators' family the fallback
+    # misses the joint that the true boundary needs.
     by_degree = sorted(range(g.n), key=lambda v: (g.degree(v), v))
     fallback = [v for v in by_degree if v not in tops][:6]
     for attempt, round_tops in enumerate((sorted(tops), fallback)):
@@ -465,6 +508,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         if attempt:
             bump("fallback_tops")
         for top in round_tops:
+            if not _top_neighborhood_ok(g, top):
+                bump("top_rejected")
+                continue
             pairs = sorted({(u, v) for u, v in g.edges if top != u and top != v})
             for pair in pairs:
                 caps = extract_cap(g, top, pair)

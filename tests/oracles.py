@@ -10,7 +10,15 @@ from __future__ import annotations
 import math
 import random
 
-from polyvis import Graph, Point, Polygon, canonicalize, is_cycle_in_graph
+from polyvis import (
+    Graph,
+    Point,
+    Polygon,
+    canonicalize,
+    gen_pseudo_triangle,
+    is_cycle_in_graph,
+    visibility_graph,
+)
 from polyvis.geometry import _segments_touch
 from polyvis.pseudotriangle import _necessary_conditions
 
@@ -90,6 +98,21 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
     rng.shuffle(pool)
     for e in pool[:extra_edges]:
         edges.add(e)
+    return Graph(n, frozenset(edges))
+
+
+def mutated_pseudo_triangle(i: int) -> Graph:
+    """Criterion 7's i-th mutated graph: a generated pseudo-triangle's
+    visibility graph (n from 5 to 20) with one edge removed or one added."""
+    n = 5 + (i % 16)
+    edges = set(visibility_graph(gen_pseudo_triangle(n, 6000 + i)).edges)
+    mutate = random.Random(f"mutate:{i}")
+    if mutate.random() < 0.5:
+        edges.discard(mutate.choice(sorted(edges)))
+    else:
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        if non_edges:
+            edges.add(mutate.choice(non_edges))
     return Graph(n, frozenset(edges))
 
 

@@ -37,7 +37,12 @@ from polyvis import (
 )
 
 from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
-from oracles import brute_hamiltonian_cycles, random_connected_graph, random_convex_polygon
+from oracles import (
+    brute_hamiltonian_cycles,
+    mutated_pseudo_triangle,
+    random_connected_graph,
+    random_convex_polygon,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -237,23 +242,7 @@ def test_criterion_7_robustness_fuzz():
                 problems.append((i, "non-canonical output"))
 
     for i in range(200):
-        n = 5 + (i % 16)
-        poly = gen_pseudo_triangle(n, 6000 + i)
-        g = visibility_graph(poly)
-        edges = set(g.edges)
-        mutate = random.Random(f"mutate:{i}")
-        if mutate.random() < 0.5:
-            edges.discard(mutate.choice(sorted(edges)))
-        else:
-            non_edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in edges
-            ]
-            if non_edges:
-                edges.add(mutate.choice(non_edges))
-        mutated = Graph(n, frozenset(edges))
+        mutated = mutated_pseudo_triangle(i)
         try:
             sols = solve_pseudo_triangle(mutated)
         except Exception as exc:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from polyvis import gen_pseudo_triangle, serialize_graph, visibility_graph, writ
 from polyvis.cli import build_parser, main
 
 from conftest import PT6_EDGES, T5_EDGES
+
+AUTO_MIXED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
 
 def _graph_file(tmp_path, n, edges, name="g.txt"):
@@ -55,6 +58,16 @@ def test_solve_json_report(tmp_path, capsys):
     assert [0, 1, 2, 3, 4] in report["candidates"]
     assert report["millis"] >= 0
     assert report["input_id"] == path
+
+
+def test_solve_json_counts_rejected_tops(capsys):
+    # No class reads this stored mutated graph.  Its one minimum-degree top
+    # passes the neighborhood test, and 2 of its 6 fallback tops fail it.
+    assert main(["solve", str(AUTO_MIXED / "mutated-n12-s100.graph"), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "none"
+    assert report["rejections"]["fallback_tops"] == 1
+    assert report["rejections"]["top_rejected"] == 2
 
 
 def test_gen_visgraph_solve_pipeline(tmp_path, capsys):

@@ -26,11 +26,13 @@ from polyvis.pseudotriangle import (
     _bordering_ok,
     _cap_context,
     _cap_sides,
+    _necessary_conditions,
+    _top_neighborhood_ok,
     part_paths,
 )
 
 from conftest import PT6_EDGES
-from oracles import verify_cycle_scan
+from oracles import brute_hamiltonian_cycles, random_connected_graph, verify_cycle_scan
 
 
 def test_top_candidates_k3(k3):
@@ -268,6 +270,67 @@ def test_verify_cycle_matches_scan():
                 assert verdict == verify_cycle_scan(h, range(n))
                 verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def _splits(cycle: tuple[int, ...]):
+    """Every (left, bottom, right) split of a cycle, top joint first."""
+    n = len(cycle)
+    ring = cycle + cycle
+    for i in range(n):
+        for j in range(i + 1, i + n - 1):
+            for k in range(j + 1, i + n):
+                yield ring[i : j + 1], ring[j : k + 1], ring[k : i + n + 1][::-1]
+
+
+def test_top_neighborhood_admits_every_top_joint():
+    # Brute force: whatever split of whatever Hamiltonian cycle passes the
+    # necessary conditions, its top joint passes the neighborhood test.
+    graphs = [
+        random_connected_graph(n, extra, seed)
+        for n in range(4, 9)
+        for extra in (0, 2, 4, 6)
+        for seed in range(4)
+    ]
+    graphs += [visibility_graph(gen_pseudo_triangle(n, seed)) for n in range(5, 10) for seed in range(4)]
+    # Chains (0, 1, 2), (2, ..., 8) and (0, 9, 8), where 0, 1 and 9 all see
+    # 3..7: both side neighbors of the top see more than 4 of its neighbors.
+    wide = [(0, 1), (1, 2), (8, 9), (9, 0), (1, 9), *zip(range(2, 8), range(3, 9))]
+    graphs.append(Graph.from_edges(10, wide + [(u, v) for u in (0, 1, 9) for v in range(3, 8)]))
+    passed = rejected = 0
+    for g in graphs:
+        ok = [_top_neighborhood_ok(g, v) for v in range(g.n)]
+        rejected += ok.count(False)
+        for cycle in brute_hamiltonian_cycles(g):
+            for chains in _splits(cycle):
+                if _necessary_conditions(g, chains):
+                    passed += 1
+                    assert ok[chains[0][0]], (g.edges, chains)
+    assert passed > 200 and rejected > 100
+
+
+def _top_with(nbr_edges: list[tuple[int, int]], d: int) -> Graph:
+    # Vertex 0 sees 1..d, which see each other along ``nbr_edges``.
+    return Graph.from_edges(d + 1, [(0, v) for v in range(1, d + 1)] + nbr_edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # After any two neighbors are taken out, a path and a disjoint edge
+        # (or more pieces) are left.
+        _top_with([(1, 2), (2, 3), (4, 5), (6, 7)], 7),
+        # The pairs whose removal leaves the right edge count leave a
+        # triangle beside an isolated vertex.
+        _top_with([(1, 2), (2, 3), (1, 3)], 6),
+        # ... or a claw.
+        _top_with([(1, 2), (1, 3), (1, 4)], 6),
+        # A degree-1 top has no two neighbors to start its side chains.
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+    ],
+    ids=["path-and-edge", "triangle", "claw", "degree-1"],
+)
+def test_top_neighborhood_rejects(g):
+    assert not _top_neighborhood_ok(g, 0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 13, 18, 24, 30])

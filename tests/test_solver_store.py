@@ -1,10 +1,13 @@
-"""The three solvers still give the answers they gave on the benchmark's
-auto-mixed graphs: one sha256 over every tower candidate, every pseudo-tower
-solution (a rejection counts as an answer) and every pseudo-triangle
-candidate with its split decomposition pins the candidate lists, rejection
-path included.  The store is only read.  When a change is meant to alter
-these answers, recompute the digest with ``_digest`` and say why in
-CHANGES.md.
+"""The solvers still give the answers they gave before.
+
+On the benchmark's auto-mixed graphs, one sha256 over every tower candidate,
+every pseudo-tower solution (a rejection counts as an answer) and every
+pseudo-triangle candidate with its split decomposition pins the candidate
+lists, rejection path included.  The store is only read.  A second sha256
+pins the pseudo-triangle candidates on criterion 7's 200 mutated graphs, most
+of which reach the search from the fallback tops.  When a change is meant to
+alter these answers, recompute the digests with ``_digest`` and
+``_mutated_digest`` and say why in CHANGES.md.
 """
 
 import hashlib
@@ -18,9 +21,13 @@ from polyvis import (
     solve_tower,
 )
 
+from oracles import mutated_pseudo_triangle
+
 STORE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
 EXPECTED = "edf89acf545ebdc2f9ede1765f66bbac4261d09a7598a41e8885ac02dcd1e385"
+
+EXPECTED_MUTATED = "7d36b6220563315b6f003577077d9405dbbb49f770936f89002c001160b06cef"
 
 
 def _dec(d) -> tuple:
@@ -34,11 +41,14 @@ def _answers(g) -> tuple:
         pseudo = [(s.tail, s.chains) for s in solve_pseudo_tower(g)]
     except NotPseudoTowerError:
         pseudo = "rejected"
-    triangles = [
+    return towers, pseudo, _triangles(g)
+
+
+def _triangles(g) -> list:
+    return [
         (s.cycle.order, s.chains, s.joints, _dec(s.decomposition))
         for s in solve_pseudo_triangle(g)
     ]
-    return towers, pseudo, triangles
 
 
 def _digest(files: list[Path]) -> str:
@@ -52,3 +62,14 @@ def test_auto_mixed_candidates_unchanged():
     files = sorted(STORE.glob("*.graph"))
     assert len(files) == 59
     assert _digest(files) == EXPECTED
+
+
+def _mutated_digest() -> str:
+    h = hashlib.sha256()
+    for i in range(200):
+        h.update(f"{i}: {_triangles(mutated_pseudo_triangle(i))!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_mutated_criterion_7_candidates_unchanged():
+    assert _mutated_digest() == EXPECTED_MUTATED
