@@ -333,11 +333,10 @@ def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
             continue
         try:
             poly = Polygon(tuple(pts))
+            chains = pseudo_triangle_chains(poly)  # raises unless 3 convex vertices
         except PolygonError:
             continue
-        if len(convex_vertex_indices(poly)) != 3:
-            continue
-        both = _sees_both_sides(poly, pseudo_triangle_chains(poly))
+        both = _sees_both_sides(poly, chains)
         if degenerate:
             if len(both) == 1:
                 return poly

@@ -32,7 +32,7 @@ only once some decomposition of the cap has two parts that solve; and
 ``part_paths`` reads a chordless path off the same walk.  The cap's sides
 are filtered once per decomposition: every bordering is checked against the
 cross-visibility constraint, as ``solve_tower`` checks every bordering of a
-tower.
+tower.  The one chain check, ``_necessary_conditions``, runs in O(n + m).
 """
 
 from __future__ import annotations
@@ -322,45 +322,41 @@ def assemble_hamiltonian(
     return out
 
 
-def _positions_contiguous(chain: tuple[int, ...], members: frozenset[int]) -> bool:
-    pos = [i for i, v in enumerate(chain) if v in members]
-    return not pos or pos[-1] - pos[0] == len(pos) - 1
+def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool:
+    """Do (left, bottom, right) pass the decomposition-free chain conditions?
 
-
-def _chain_concave(g: Graph, chain: tuple[int, ...]) -> bool:
-    """Non-consecutive vertices of one concave chain must be mutually invisible."""
-    k = len(chain)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if g.has_edge(chain[i], chain[j]):
-                return False
-    return True
-
-
-def _chains_structurally_ok(chains: tuple[tuple[int, ...], ...], n: int) -> bool:
+    Structure: no chain is empty or repeats a vertex, consecutive chains meet
+    end to start, each pair shares only its joint, and all n vertices are
+    covered.  Concavity: no vertex sees one of its own chain more than one
+    position away.  Contiguity: a vertex's neighbors on another chain hold
+    one run of positions.  Chain sets and position dicts make it O(n + m).
+    """
     left, bottom, right = chains
     if not (left and bottom and right):
         return False
     if left[0] != right[0] or left[-1] != bottom[0] or bottom[-1] != right[-1]:
         return False
-    sl, sb, sr = set(left), set(bottom), set(right)
+    sl, sb, sr = sets = [frozenset(ch) for ch in chains]
+    if any(len(s) != len(ch) for s, ch in zip(sets, chains)):
+        return False
     if sl & sb != {left[-1]} or sb & sr != {bottom[-1]} or sl & sr != {left[0]}:
         return False
-    return len(sl | sb | sr) == n
-
-
-def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool:
-    if not _chains_structurally_ok(chains, g.n):
+    if len(sl | sb | sr) != g.n:
         return False
-    if not all(_chain_concave(g, ch) for ch in chains):
-        return False
+    pos = [{v: i for i, v in enumerate(ch)} for ch in chains]
+    # Each chord is seen from its earlier end, so looking forward is enough.
+    for p, s in zip(pos, sets):
+        for v, i in p.items():
+            for w in g[v] & s:
+                if p[w] > i + 1:
+                    return False
     for v in range(g.n):
-        owners = [ch for ch in chains if v in ch]
-        for ch in chains:
-            if any(ch is o for o in owners):
-                continue
-            if not _positions_contiguous(ch, g[v]):
-                return False
+        nb = g[v]
+        for p, s in zip(pos, sets):
+            if v not in s:
+                at = [p[w] for w in nb & s]
+                if at and max(at) - min(at) != len(at) - 1:
+                    return False
     return True
 
 
@@ -423,11 +419,11 @@ def verify_cycle(g: Graph, order) -> bool:
     boundary?  Checks the decomposition-free necessary conditions over all
     cyclic chain splits; used by the CLI and as the brute-force filter.
 
-    A chain with a chord fails ``_chain_concave``, so the triples that give
-    one are never visited.  On the doubled cycle, ``reach[p]`` is the least
-    q' >= p' + 2 over the positions p' >= p whose vertices see each other: the
-    arc from p to q is chordless iff q < reach[p].  Every other triple gets
-    the full check.
+    A chain with a chord is not concave and fails ``_necessary_conditions``,
+    so the triples that give one are never visited.  On the doubled cycle,
+    ``reach[p]`` is the least q' >= p' + 2 over the positions p' >= p whose
+    vertices see each other: the arc from p to q is chordless iff
+    q < reach[p].  Every other triple gets the full check.
     """
     seq = list(order)
     n = g.n

@@ -20,7 +20,6 @@ from polyvis import (
     visibility_graph,
 )
 from polyvis.geometry import _segments_touch
-from polyvis.pseudotriangle import _necessary_conditions
 
 
 def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -131,8 +130,53 @@ def collinear_triple_scan(coords) -> bool:
     return False
 
 
+def _positions_contiguous(chain: tuple[int, ...], members: frozenset[int]) -> bool:
+    pos = [i for i, v in enumerate(chain) if v in members]
+    return not pos or pos[-1] - pos[0] == len(pos) - 1
+
+
+def _chain_concave(g: Graph, chain: tuple[int, ...]) -> bool:
+    """Non-consecutive vertices of one concave chain must be mutually invisible."""
+    k = len(chain)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if g.has_edge(chain[i], chain[j]):
+                return False
+    return True
+
+
+def _chains_structurally_ok(chains: tuple[tuple[int, ...], ...], n: int) -> bool:
+    left, bottom, right = chains
+    if not (left and bottom and right):
+        return False
+    if left[0] != right[0] or left[-1] != bottom[0] or bottom[-1] != right[-1]:
+        return False
+    sl, sb, sr = set(left), set(bottom), set(right)
+    if sl & sb != {left[-1]} or sb & sr != {bottom[-1]} or sl & sr != {left[0]}:
+        return False
+    return len(sl | sb | sr) == n
+
+
+def chain_conditions_scan(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool:
+    """The pseudo-triangle chain conditions by pairwise scans: the chains
+    meet at their joints and cover every vertex, no chain has a chord, and
+    every cross-chain neighborhood is one run of positions."""
+    if not _chains_structurally_ok(chains, g.n):
+        return False
+    if not all(_chain_concave(g, ch) for ch in chains):
+        return False
+    for v in range(g.n):
+        owners = [ch for ch in chains if v in ch]
+        for ch in chains:
+            if any(ch is o for o in owners):
+                continue
+            if not _positions_contiguous(ch, g[v]):
+                return False
+    return True
+
+
 def verify_cycle_scan(g: Graph, order) -> bool:
-    """``verify_cycle`` without pruning: the necessary conditions are checked
+    """``verify_cycle`` without pruning: ``chain_conditions_scan`` is checked
     for every joint triple of the cycle."""
     seq = list(order)
     n = g.n
@@ -148,7 +192,7 @@ def verify_cycle_scan(g: Graph, order) -> bool:
                 left = tuple(seq[i : j + 1])
                 bottom = tuple(seq[j : k + 1])
                 right = tuple(reversed(seq[k:] + seq[: i + 1]))  # top joint first
-                if _necessary_conditions(g, (left, bottom, right)):
+                if chain_conditions_scan(g, (left, bottom, right)):
                     return True
     return False
 

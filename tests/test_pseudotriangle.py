@@ -32,7 +32,12 @@ from polyvis.pseudotriangle import (
 )
 
 from conftest import PT6_EDGES
-from oracles import brute_hamiltonian_cycles, random_connected_graph, verify_cycle_scan
+from oracles import (
+    brute_hamiltonian_cycles,
+    chain_conditions_scan,
+    random_connected_graph,
+    verify_cycle_scan,
+)
 
 
 def test_top_candidates_k3(k3):
@@ -282,9 +287,7 @@ def _splits(cycle: tuple[int, ...]):
                 yield ring[i : j + 1], ring[j : k + 1], ring[k : i + n + 1][::-1]
 
 
-def test_top_neighborhood_admits_every_top_joint():
-    # Brute force: whatever split of whatever Hamiltonian cycle passes the
-    # necessary conditions, its top joint passes the neighborhood test.
+def _brute_force_graphs() -> list[Graph]:
     graphs = [
         random_connected_graph(n, extra, seed)
         for n in range(4, 9)
@@ -296,8 +299,14 @@ def test_top_neighborhood_admits_every_top_joint():
     # 3..7: both side neighbors of the top see more than 4 of its neighbors.
     wide = [(0, 1), (1, 2), (8, 9), (9, 0), (1, 9), *zip(range(2, 8), range(3, 9))]
     graphs.append(Graph.from_edges(10, wide + [(u, v) for u in (0, 1, 9) for v in range(3, 8)]))
+    return graphs
+
+
+def test_top_neighborhood_admits_every_top_joint():
+    # Brute force: whatever split of whatever Hamiltonian cycle passes the
+    # necessary conditions, its top joint passes the neighborhood test.
     passed = rejected = 0
-    for g in graphs:
+    for g in _brute_force_graphs():
         ok = [_top_neighborhood_ok(g, v) for v in range(g.n)]
         rejected += ok.count(False)
         for cycle in brute_hamiltonian_cycles(g):
@@ -306,6 +315,53 @@ def test_top_neighborhood_admits_every_top_joint():
                     passed += 1
                     assert ok[chains[0][0]], (g.edges, chains)
     assert passed > 200 and rejected > 100
+
+
+def test_chain_conditions_match_scan():
+    # Every split of every Hamiltonian cycle gets the pairwise scan's verdict;
+    # n <= 8 keeps it to about 16,000 splits.
+    verdicts = {True: 0, False: 0}
+    for g in (g for g in _brute_force_graphs() if g.n <= 8):
+        for cycle in brute_hamiltonian_cycles(g):
+            for chains in _splits(cycle):
+                verdict = _necessary_conditions(g, chains)
+                assert verdict == chain_conditions_scan(g, chains), (g.edges, chains)
+                verdicts[verdict] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 10000
+
+
+@pytest.mark.parametrize(
+    "chains",
+    [
+        ((0,), (0, 1, 2, 3, 4), (0, 5, 4)),  # a one-vertex side chain
+        ((0, 1, 2), (2,), (0, 5, 4, 3, 2)),  # a one-vertex bottom chain
+        ((0, 1, 2), (2, 3, 4), (0, 4)),  # 5 is on no chain
+        ((0, 1, 2), (2, 1, 3, 4), (0, 5, 4)),  # 1 is on two chains, not as a joint
+        ((0, 1, 2, 3), (3, 4), (0, 5, 3, 4)),  # 3 is on all three chains
+        ((0, 1, 2), (3, 2, 4), (0, 5, 4)),  # the left chain ends off the bottom's start
+        ((0, 1, 2), (2, 3, 4), (5, 0, 4)),  # the side chains start apart
+        ((), (0, 1, 2, 3, 4), (0, 5, 4)),  # an empty chain
+    ],
+    ids=["one-vertex-side", "one-vertex-bottom", "uncovered", "overlap", "overlap-all",
+         "wrong-joint", "wrong-top", "empty"],
+)
+def test_chain_conditions_reject_malformed(pt6_graph, chains):
+    # Without edges, no chord or split neighborhood can reject the triple,
+    # so only the structure test is left to do it.
+    for g in (pt6_graph, Graph(6, frozenset())):
+        assert chain_conditions_scan(g, chains) is False
+        assert _necessary_conditions(g, chains) is False
+
+
+def test_chain_conditions_reject_repeated_vertex(k3):
+    # Without edges the scan has no chord to find and accepts the repeat;
+    # ``_necessary_conditions`` rejects it on any graph.
+    edgeless = Graph(3, frozenset())
+    chains = ((0, 1), (1, 2, 1, 2), (0, 2))
+    assert chain_conditions_scan(edgeless, chains)
+    for g in (edgeless, k3):
+        assert _necessary_conditions(g, chains) is False
+    assert _necessary_conditions(edgeless, ((0, 1), (1, 2), (0, 2)))
 
 
 def _top_with(nbr_edges: list[tuple[int, int]], d: int) -> Graph:
@@ -331,6 +387,17 @@ def _top_with(nbr_edges: list[tuple[int, int]], d: int) -> Graph:
 )
 def test_top_neighborhood_rejects(g):
     assert not _top_neighborhood_ok(g, 0)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_solve_matches_brute_force(degenerate):
+    # Exact oracle: the readings are the Hamiltonian cycles that pass the
+    # reference chain conditions for some joint triple, no more and no fewer.
+    for n in range(6 if degenerate else 5, 11):
+        for seed in range(10):
+            g = visibility_graph(gen_pseudo_triangle(n, seed, degenerate))
+            plausible = {h for h in brute_hamiltonian_cycles(g) if verify_cycle_scan(g, h)}
+            assert {s.cycle.order for s in solve_pseudo_triangle(g)} == plausible, (n, seed)
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 13, 18, 24, 30])

@@ -5,12 +5,14 @@ every pseudo-tower solution (a rejection counts as an answer) and every
 pseudo-triangle candidate with its split decomposition pins the candidate
 lists, rejection path included.  The store is only read.  A second sha256
 pins the pseudo-triangle candidates on criterion 7's 200 mutated graphs, most
-of which reach the search from the fallback tops.  When a change is meant to
-alter these answers, recompute the digests with ``_digest`` and
-``_mutated_digest`` and say why in CHANGES.md.
+of which reach the search from the fallback tops.  A third pins
+``verify_cycle``'s verdicts on auto-mixed's 49 verify orders.  When a change
+is meant to alter these answers, recompute the digests with ``_digest``,
+``_mutated_digest`` and ``_verify_digest`` and say why in CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from polyvis import (
@@ -19,6 +21,7 @@ from polyvis import (
     solve_pseudo_tower,
     solve_pseudo_triangle,
     solve_tower,
+    verify_cycle,
 )
 
 from oracles import mutated_pseudo_triangle
@@ -28,6 +31,8 @@ STORE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mix
 EXPECTED = "edf89acf545ebdc2f9ede1765f66bbac4261d09a7598a41e8885ac02dcd1e385"
 
 EXPECTED_MUTATED = "7d36b6220563315b6f003577077d9405dbbb49f770936f89002c001160b06cef"
+
+EXPECTED_VERIFY = "5c7f429fb42a5fc69b43b46dd673aed83bae1ffc0d197451710ceddf664c93cd"
 
 
 def _dec(d) -> tuple:
@@ -73,3 +78,23 @@ def _mutated_digest() -> str:
 
 def test_mutated_criterion_7_candidates_unchanged():
     assert _mutated_digest() == EXPECTED_MUTATED
+
+
+def _verify_digest() -> tuple[int, str]:
+    # The benchmark's verify requests: every graph but the pseudo-towers, with
+    # its true boundary, or the identity order when there is none.
+    items = json.loads((STORE.parent / "auto-mixed.json").read_text())["items"]
+    h = hashlib.sha256()
+    count = 0
+    for item in items:
+        if item["kind"] == "pseudo-tower":
+            continue
+        g = parse_graph((STORE / item["file"]).read_text())
+        order = item["truth"] if item["truth"] is not None else range(item["n"])
+        h.update(f"{item['file']}: {verify_cycle(g, order)!r}\n".encode())
+        count += 1
+    return count, h.hexdigest()
+
+
+def test_auto_mixed_verify_verdicts_unchanged():
+    assert _verify_digest() == (49, EXPECTED_VERIFY)
