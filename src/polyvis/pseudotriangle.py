@@ -1,17 +1,22 @@
 """Pseudo-triangle boundary recovery from a visibility graph.
 
+A reading of g is a Hamiltonian cycle of g with a joint triple whose chains
+pass ``_necessary_conditions``, the one O(n + m) statement of the chain
+conditions.  ``verify_cycle`` asks whether a cycle is a reading; ``solve``
+returns the readings that its decomposition reaches.  By brute force, those
+are all the readings on mutated pseudo-triangles with n <= 10 and on random
+connected graphs with n <= 8, except on two pinned misses.
+
 Pipeline: pick the minimum-degree vertices as top-joint candidates, try every
 ordered non-incident edge as the split edge, carve the cap (the tower above
 the split edge), split the remainder into two pseudo-tower parts, solve the
-parts, prune the cap's chain assignments with the cross-visibility
-constraints, and assemble + verify the boundary cycle.  Everything that fails
-a necessary condition is dropped; the result is the deduplicated, canonically
-sorted list of surviving boundary candidates.  If no top yields one, the
-search runs once more from the 6 next-lowest-degree vertices.  In both rounds
-a top is skipped unless two of its neighbors leave the rest of its
-neighborhood inducing a chordless path (``_top_neighborhood_ok``): every
-reading that passes the final filter has that shape at its top joint, so a
-skipped top could add none.  A solution's three chains are plain vertex
+parts, and assemble every cap bordering with every pair of part readings.
+Each assembled cycle whose chains pass the chain check is kept, once, in
+canonical order.  If no top yields one, the search runs once more from the 6
+next-lowest-degree vertices.  In both rounds a top is skipped unless two of
+its neighbors leave the rest of its neighborhood inducing a chordless path
+(``_top_neighborhood_ok``): every reading has that shape at its top joint,
+so a skipped top could add none.  A solution's three chains are plain vertex
 tuples, each running joint to joint.
 
 Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
@@ -29,10 +34,7 @@ from ``tower.bordering_chains``, the package's one reading of a bordering:
 to the known top and levels the residual, once per (top, cap);
 ``_cap_sides`` reads each bordering's sides with ``pseudotower.tower_chains``,
 only once some decomposition of the cap has two parts that solve; and
-``part_paths`` reads a chordless path off the same walk.  The cap's sides
-are filtered once per decomposition: every bordering is checked against the
-cross-visibility constraint, as ``solve_tower`` checks every bordering of a
-tower.  The one chain check, ``_necessary_conditions``, runs in O(n + m).
+``part_paths`` reads a chordless path off the same walk.
 """
 
 from __future__ import annotations
@@ -212,7 +214,9 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     top: a residual of ``{end}`` means a chordless path ending at ``end``,
     read as it stands.  Anything else is solved as a pseudo-tower, and each
     solution whose chain ends at ``end`` is unfolded around its joint: the
-    other chain upward, then this chain downward.
+    other chain upward, then this chain downward.  The unfolded path covers
+    the part, because the bordering chains cover the residual and the tail
+    is hung below one of them.
     """
     if end not in part:
         return []
@@ -236,38 +240,11 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
             if not chain_w or chain_w[-1] != end:
                 continue
             path = (*reversed(chain_other), *chain_w[1:])
-            if len(path) != len(part) or path in seen_paths:
+            if path in seen_paths:
                 continue
             seen_paths.add(path)
             out.append(PartSolution(path, chain_w[0]))
     return sorted(out, key=lambda p: p.path)
-
-
-def _nested(g: Graph, side: tuple[int, ...], part: frozenset[int]) -> bool:
-    """Walking down one side of the cap, visibility into that side's own part
-    grows monotonically (nested neighborhoods).
-    """
-    return all(g[b] & part >= g[a] & part for a, b in zip(side, side[1:]))
-
-
-def _bordering_ok(g: Graph, dec: SplitDecomposition, sides: Sides) -> bool:
-    """Does the cap bordering pass the cross-visibility constraints?
-
-    The deepest cap vertices of the two sides must share a neighbor in the
-    parts.
-    """
-    left, right = sides
-    pa = left[-1] if left else dec.top
-    pb = right[-1] if right else dec.top
-    if not g[pa] & g[pb] & (dec.part_a | dec.part_b):
-        return False
-
-    # The one cross-visibility constraint that held on every generated
-    # instance is ``_nested`` on each side.  Stricter published constraints
-    # (side-chain invisibility of the far window, blocker domination) misfire
-    # on genuine polygons, so wrong borderings are left to the assembly and
-    # verification stages instead.
-    return _nested(g, left, dec.part_a) and _nested(g, right, dec.part_b)
 
 
 def assemble_hamiltonian(
@@ -396,22 +373,16 @@ def _top_neighborhood_ok(g: Graph, top: int) -> bool:
 
 
 def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
-    """Necessary structural conditions: the cycle is in g, chains are concave
-    (no same-chain chords), cross-chain neighborhoods are contiguous, visibility
-    into each side part grows monotonically down the cap, and the joints are
-    the chain endpoints.
+    """Is ``sol`` a reading of g?  Its cycle is in g, its chains pass
+    ``_necessary_conditions`` and its joints are the chain ends.  The
+    decomposition that found it is not read.
     """
-    if not (is_cycle_in_graph(g, sol.cycle) and _necessary_conditions(g, sol.chains)):
-        return False
     left, _, right = sol.chains
-    dec = sol.decomposition
-    if sol.joints != (left[0], left[-1], right[-1]):
-        return False
-    for side_chain, part in ((left, dec.part_a), (right, dec.part_b)):
-        inside_cap = tuple(v for v in side_chain if v in dec.cap and v != dec.top)
-        if not _nested(g, inside_cap, part):
-            return False
-    return True
+    return (
+        is_cycle_in_graph(g, sol.cycle)
+        and _necessary_conditions(g, sol.chains)
+        and sol.joints == (left[0], left[-1], right[-1])
+    )
 
 
 def verify_cycle(g: Graph, order) -> bool:
@@ -457,11 +428,11 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     """All verified pseudo-triangle boundary candidates, canonically sorted.
 
     Every (top, split-edge) candidate is tried with fast rejection; candidates
-    surviving decomposition, part solving, bordering constraints, assembly and
-    verification are collected and deduplicated by canonical cycle.  An empty
-    list means no pseudo-triangle reading exists.  A top that fails
-    ``_top_neighborhood_ok`` starts no accepted reading; it is skipped in both
-    rounds and counted as ``top_rejected``.
+    surviving decomposition, part solving, assembly and the chain check are
+    collected and deduplicated by canonical cycle.  An empty list means no
+    pseudo-triangle reading exists.  A top that fails ``_top_neighborhood_ok``
+    starts no accepted reading; it is skipped in both rounds and counted as
+    ``top_rejected``.
     """
     st = stats if stats is not None else {}
 
@@ -534,16 +505,14 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                             continue
                         if not isinstance(cap_cache[key], list):
                             cap_cache[key] = _cap_sides(cap_cache[key])
-                        borderings = [s for s in cap_cache[key] if _bordering_ok(g, dec, s)]
-                        for sol_a, sol_b, sides in product(sols_a, sols_b, borderings):
+                        for sol_a, sol_b, sides in product(sols_a, sols_b, cap_cache[key]):
                             variants = assemble_hamiltonian(g, dec, sides, sol_a, sol_b)
                             if not variants:
                                 bump("assembly_rejected")
                                 continue
-                            # The cycle is in g, and assembly met verify_candidate's
-                            # decomposition checks: the joints are the chain ends
-                            # and _bordering_ok passed the cap's nested
-                            # neighborhoods.  What is left is the chain verdict.
+                            # Assembly made the cycle one of g's and the joints the
+                            # chain ends, so of verify_candidate's checks only the
+                            # chain verdict is left.
                             for sol in variants:
                                 if sol.chains not in chain_cache:
                                     chain_cache[sol.chains] = _necessary_conditions(g, sol.chains)

@@ -197,6 +197,12 @@ def verify_cycle_scan(g: Graph, order) -> bool:
     return False
 
 
+def spec_cycles(g: Graph) -> set[tuple[int, ...]]:
+    """The pseudo-triangle readings of g by definition: every Hamiltonian
+    cycle that some joint triple splits into chains passing the scans."""
+    return {h for h in brute_hamiltonian_cycles(g) if verify_cycle_scan(g, h)}
+
+
 def _orient(ax, ay, bx, by, cx, cy) -> int:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 

@@ -28,9 +28,9 @@ from oracles import mutated_pseudo_triangle
 
 STORE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
-EXPECTED = "edf89acf545ebdc2f9ede1765f66bbac4261d09a7598a41e8885ac02dcd1e385"
+EXPECTED = "18f698d51f141d928dfdfd965187958af9138b4d1c36b4bdfc6b8fca664c4507"
 
-EXPECTED_MUTATED = "7d36b6220563315b6f003577077d9405dbbb49f770936f89002c001160b06cef"
+EXPECTED_MUTATED = "a4464b3a173ccd87a0a3401f380c53bb04e822fd7c0b8910a6bf8f9dd81e7e4e"
 
 EXPECTED_VERIFY = "5c7f429fb42a5fc69b43b46dd673aed83bae1ffc0d197451710ceddf664c93cd"
 
