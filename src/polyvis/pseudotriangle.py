@@ -13,10 +13,7 @@ the split edge), split the remainder into two pseudo-tower parts, solve the
 parts, and assemble every cap bordering with every pair of part readings.
 Each assembled cycle whose chains pass the chain check is kept, once, in
 canonical order.  If no top yields one, the search runs once more from the 6
-next-lowest-degree vertices.  In both rounds a top is skipped unless two of
-its neighbors leave the rest of its neighborhood inducing a chordless path
-(``_top_neighborhood_ok``): every reading has that shape at its top joint,
-so a skipped top could add none.  A solution's three chains are plain vertex
+next-lowest-degree vertices.  A solution's three chains are plain vertex
 tuples, each running joint to joint.
 
 Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
@@ -27,6 +24,20 @@ not branch: where a candidate pair meets the base in one vertex, one flank
 rule also reads the cap that leveling the other vertex alone would give (see
 ``extract_cap``).  Every closed level places a vertex, so a walk ends within
 n levels and needs no budget.
+
+Three exact rules decide a cap from what its top sees before it is leveled;
+none changes an answer:
+
+1. Wide first level.  If N(top) minus the split edge has more than two
+   vertices, the walk would stop at that level, so ``extract_cap`` reads the
+   one cap, base plus top, without walking.
+2. Joint pair.  Every reading's top joint has two neighbors, its side
+   chains' first vertices, that leave the rest of its neighborhood inducing a
+   chordless path (``_top_pairs``).  A top without such a pair is skipped,
+   and so is a cap whose vertices the top sees are not those of one pair.
+3. One top neighbor.  A cap in which the top sees one vertex levels only as
+   a chordless path hanging from the top, and ``_cap_context`` walks that
+   path before any leveling.
 
 Caps and side parts are read by the pseudo-tower code, whose chains come
 from ``tower.bordering_chains``, the package's one reading of a bordering:
@@ -138,6 +149,10 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     clique candidate {p, q} with only q in the base also gives the cap with
     p added, provided p alone would have exactly one carrier.  The walk ends
     within n levels or where leveling fails.  An empty list rejects the edge.
+
+    The walk's first candidate is N(top) - e.  With more than two vertices
+    it is too wide for a level, so the walk ends there, and its only cap,
+    base | {top} when the candidate meets the base, is read without walking.
     """
     w0, w1 = e
     if top in e:
@@ -151,22 +166,27 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
         return [base]
 
     cut = frozenset(e)
-    levels = [frozenset({top})]
-    placed = {top, w0, w1}
+    first = g[top] - cut
     caps: set[frozenset[int]] = set()
-    try:
-        for cand in walk_levels(g, levels, placed):
-            if not cand & base:
-                continue
-            caps.add((base | placed) - cut)
-            if cand <= base:
-                break
-            if len(cand) == 2 and g.has_edge(*cand):
-                (p,) = cand - base
-                if len(carriers(g, levels[-1], placed, p)) == 1:
-                    caps.add((base | placed | {p}) - cut)
-    except NotTowerError:
-        pass
+    if len(first) > 2:
+        if first & base:
+            caps.add(base | {top})
+    else:
+        levels = [frozenset({top})]
+        placed = {top, w0, w1}
+        try:
+            for cand in walk_levels(g, levels, placed):
+                if not cand & base:
+                    continue
+                caps.add((base | placed) - cut)
+                if cand <= base:
+                    break
+                if len(cand) == 2 and g.has_edge(*cand):
+                    (p,) = cand - base
+                    if len(carriers(g, levels[-1], placed, p)) == 1:
+                        caps.add((base | placed | {p}) - cut)
+        except NotTowerError:
+            pass
 
     # The cap must level as a tower from the top, so the top needs at most two
     # cap neighbors forming a clique.
@@ -262,11 +282,13 @@ def assemble_hamiltonian(
     when the part carries no chain remnant the joint may equally be the
     deepest cap vertex of that side (corner splits put it there).  Empty list
     when the walk is not a cycle of g.
+
+    The walk visits every vertex once: the cap and the two parts partition
+    the vertices, the sides cover the cap minus the top, and each part path
+    covers its part (see ``part_paths``).
     """
     left, right = sides
     order = [dec.top, *left, *sol_a.path, *reversed(sol_b.path), *reversed(right)]
-    if len(order) != g.n or len(set(order)) != g.n:
-        return []
     cand = canonicalize(order)
     if not is_cycle_in_graph(g, cand):
         return []
@@ -337,20 +359,29 @@ def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool
     return True
 
 
-def _top_neighborhood_ok(g: Graph, top: int) -> bool:
-    """Can ``top`` be the top joint of chains that pass ``_necessary_conditions``?
+def _top_pairs(g: Graph, top: int) -> list[frozenset[int]]:
+    """Every pair {a, b} of ``top``'s neighbors that leaves N(top) - {a, b}
+    inducing a chordless path, possibly empty.
 
-    Let (left, bottom, right) be such chains, read off a Hamiltonian cycle on
-    n >= 3 vertices, with ``left[0] == right[0] == top``.  Each chain has 2 or
-    more vertices: a one-vertex ``bottom`` lies on both side chains, and a
-    one-vertex side chain makes ``bottom`` start and end at the top, with the
-    top's cycle neighbor before the end a chord.  So the top is off
-    ``bottom``.  Concavity gives it one neighbor on each side chain,
-    ``left[1]`` and ``right[1]``; contiguity makes its ``bottom`` neighbors one
-    run, a chordless path by concavity, which ``left[1]`` can join only as
-    ``bottom[0]``, its end, and ``right[1]`` only as ``bottom[-1]``.  So some
-    two neighbors a, b leave N(top) - {a, b} inducing a chordless path,
-    possibly empty.
+    Lemma: if ``top`` is the top joint of chains (left, bottom, right) that
+    pass ``_necessary_conditions``, then {left[1], right[1]} is such a pair.
+    The chains are read off a Hamiltonian cycle on n >= 3 vertices, with
+    ``left[0] == right[0] == top``.  Each chain has 2 or more vertices: a
+    one-vertex ``bottom`` lies on both side chains, and a one-vertex side
+    chain makes ``bottom`` start and end at the top, with the top's cycle
+    neighbor before the end a chord.  So the top is off ``bottom``.
+    Concavity gives it one neighbor on each side chain, ``left[1]`` and
+    ``right[1]``; contiguity makes its ``bottom`` neighbors one run, a
+    chordless path by concavity, which ``left[1]`` can join only as
+    ``bottom[0]``, its end, and ``right[1]`` only as ``bottom[-1]``.  So
+    N(top) minus the pair is that run, possibly empty, and a top with no
+    pair is the top joint of no reading.
+
+    Corollary: in a reading assembled from a cap C with this top,
+    N(top) & C == p & C for p = {left[1], right[1]}.  The cap's sides put all
+    of C minus the top on the two side chains, where concavity leaves the top
+    no neighbor but ``left[1]`` and ``right[1]``.  A cap that no pair fits so
+    starts no reading.
 
     With d = |N(top)|, a neighbor adjacent to more than 4 others in N(top)
     must be a or b, and the path's d - 3 edges fix deg(a) + deg(b) - [a~b] in
@@ -362,14 +393,15 @@ def _top_neighborhood_ok(g: Graph, top: int) -> bool:
     target = twice_edges // 2 - max(len(nb) - 3, 0)
     forced = {v for v, s in inner.items() if len(s) > 4}
     if len(forced) > 2:
-        return False
+        return []
+    pairs = []
     for a, b in combinations(nb, 2):
         if not forced <= {a, b} or len(inner[a]) + len(inner[b]) - (b in inner[a]) != target:
             continue
         path = {v: inner[v] - {a, b} for v in nb - {a, b}}
         if all(len(s) <= 2 for s in path.values()) and is_connected(path):
-            return True
-    return False
+            pairs.append(frozenset((a, b)))
+    return pairs
 
 
 def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
@@ -430,9 +462,11 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     Every (top, split-edge) candidate is tried with fast rejection; candidates
     surviving decomposition, part solving, assembly and the chain check are
     collected and deduplicated by canonical cycle.  An empty list means no
-    pseudo-triangle reading exists.  A top that fails ``_top_neighborhood_ok``
-    starts no accepted reading; it is skipped in both rounds and counted as
-    ``top_rejected``.
+    pseudo-triangle reading exists.  A top without ``_top_pairs`` starts no
+    accepted reading; it is skipped in both rounds and counted as
+    ``top_rejected``.  A cap C that no pair p fits with
+    ``N(top) & C == p & C`` starts none either (``_top_pairs``' corollary);
+    it is skipped before it is leveled and counted as ``cap_pair_rejected``.
     """
     st = stats if stats is not None else {}
 
@@ -475,16 +509,22 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         if attempt:
             bump("fallback_tops")
         for top in round_tops:
-            if not _top_neighborhood_ok(g, top):
+            joint_pairs = _top_pairs(g, top)
+            if not joint_pairs:
                 bump("top_rejected")
                 continue
-            pairs = sorted({(u, v) for u, v in g.edges if top != u and top != v})
-            for pair in pairs:
+            top_nbrs = g[top]
+            split_edges = sorted({(u, v) for u, v in g.edges if top != u and top != v})
+            for pair in split_edges:
                 caps = extract_cap(g, top, pair)
                 if not caps:
                     bump("cap_rejected")
                     continue
                 for cap in caps:
+                    seen = top_nbrs & cap
+                    if not any(p & cap == seen for p in joint_pairs):
+                        bump("cap_pair_rejected")
+                        continue
                     key = (top, cap)
                     if key not in cap_cache:
                         cap_cache[key] = _cap_context(g, cap, top)
@@ -533,16 +573,36 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     chain.  The cap is read by the pseudo-tower code with its apex known:
     ``extract_tail`` walks the tail up to the top at most, the residual is
     leveled from the top as a tower, and ``_cap_sides`` reads its borderings.
+
+    A top with one cap neighbor u makes {u} level 2, and a one-vertex level
+    needs a carrier among the top's level, but the top has no neighbor left
+    to carry.  So such a cap levels only as a chordless path hanging from the
+    top, which is then the whole tail.  That path is walked down from u
+    first, and the cap is rejected at the first vertex with two onward cap
+    neighbors, or if the path does not cover the cap.
     """
-    nbrs = {v: g[v] & cap for v in cap}  # the cap's view, one per cap
-    try:
-        tail, residual = extract_tail(nbrs, top)
-    except NotPseudoTowerError:
-        return None
-    attachment = None
-    if tail:
-        (attachment,) = nbrs[tail[-1]] & residual
-        nbrs = {v: nbrs[v] & residual for v in residual}
+    below = g[top] & cap
+    if len(below) == 1:
+        path, prev = list(below), top
+        while onward := (g[path[-1]] & cap) - {prev}:
+            if len(onward) > 1:
+                return None
+            prev = path[-1]
+            path.extend(onward)
+        if len(path) + 1 < len(cap):
+            return None
+        # The path is the whole tail; the top alone is left to level.
+        tail, attachment, nbrs = tuple(reversed(path)), top, {top: frozenset()}
+    else:
+        nbrs = {v: g[v] & cap for v in cap}  # the cap's view, one per cap
+        try:
+            tail, residual = extract_tail(nbrs, top)
+        except NotPseudoTowerError:
+            return None
+        attachment = None
+        if tail:
+            (attachment,) = nbrs[tail[-1]] & residual
+            nbrs = {v: nbrs[v] & residual for v in residual}
     try:
         lv = level_sets(nbrs, top)
         bg = bordering_constraints(nbrs, lv)

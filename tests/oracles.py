@@ -20,6 +20,7 @@ from polyvis import (
     visibility_graph,
 )
 from polyvis.geometry import _segments_touch
+from polyvis.tower import NotTowerError, carriers, walk_levels
 
 
 def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -285,3 +286,79 @@ def polygon_edges_touch_scan(points):
             if _segments_touch(a, b, c, d):
                 return i, j
     return None
+
+
+def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
+    """``pseudotriangle.extract_cap`` with every cap read off the leveling
+    walk, however wide the top's first level: the caps are read wherever a
+    candidate level meets the base, with the flank rule, and the top must
+    see at most two cap vertices, adjacent if two."""
+    w0, w1 = e
+    base = (g[w0] & g[w1]) - {w0, w1}
+    if not base:
+        return []
+    if top in base:
+        return [base]
+    cut = frozenset(e)
+    levels = [frozenset({top})]
+    placed = {top, w0, w1}
+    caps: set[frozenset[int]] = set()
+    try:
+        for cand in walk_levels(g, levels, placed):
+            if not cand & base:
+                continue
+            caps.add((base | placed) - cut)
+            if cand <= base:
+                break
+            if len(cand) == 2 and g.has_edge(*cand):
+                (p,) = cand - base
+                if len(carriers(g, levels[-1], placed, p)) == 1:
+                    caps.add((base | placed | {p}) - cut)
+    except NotTowerError:
+        pass
+    results = []
+    for cap in caps:
+        tn = g[top] & cap
+        if len(tn) > 2 or (len(tn) == 2 and not g.has_edge(*tn)):
+            continue
+        results.append(cap)
+    return sorted(results, key=sorted)
+
+
+def induces_path(g: Graph, vertices) -> bool:
+    """Do ``vertices`` induce a chordless path in g?  The empty set counts as
+    one; otherwise the induced graph is connected, no vertex has more than two
+    neighbours in it, and it has one edge fewer than vertices."""
+    vs = sorted(vertices)
+    if not vs:
+        return True
+    edges = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :] if g.has_edge(u, v)]
+    if len(edges) != len(vs) - 1:
+        return False
+    if any(sum(v in uv for uv in edges) > 2 for v in vs):
+        return False
+    seen, stack = {vs[0]}, [vs[0]]
+    while stack:
+        u = stack.pop()
+        for v in vs:
+            if v not in seen and g.has_edge(u, v):
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(vs)
+
+
+def top_pairs_scan(g: Graph, top: int) -> set[frozenset[int]]:
+    """The pairs {a, b} of ``top``'s neighbours for which N(top) - {a, b}
+    induces a chordless path, by trying every pair."""
+    nb = sorted(g[top])
+    return {
+        frozenset((a, b))
+        for i, a in enumerate(nb)
+        for b in nb[i + 1 :]
+        if induces_path(g, set(nb) - {a, b})
+    }
+
+
+def hangs_path(g: Graph, cap: frozenset[int], top: int) -> bool:
+    """Does ``cap`` induce a chordless path with ``top`` at one end?"""
+    return induces_path(g, cap) and len(g[top] & cap) == 1

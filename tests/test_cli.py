@@ -62,12 +62,21 @@ def test_solve_json_report(tmp_path, capsys):
 
 def test_solve_json_counts_rejected_tops(capsys):
     # No class reads this stored mutated graph.  Its one minimum-degree top
-    # passes the neighborhood test, and 2 of its 6 fallback tops fail it.
+    # has joint pairs, and 2 of its 6 fallback tops have none.
     assert main(["solve", str(AUTO_MIXED / "mutated-n12-s100.graph"), "--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["kind"] == "none"
     assert report["rejections"]["fallback_tops"] == 1
     assert report["rejections"]["top_rejected"] == 2
+
+
+def test_solve_json_counts_pruned_caps(capsys):
+    # On this stored pseudo-triangle, 34 caps are skipped before leveling:
+    # the vertices that their top sees in them are not those of a joint pair.
+    assert main(["solve", str(AUTO_MIXED / "pseudo-triangle-n20-s0.graph"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "pseudo-triangle"
+    assert report["rejections"]["cap_pair_rejected"] == 34
 
 
 def test_gen_visgraph_solve_pipeline(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from polyvis import (
     extract_cap,
     gen_pseudo_triangle,
     gen_tower,
+    parse_graph,
     solve_pseudo_triangle,
     solve_tower,
     split_parts,
@@ -29,7 +31,7 @@ from polyvis.pseudotriangle import (
     _cap_context,
     _cap_sides,
     _necessary_conditions,
-    _top_neighborhood_ok,
+    _top_pairs,
     part_paths,
 )
 
@@ -37,11 +39,16 @@ from conftest import PT6_EDGES
 from oracles import (
     brute_hamiltonian_cycles,
     chain_conditions_scan,
+    extract_cap_walk,
+    hangs_path,
     mutated_pseudo_triangle,
     random_connected_graph,
     spec_cycles,
+    top_pairs_scan,
     verify_cycle_scan,
 )
+
+AUTO_MIXED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
 
 def test_top_candidates_k3(k3):
@@ -291,17 +298,54 @@ def _brute_force_graphs() -> list[Graph]:
 
 def test_top_neighborhood_admits_every_top_joint():
     # Brute force: whatever split of whatever Hamiltonian cycle passes the
-    # necessary conditions, its top joint passes the neighborhood test.
+    # necessary conditions, its side chains' first vertices are a pair of its
+    # top joint.
     passed = rejected = 0
     for g in _brute_force_graphs():
-        ok = [_top_neighborhood_ok(g, v) for v in range(g.n)]
-        rejected += ok.count(False)
+        pairs = [_top_pairs(g, v) for v in range(g.n)]
+        rejected += pairs.count([])
         for cycle in brute_hamiltonian_cycles(g):
-            for chains in _splits(cycle):
-                if _necessary_conditions(g, chains):
+            for left, bottom, right in _splits(cycle):
+                if _necessary_conditions(g, (left, bottom, right)):
                     passed += 1
-                    assert ok[chains[0][0]], (g.edges, chains)
+                    assert frozenset((left[1], right[1])) in pairs[left[0]], (g.edges, left, right)
     assert passed > 200 and rejected > 100
+
+
+def test_top_pairs_match_scan():
+    # Every pair, once, on every vertex, against a scan of every pair.
+    found = 0
+    for g in _brute_force_graphs():
+        for v in range(g.n):
+            pairs = _top_pairs(g, v)
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == top_pairs_scan(g, v), (g.edges, v)
+            found += len(pairs)
+    assert found > 1000
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_extract_cap_matches_walk(graphs):
+    # Every split edge of every top gets the caps that the walk reads, however
+    # wide the first level; and a cap in which the top sees one vertex levels
+    # iff it is a chordless path hanging from the top.
+    if graphs == "brute-force":
+        gs = _brute_force_graphs()
+    else:
+        gs = [parse_graph(p.read_text()) for p in sorted(AUTO_MIXED.glob("*.graph"))]
+    cases = ((g, top, e) for g in gs for top in range(g.n) for e in g.edges if top not in e)
+    wide = hanging = not_hanging = 0
+    for g, top, e in cases:
+        caps = extract_cap(g, top, e)
+        assert caps == extract_cap_walk(g, top, e), (g.edges, top, e)
+        wide += len(g[top] - set(e)) > 2 and bool(caps)
+        for cap in caps:
+            if len(g[top] & cap) == 1:
+                levels = _cap_context(g, cap, top) is not None
+                assert levels == hangs_path(g, cap, top), (g.edges, top, cap)
+                hanging += levels
+                not_hanging += not levels
+    assert wide > 100 and hanging > 100 and not_hanging > 100
 
 
 def test_chain_conditions_match_scan():
@@ -373,7 +417,7 @@ def _top_with(nbr_edges: list[tuple[int, int]], d: int) -> Graph:
     ids=["path-and-edge", "triangle", "claw", "degree-1"],
 )
 def test_top_neighborhood_rejects(g):
-    assert not _top_neighborhood_ok(g, 0)
+    assert _top_pairs(g, 0) == []
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
