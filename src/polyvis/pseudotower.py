@@ -84,6 +84,9 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     to the chain ending at its attachment vertex.
 
     ``nbrs`` is a graph or a neighbor-set view; the chains use its vertex ids.
+    No chain pair comes twice: pairs from different apex candidates start at
+    different vertices, and one apex's borderings are distinct bipartitions
+    of the residual below it, counted up to a left/right swap.
     """
     if len(nbrs) < 3:
         raise NotPseudoTowerError("pseudo-tower graphs need at least 3 vertices")
@@ -105,7 +108,6 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
         raise NotPseudoTowerError(f"residual is not a tower graph: {exc}") from exc
 
     solutions: list[PseudoTowerSolution] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
     any_leveling = False
     for top in sorted(tops):
         try:
@@ -115,11 +117,7 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
             continue
         any_leveling = True
         for chains in tower_chains(lv, bg, tail, attachment):
-            sol = PseudoTowerSolution(tail, chains)
-            key = sol.chain_key()
-            if key not in seen:
-                seen.add(key)
-                solutions.append(sol)
+            solutions.append(PseudoTowerSolution(tail, chains))
     if not any_leveling:
         raise NotPseudoTowerError("residual fails tower leveling from every apex candidate")
     solutions.sort(key=PseudoTowerSolution.chain_key)

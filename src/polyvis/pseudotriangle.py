@@ -3,9 +3,9 @@
 A reading of g is a Hamiltonian cycle of g with a joint triple whose chains
 pass ``_necessary_conditions``, the one O(n + m) statement of the chain
 conditions.  ``verify_cycle`` asks whether a cycle is a reading; ``solve``
-returns the readings that its decomposition reaches.  By brute force, those
-are all the readings on mutated pseudo-triangles with n <= 10 and on random
-connected graphs with n <= 8, except on two pinned misses.
+returns the readings that its split-edge search reaches.  By brute force,
+those are all the readings on mutated pseudo-triangles with n <= 10 and on
+random connected graphs with n <= 8, except on two pinned misses.
 
 Pipeline: pick the minimum-degree vertices as top-joint candidates, try every
 ordered non-incident edge as the split edge, carve the cap (the tower above
@@ -13,8 +13,9 @@ the split edge), split the remainder into two pseudo-tower parts, solve the
 parts, and assemble every cap bordering with every pair of part readings.
 Each assembled cycle whose chains pass the chain check is kept, once, in
 canonical order.  If no top yields one, the search runs once more from the 6
-next-lowest-degree vertices.  A solution's three chains are plain vertex
-tuples, each running joint to joint.
+next-lowest-degree vertices.  A solution is one reading: the canonical cycle
+and its three chains, plain vertex tuples each running joint to joint; the
+joints are read off the chains, and nothing of the search is kept.
 
 Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
 (the loop of ``tower.level_sets``), once per (top, split edge): the levels
@@ -43,8 +44,8 @@ Caps and side parts are read by the pseudo-tower code, whose chains come
 from ``tower.bordering_chains``, the package's one reading of a bordering:
 ``_cap_context`` walks the cap's tail with ``pseudotower.extract_tail`` up
 to the known top and levels the residual, once per (top, cap);
-``_cap_sides`` reads each bordering's sides with ``pseudotower.tower_chains``,
-only once some decomposition of the cap has two parts that solve; and
+``pseudotower.tower_chains`` reads each bordering's chain pair, the top
+first, only once some split of the cap has two parts that solve; and
 ``part_paths`` reads a chordless path off the same walk.
 """
 
@@ -79,20 +80,6 @@ class NotPseudoTriangleError(ValueError):
 
 
 @dataclass(frozen=True)
-class SplitDecomposition:
-    """A split-edge decomposition: the cap above the split edge plus the two
-    flanking parts.  Together they partition the vertices, ``top`` lies in the
-    cap and ``split_edge[0]`` in ``part_a``.
-    """
-
-    top: int
-    split_edge: tuple[int, int]
-    cap: frozenset[int]
-    part_a: frozenset[int]
-    part_b: frozenset[int]
-
-
-@dataclass(frozen=True)
 class PartSolution:
     """A boundary reading of one side part: a Hamiltonian path of the part
     ending at its split-edge endpoint, plus the joint where the part's two
@@ -106,15 +93,17 @@ class PartSolution:
 
 @dataclass(frozen=True)
 class PseudoTriangleSolution:
+    """A reading: the canonical cycle and its chains, which walk it."""
+
     cycle: CycleCandidate
     chains: tuple[tuple[int, ...], ...]  # (left, bottom, right), joint to joint
-    joints: tuple[int, int, int]
-    decomposition: SplitDecomposition
 
+    @property
+    def joints(self) -> tuple[int, int, int]:
+        """The top joint, then the ends of the left and right chains."""
+        left, _, right = self.chains
+        return left[0], left[-1], right[-1]
 
-Sides = tuple[tuple[int, ...], tuple[int, ...]]
-"""A cap bordering: the cap's left and right vertices below the top, each
-side from the top down."""
 
 CapContext = tuple[Leveling, BorderingGraph, tuple[int, ...], int | None]
 """A leveled cap: its leveling and constraint graph, then its tail and the
@@ -269,13 +258,14 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
 
 def assemble_hamiltonian(
     g: Graph,
-    dec: SplitDecomposition,
-    sides: Sides,
+    cap_chains: tuple[tuple[int, ...], tuple[int, ...]],
     sol_a: PartSolution,
     sol_b: PartSolution,
 ) -> list[PseudoTriangleSolution]:
-    """Close the boundary: top, the cap's a-side by level, part a down to the
-    split edge, across to part b and back up, then the cap's b-side upward.
+    """Close the boundary: the cap's a-side chain from the top down, part a
+    down to the split edge, across to part b and back up, then the cap's
+    b-side chain upward.  ``cap_chains`` is one chain pair of the cap, the top
+    first, as ``pseudotower.tower_chains`` reads it.
 
     Returns one solution per plausible joint placement (all share the same
     cycle): normally the joint of a side is its part's pseudo-tower top, but
@@ -284,25 +274,25 @@ def assemble_hamiltonian(
     when the walk is not a cycle of g.
 
     The walk visits every vertex once: the cap and the two parts partition
-    the vertices, the sides cover the cap minus the top, and each part path
-    covers its part (see ``part_paths``).
+    the vertices, the chains cover the cap, and each part path covers its
+    part (see ``part_paths``).
     """
-    left, right = sides
-    order = [dec.top, *left, *sol_a.path, *reversed(sol_b.path), *reversed(right)]
+    left, right = cap_chains
+    order = [*left, *sol_a.path, *reversed(sol_b.path), *reversed(right[1:])]
     cand = canonicalize(order)
     if not is_cycle_in_graph(g, cand):
         return []
     ia = sol_a.path.index(sol_a.top)
     ib = sol_b.path.index(sol_b.top)
 
-    walk_left = (dec.top, *left, *sol_a.path)  # top joint .. split endpoint
-    walk_right = (dec.top, *right, *sol_b.path)
-    cut_a = [1 + len(left) + ia]
+    walk_left = (*left, *sol_a.path)  # top joint .. split endpoint
+    walk_right = (*right, *sol_b.path)
+    cut_a = [len(left) + ia]
     if ia == 0:
-        cut_a.append(len(left))  # joint taken from the cap side
-    cut_b = [1 + len(right) + ib]
+        cut_a.append(len(left) - 1)  # joint taken from the cap side
+    cut_b = [len(right) + ib]
     if ib == 0:
-        cut_b.append(len(right))
+        cut_b.append(len(right) - 1)
 
     out = []
     for ca in cut_a:
@@ -310,14 +300,7 @@ def assemble_hamiltonian(
             chain_left = walk_left[: ca + 1]
             chain_right = walk_right[: cb_ + 1]
             chain_bottom = (*walk_left[ca:], *reversed(walk_right[cb_:]))
-            out.append(
-                PseudoTriangleSolution(
-                    cand,
-                    (chain_left, chain_bottom, chain_right),
-                    (dec.top, chain_left[-1], chain_right[-1]),
-                    dec,
-                )
-            )
+            out.append(PseudoTriangleSolution(cand, (chain_left, chain_bottom, chain_right)))
     return out
 
 
@@ -406,14 +389,14 @@ def _top_pairs(g: Graph, top: int) -> list[frozenset[int]]:
 
 def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     """Is ``sol`` a reading of g?  Its cycle is in g, its chains pass
-    ``_necessary_conditions`` and its joints are the chain ends.  The
-    decomposition that found it is not read.
+    ``_necessary_conditions``, and walking the chains (left down, bottom
+    across, right back up) gives its cycle.
     """
-    left, _, right = sol.chains
+    left, bottom, right = sol.chains
     return (
         is_cycle_in_graph(g, sol.cycle)
         and _necessary_conditions(g, sol.chains)
-        and sol.joints == (left[0], left[-1], right[-1])
+        and canonicalize((*left, *bottom[1:], *reversed(right[1:-1]))) == sol.cycle
     )
 
 
@@ -460,8 +443,10 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     """All verified pseudo-triangle boundary candidates, canonically sorted.
 
     Every (top, split-edge) candidate is tried with fast rejection; candidates
-    surviving decomposition, part solving, assembly and the chain check are
-    collected and deduplicated by canonical cycle.  An empty list means no
+    surviving the cap and split, part solving, assembly and the chain check
+    are collected and deduplicated by canonical cycle.  Assembly joins each of
+    the cap's chain pairs to the part paths; a cap's chain pairs are read only
+    once some split of it has two parts that solve.  An empty list means no
     pseudo-triangle reading exists.  A top without ``_top_pairs`` starts no
     accepted reading; it is skipped in both rounds and counted as
     ``top_rejected``.  A cap C that no pair p fits with
@@ -483,12 +468,14 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
 
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
     # A (top, cap) entry holds the leveled cap, or None if it does not level;
-    # once some decomposition of the cap has two parts that solve, it holds
-    # the cap's sides instead.
-    cap_cache: dict[tuple[int, frozenset[int]], CapContext | list[Sides] | None] = {}
+    # once some split of the cap has two parts that solve, it holds the cap's
+    # chain pairs instead.
+    cap_cache: dict[
+        tuple[int, frozenset[int]],
+        CapContext | list[tuple[tuple[int, ...], tuple[int, ...]]] | None,
+    ] = {}
     path_cache: dict[tuple[frozenset[int], int], list[PartSolution]] = {}
-    # Many decompositions assemble the same chains; their decomposition-free
-    # verdict is computed once.
+    # Many splits assemble the same chains; their verdict is computed once.
     chain_cache: dict[tuple[tuple[int, ...], ...], bool] = {}
 
     def read_part(part: frozenset[int], end: int) -> list[PartSolution]:
@@ -514,7 +501,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                 bump("top_rejected")
                 continue
             top_nbrs = g[top]
-            split_edges = sorted({(u, v) for u, v in g.edges if top != u and top != v})
+            split_edges = sorted(e for e in g.edges if top not in e)
             for pair in split_edges:
                 caps = extract_cap(g, top, pair)
                 if not caps:
@@ -537,22 +524,21 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                             bump("split_rejected")
                             continue
                         part_a, part_b = split if e == pair else (split[1], split[0])
-                        dec = SplitDecomposition(top, e, cap, part_a, part_b)
                         sols_a = read_part(part_a, e[0])
                         sols_b = read_part(part_b, e[1]) if sols_a else []
                         if not sols_b:
                             bump("part_rejected")
                             continue
                         if not isinstance(cap_cache[key], list):
-                            cap_cache[key] = _cap_sides(cap_cache[key])
-                        for sol_a, sol_b, sides in product(sols_a, sols_b, cap_cache[key]):
-                            variants = assemble_hamiltonian(g, dec, sides, sol_a, sol_b)
+                            cap_cache[key] = tower_chains(*cap_cache[key])
+                        for sol_a, sol_b, chains in product(sols_a, sols_b, cap_cache[key]):
+                            variants = assemble_hamiltonian(g, chains, sol_a, sol_b)
                             if not variants:
                                 bump("assembly_rejected")
                                 continue
-                            # Assembly made the cycle one of g's and the joints the
-                            # chain ends, so of verify_candidate's checks only the
-                            # chain verdict is left.
+                            # Assembly made the cycle one of g's and the walk of the
+                            # chains, so of verify_candidate's checks only the chain
+                            # verdict is left.
                             for sol in variants:
                                 if sol.chains not in chain_cache:
                                     chain_cache[sol.chains] = _necessary_conditions(g, sol.chains)
@@ -572,7 +558,7 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     that see nothing of the cap's short side forms a tail hanging off one
     chain.  The cap is read by the pseudo-tower code with its apex known:
     ``extract_tail`` walks the tail up to the top at most, the residual is
-    leveled from the top as a tower, and ``_cap_sides`` reads its borderings.
+    leveled from the top as a tower, and ``tower_chains`` reads its borderings.
 
     A top with one cap neighbor u makes {u} level 2, and a one-vertex level
     needs a carrier among the top's level, but the top has no neighbor left
@@ -609,11 +595,3 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     except NotTowerError:
         return None
     return lv, bg, tail, attachment
-
-
-def _cap_sides(ctx: CapContext) -> list[Sides]:
-    """A leveled cap's borderings as (left, right) sides: ``tower_chains``
-    hangs the tail below the chain ending at its attachment, and the top is
-    dropped from both chains.
-    """
-    return [(c1[1:], c2[1:]) for c1, c2 in tower_chains(*ctx)]

@@ -7,6 +7,7 @@ corpus is generated and solved once.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -99,6 +100,21 @@ def test_criterion_1_pseudo_triangle_round_trip(pseudo_triangle_corpus):
         f"{len(instances) - len(misses)}/500 recovered "
         f"({degen_count} degenerate), {total:.1f}s < 120s, misses={misses[:5]}",
     )
+
+
+# One sha256 over every reading (cycle, chains, joints) of the criterion-1
+# corpus.  As in test_solver_store.py, recompute it only when a change is meant
+# to alter these answers, and say why in CHANGES.md.
+CORPUS_EXPECTED = "c245eed8fe86b9e8c477ef01b1e009c49357f4a638de49172ecffb426d8b1af0"
+
+
+def test_criterion_1_candidates_unchanged(pseudo_triangle_corpus):
+    instances, _ = pseudo_triangle_corpus
+    h = hashlib.sha256()
+    for r in instances:
+        answers = [(s.cycle.order, s.chains, s.joints) for s in r.solutions]
+        h.update(f"{r.n} {r.seed} {r.degenerate}: {answers!r}\n".encode())
+    assert h.hexdigest() == CORPUS_EXPECTED
 
 
 def test_criterion_2_tower_and_pseudo_tower_round_trip():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -25,11 +26,10 @@ from polyvis import (
     verify_cycle,
     visibility_graph,
 )
+from polyvis.pseudotower import tower_chains
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
-    SplitDecomposition,
     _cap_context,
-    _cap_sides,
     _necessary_conditions,
     _top_pairs,
     part_paths,
@@ -120,41 +120,38 @@ def test_split_parts_rejects_connected_rest(pt6_graph):
 
 
 def _pt6_true_decomposition(pt6_graph):
+    # The true boundary's cap chains and part paths for top 0, split edge (3, 4).
     (cap,) = extract_cap(pt6_graph, 0, (3, 4))
-    part_a, part_b = split_parts(pt6_graph, cap, (3, 4))
-    dec = SplitDecomposition(0, (3, 4), cap, part_a, part_b)
-    sol_a = PartSolution((2, 3), 2)
-    sol_b = PartSolution((4,), 4)
-    return dec, sol_a, sol_b
+    (cap_chains,) = tower_chains(*_cap_context(pt6_graph, cap, 0))
+    return cap_chains, PartSolution((2, 3), 2), PartSolution((4,), 4)
 
 
 def test_cap_borderings_pt6(pt6_graph):
-    dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    (sides,) = _cap_sides(_cap_context(pt6_graph, dec.cap, 0))
-    sols = assemble_hamiltonian(pt6_graph, dec, sides, sol_a, sol_b)
+    cap_chains, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
+    assert cap_chains == ((0, 1), (0, 5))
+    sols = assemble_hamiltonian(pt6_graph, cap_chains, sol_a, sol_b)
     assert any(s.cycle.order == (0, 1, 2, 3, 4, 5) for s in sols)
     assert any(verify_candidate(pt6_graph, s) for s in sols)
 
 
 def test_assemble_rejects_missing_edge(pt6_graph):
-    dec, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
-    (sides,) = _cap_sides(_cap_context(pt6_graph, dec.cap, 0))
+    cap_chains, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
     broken = Graph(6, frozenset(set(pt6_graph.edges) - {(4, 5)}))
-    assert assemble_hamiltonian(broken, dec, sides, sol_a, sol_b) == []
+    assert assemble_hamiltonian(broken, cap_chains, sol_a, sol_b) == []
 
 
 def test_cap_context_hangs_tail_below_its_attachment():
     # Cap {0, 1, 2, 3}: the triangle 0-1-2 levels from the top 0, and 3 hangs
     # off 2 as a tail, so it goes below 2 on 2's side.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert _cap_sides(_cap_context(g, frozenset(range(4)), 0)) == [((1,), (2, 3))]
+    assert tower_chains(*_cap_context(g, frozenset(range(4)), 0)) == [((0, 1), (0, 2, 3))]
 
 
 def test_cap_context_tail_at_the_top():
     # Cap {0, 1}: the top 0 has degree 1 too, but is never a tail end, so 1
     # is the tail and hangs below the top on the first side.
     g = Graph.from_edges(2, [(0, 1)])
-    assert _cap_sides(_cap_context(g, frozenset({0, 1}), 0)) == [((1,), ())]
+    assert tower_chains(*_cap_context(g, frozenset({0, 1}), 0)) == [((0, 1), (0,))]
 
 
 def test_cap_context_two_loose_ends_rejected():
@@ -225,16 +222,26 @@ def test_solve_missing_edge_no_crash(pt6_graph):
 def test_verify_candidate_rejects_same_chain_chord(pt6_graph):
     # Claim a wrong chain split for the true cycle: bottom chain (1, 2, 3)
     # carries the visibility chord 1-3, violating concavity.
-    dec = SplitDecomposition(
-        5, (2, 3), frozenset({5, 0, 1}), frozenset({2}), frozenset({3, 4})
-    )
     sol = PseudoTriangleSolution(
-        canonicalize((0, 1, 2, 3, 4, 5)),
-        ((5, 0, 1), (1, 2, 3), (5, 4, 3)),
-        (5, 1, 3),
-        dec,
+        canonicalize((0, 1, 2, 3, 4, 5)), ((5, 0, 1), (1, 2, 3), (5, 4, 3))
     )
+    assert sol.joints == (5, 1, 3)
     assert not verify_candidate(pt6_graph, sol)
+
+
+def test_verify_candidate_rejects_chains_off_the_cycle():
+    # The chains pass the chain conditions, but only the first of g's 6
+    # Hamiltonian cycles is their walk; every other cycle is rejected.
+    g = visibility_graph(gen_pseudo_triangle(7, 1))
+    sol = solve_pseudo_triangle(g)[0]
+    assert sol.cycle.order == tuple(range(7))
+    assert sol.chains == ((2, 1, 0), (0, 6), (2, 3, 4, 5, 6))
+    assert sol.joints == (2, 0, 6)
+    assert verify_candidate(g, sol)
+    others = [c for c in brute_hamiltonian_cycles(g) if c != sol.cycle.order]
+    assert len(others) == 5 and (0, 3, 2, 1, 4, 5, 6) in others
+    for cycle in others:
+        assert not verify_candidate(g, dataclasses.replace(sol, cycle=canonicalize(cycle)))
 
 
 def test_verify_cycle_corrupted_graph_flagged(pt6_graph):
@@ -349,16 +356,29 @@ def test_extract_cap_matches_walk(graphs):
 
 
 def test_chain_conditions_match_scan():
-    # Every split of every Hamiltonian cycle gets the pairwise scan's verdict;
-    # n <= 8 keeps it to about 16,000 splits.
+    # Every split of every Hamiltonian cycle gets the pairwise scan's verdict,
+    # from the chain check and from ``verify_candidate``; n <= 8 keeps it to
+    # about 16,000 splits.  Once per graph, chains that pass are paired with
+    # another of its Hamiltonian cycles, which they do not walk.
     verdicts = {True: 0, False: 0}
+    off_cycle = 0
     for g in (g for g in _brute_force_graphs() if g.n <= 8):
-        for cycle in brute_hamiltonian_cycles(g):
+        cycles = brute_hamiltonian_cycles(g)
+        passing = None
+        for cycle in cycles:
             for chains in _splits(cycle):
                 verdict = _necessary_conditions(g, chains)
                 assert verdict == chain_conditions_scan(g, chains), (g.edges, chains)
+                sol = PseudoTriangleSolution(canonicalize(cycle), chains)
+                assert verify_candidate(g, sol) == verdict, (g.edges, chains)
                 verdicts[verdict] += 1
-    assert verdicts[True] > 200 and verdicts[False] > 10000
+                if verdict and passing is None:
+                    passing = sol
+        if passing is not None and len(cycles) > 1:
+            other = next(c for c in cycles if c != passing.cycle.order)
+            assert not verify_candidate(g, dataclasses.replace(passing, cycle=canonicalize(other)))
+            off_cycle += 1
+    assert verdicts[True] > 200 and verdicts[False] > 10000 and off_cycle > 10
 
 
 @pytest.mark.parametrize(
@@ -508,18 +528,6 @@ def test_top_rule_misses_recovered(n):
     poly = _top_rule_miss(n)
     sols = solve_pseudo_triangle(visibility_graph(poly))
     assert boundary_cycle(poly).order in [s.cycle.order for s in sols]
-
-
-def test_solution_partition_invariant(pt6_graph):
-    for s in solve_pseudo_triangle(pt6_graph):
-        dec = s.decomposition
-        assert dec.cap | dec.part_a | dec.part_b == frozenset(range(6))
-        assert not dec.cap & dec.part_a
-        assert not dec.cap & dec.part_b
-        assert not dec.part_a & dec.part_b
-        assert dec.split_edge[0] in dec.part_a
-        assert dec.split_edge[1] in dec.part_b
-        assert dec.top in dec.cap
 
 
 def test_solution_chains_concatenate_to_cycle(pt6_graph):
