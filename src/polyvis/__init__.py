@@ -30,7 +30,6 @@ from .pseudotower import (
 )
 from .pseudotriangle import (
     NotPseudoTriangleError,
-    PartSolution,
     assemble_hamiltonian,
     extract_cap,
     solve as solve_pseudo_triangle,
@@ -61,7 +60,6 @@ __all__ = [
     "NotPseudoTowerError",
     "NotPseudoTriangleError",
     "NotTowerError",
-    "PartSolution",
     "Point",
     "Polygon",
     "PolygonError",

@@ -130,9 +130,10 @@ def canonicalize(order: Sequence[int]) -> CycleCandidate:
 
 
 def is_cycle_in_graph(g: Graph, c: CycleCandidate) -> bool:
-    """True iff every cyclically consecutive pair of ``c`` is an edge of ``g``."""
+    """True iff ``c`` is a permutation of g's n >= 3 vertices and every
+    cyclically consecutive pair of it is an edge of ``g``."""
     order = c.order
-    if len(order) != g.n or g.n < 3:
+    if g.n < 3 or sorted(order) != list(range(g.n)):
         return False
     nbr = g._nbrs
     return all(b in nbr[a] for a, b in zip(order, order[1:] + order[:1]))

@@ -5,17 +5,25 @@ pass ``_necessary_conditions``, the one O(n + m) statement of the chain
 conditions.  ``verify_cycle`` asks whether a cycle is a reading; ``solve``
 returns the readings that its split-edge search reaches.  By brute force,
 those are all the readings on mutated pseudo-triangles with n <= 10 and on
-random connected graphs with n <= 8, except on two pinned misses.
+random connected graphs with n <= 8.
 
 Pipeline: pick the minimum-degree vertices as top-joint candidates, try every
 ordered non-incident edge as the split edge, carve the cap (the tower above
-the split edge), split the remainder into two pseudo-tower parts, solve the
-parts, and assemble every cap bordering with every pair of part readings.
-Each assembled cycle whose chains pass the chain check is kept, once, in
-canonical order.  If no top yields one, the search runs once more from the 6
-next-lowest-degree vertices.  A solution is one reading: the canonical cycle
+the split edge), split the remainder into two pseudo-tower parts, read the
+parts' boundary paths, and assemble every cap bordering with every pair of
+part paths into a cycle.  If no top yields a reading, the search runs once
+more from the 6 next-lowest-degree vertices.
+
+Decision: assembly fixes the cycle but not the side joints (on a part that
+is a chordless path, the graph does not say where the joint sits), so each
+distinct (cycle, top) is decided once by ``_reading``, the same
+reach-pruned joint search that ``verify_cycle`` runs from every position,
+here from the top alone.  A solution is one reading: the canonical cycle
 and its three chains, plain vertex tuples each running joint to joint; the
-joints are read off the chains, and nothing of the search is kept.
+joints are read off the chains.  The witness rule: the top is the first
+top in search order that assembles the cycle and accepts it, the left chain
+runs from it in the canonical direction, and the first passing (j, k)
+wins.
 
 Cap discovery runs the package's one leveling loop, ``tower.walk_levels``
 (the loop of ``tower.level_sets``), once per (top, split edge): the levels
@@ -54,6 +62,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Sequence
 
 from .graph import (
     CycleCandidate,
@@ -77,18 +86,6 @@ from .tower import (
 
 class NotPseudoTriangleError(ValueError):
     """The input cannot be the visibility graph of a pseudo-triangle."""
-
-
-@dataclass(frozen=True)
-class PartSolution:
-    """A boundary reading of one side part: a Hamiltonian path of the part
-    ending at its split-edge endpoint, plus the joint where the part's two
-    chains meet (for chordless path parts the joint position is not determined
-    by the graph and defaults to the path start).
-    """
-
-    path: tuple[int, ...]
-    top: int
 
 
 @dataclass(frozen=True)
@@ -214,9 +211,9 @@ def split_parts(
     return part_a, part_b
 
 
-def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
+def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]]:
     """Boundary readings of a side part as Hamiltonian paths ending at its
-    split-edge endpoint.
+    split-edge endpoint, sorted.
 
     Singletons are read directly.  The part's neighbor-set view, in g's own
     vertex ids, is walked by ``pseudotower.extract_tail`` with ``end`` as its
@@ -225,83 +222,52 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[PartSolution]:
     solution whose chain ends at ``end`` is unfolded around its joint: the
     other chain upward, then this chain downward.  The unfolded path covers
     the part, because the bordering chains cover the residual and the tail
-    is hung below one of them.
+    is hung below one of them.  Where a side joint sits on the path is left
+    to the decision of the assembled cycle (see ``solve``).
     """
     if end not in part:
         return []
     if len(part) == 1:
-        return [PartSolution((end,), end)]
+        return [(end,)]
     inner = {v: g[v] & part for v in part}
     try:
         # The walk rejects only a part with two loose ends besides ``end``,
         # which the pseudo-tower solver rejects as well.
         tail, residual = extract_tail(inner, end)
         if residual == {end}:
-            return [PartSolution((*tail, end), tail[0])]
+            return [(*tail, end)]
         sols = solve_pseudo_tower(inner)
     except NotPseudoTowerError:
         return []
-    out: list[PartSolution] = []
-    seen_paths: set[tuple[int, ...]] = set()
-    for s in sols:
-        c1, c2 = s.chains
-        for chain_w, chain_other in ((c1, c2), (c2, c1)):
-            if not chain_w or chain_w[-1] != end:
-                continue
-            path = (*reversed(chain_other), *chain_w[1:])
-            if path in seen_paths:
-                continue
-            seen_paths.add(path)
-            out.append(PartSolution(path, chain_w[0]))
-    return sorted(out, key=lambda p: p.path)
+    paths = {
+        (*reversed(other), *chain[1:])
+        for c1, c2 in (s.chains for s in sols)
+        for chain, other in ((c1, c2), (c2, c1))
+        if chain and chain[-1] == end
+    }
+    return sorted(paths)
 
 
 def assemble_hamiltonian(
     g: Graph,
     cap_chains: tuple[tuple[int, ...], tuple[int, ...]],
-    sol_a: PartSolution,
-    sol_b: PartSolution,
-) -> list[PseudoTriangleSolution]:
+    path_a: tuple[int, ...],
+    path_b: tuple[int, ...],
+) -> CycleCandidate | None:
     """Close the boundary: the cap's a-side chain from the top down, part a
     down to the split edge, across to part b and back up, then the cap's
     b-side chain upward.  ``cap_chains`` is one chain pair of the cap, the top
-    first, as ``pseudotower.tower_chains`` reads it.
+    first, as ``pseudotower.tower_chains`` reads it, and each path is one of
+    ``part_paths``.
 
-    Returns one solution per plausible joint placement (all share the same
-    cycle): normally the joint of a side is its part's pseudo-tower top, but
-    when the part carries no chain remnant the joint may equally be the
-    deepest cap vertex of that side (corner splits put it there).  Empty list
-    when the walk is not a cycle of g.
-
+    Returns the canonical cycle, or None when the walk is not a cycle of g.
     The walk visits every vertex once: the cap and the two parts partition
     the vertices, the chains cover the cap, and each part path covers its
     part (see ``part_paths``).
     """
     left, right = cap_chains
-    order = [*left, *sol_a.path, *reversed(sol_b.path), *reversed(right[1:])]
-    cand = canonicalize(order)
-    if not is_cycle_in_graph(g, cand):
-        return []
-    ia = sol_a.path.index(sol_a.top)
-    ib = sol_b.path.index(sol_b.top)
-
-    walk_left = (*left, *sol_a.path)  # top joint .. split endpoint
-    walk_right = (*right, *sol_b.path)
-    cut_a = [len(left) + ia]
-    if ia == 0:
-        cut_a.append(len(left) - 1)  # joint taken from the cap side
-    cut_b = [len(right) + ib]
-    if ib == 0:
-        cut_b.append(len(right) - 1)
-
-    out = []
-    for ca in cut_a:
-        for cb_ in cut_b:
-            chain_left = walk_left[: ca + 1]
-            chain_right = walk_right[: cb_ + 1]
-            chain_bottom = (*walk_left[ca:], *reversed(walk_right[cb_:]))
-            out.append(PseudoTriangleSolution(cand, (chain_left, chain_bottom, chain_right)))
-    return out
+    cycle = canonicalize([*left, *path_a, *reversed(path_b), *reversed(right[1:])])
+    return cycle if is_cycle_in_graph(g, cycle) else None
 
 
 def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool:
@@ -400,58 +366,84 @@ def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     )
 
 
-def verify_cycle(g: Graph, order) -> bool:
-    """Can some joint triple make this vertex order a plausible pseudo-triangle
-    boundary?  Checks the decomposition-free necessary conditions over all
-    cyclic chain splits; used by the CLI and as the brute-force filter.
+def _reading(
+    g: Graph, order: tuple[int, ...], starts: Sequence[int]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The first joint triple that makes ``order``, a Hamiltonian cycle of g,
+    a reading: its chains (left, bottom, right), or None if no triple passes.
+
+    The top joint is tried at each position i of ``starts`` in turn, and the
+    other joints at positions i < j < k < n.  left = order[i..j] runs from
+    the top along ``order``, bottom = order[j..k], and right runs from the
+    top backward to k.  Every triple of positions is reached from its least
+    one, and ``_necessary_conditions`` does not depend on which of the three
+    joints is the top, so ``range(n)`` decides the cycle.
 
     A chain with a chord is not concave and fails ``_necessary_conditions``,
     so the triples that give one are never visited.  On the doubled cycle,
     ``reach[p]`` is the least q' >= p' + 2 over the positions p' >= p whose
     vertices see each other: the arc from p to q is chordless iff
-    q < reach[p].  Every other triple gets the full check.
+    q < reach[p].  Every other triple gets the full check, in order of j,
+    then k.
     """
-    seq = list(order)
-    n = g.n
-    if sorted(seq) != list(range(n)):
-        return False
-    cand = canonicalize(seq)
-    if not is_cycle_in_graph(g, cand):
-        return False
-    seq = list(cand.order)
-    ring = seq + seq
-    reach = [2 * n] * (2 * n + 1)
+    n = len(order)
+    ring = order + order
+    # Every bound below is min(reach, n) or a test reach > n + i, so reach is
+    # kept no higher than n + max(starts) + 1, and a chord of p that reaches
+    # no nearer than reach[p + 1] is not looked for.
+    reach = [n + max(starts) + 1] * (2 * n + 1)
     for p in range(2 * n - 1, -1, -1):
         nb = g[ring[p]]
-        first = next((q for q in range(p + 2, 2 * n) if ring[q] in nb), 2 * n)
-        reach[p] = min(first, reach[p + 1])
-    for i in range(n):
-        # left = seq[i..j], bottom = seq[j..k], right = seq[k..n+i] reversed;
-        # reach is nondecreasing, so the right arc is chordless from k_lo on.
+        reach[p] = next((q for q in range(p + 2, reach[p + 1]) if ring[q] in nb), reach[p + 1])
+    for i in starts:
+        # reach is nondecreasing, so the right arc k..n+i is chordless from
+        # k_lo on.
         k_lo = bisect_right(reach, n + i)
         for j in range(i + 1, min(reach[i], n)):
             for k in range(max(j + 1, k_lo), min(reach[j], n)):
-                left = tuple(seq[i : j + 1])
-                bottom = tuple(seq[j : k + 1])
-                right = tuple(reversed(seq[k:] + seq[: i + 1]))  # top joint first
+                left, bottom = order[i : j + 1], order[j : k + 1]
+                right = (order[k:] + order[: i + 1])[::-1]  # top joint first
                 if _necessary_conditions(g, (left, bottom, right)):
-                    return True
-    return False
+                    return left, bottom, right
+    return None
+
+
+def verify_cycle(g: Graph, order) -> bool:
+    """Can some joint triple make this vertex order a plausible pseudo-triangle
+    boundary?  The order must be a Hamiltonian cycle of g, and ``_reading``
+    tries every position of its canonical form as the top; used by the CLI
+    and as the brute-force filter.
+    """
+    seq = list(order)
+    if sorted(seq) != list(range(g.n)):
+        return False
+    cand = canonicalize(seq)
+    return is_cycle_in_graph(g, cand) and _reading(g, cand.order, range(g.n)) is not None
 
 
 def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleSolution]:
-    """All verified pseudo-triangle boundary candidates, canonically sorted.
+    """All pseudo-triangle readings that the split-edge search reaches,
+    canonically sorted; an empty list means none was found.
 
-    Every (top, split-edge) candidate is tried with fast rejection; candidates
-    surviving the cap and split, part solving, assembly and the chain check
-    are collected and deduplicated by canonical cycle.  Assembly joins each of
-    the cap's chain pairs to the part paths; a cap's chain pairs are read only
-    once some split of it has two parts that solve.  An empty list means no
-    pseudo-triangle reading exists.  A top without ``_top_pairs`` starts no
-    accepted reading; it is skipped in both rounds and counted as
-    ``top_rejected``.  A cap C that no pair p fits with
-    ``N(top) & C == p & C`` starts none either (``_top_pairs``' corollary);
-    it is skipped before it is leveled and counted as ``cap_pair_rejected``.
+    Every (top, split edge) is tried with fast rejection: a top without
+    ``_top_pairs`` starts no reading and is skipped in both rounds
+    (``top_rejected``), and so is a cap C that no pair p fits with
+    ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
+    leveled (``cap_pair_rejected``).  A cap's chain pairs are read only once
+    some split of it has two parts that solve.  Assembly joins each chain
+    pair to each pair of part paths and returns only the cycle.
+
+    Decision: each distinct (cycle, top) is decided once, by ``_reading``
+    on the canonical cycle rotated so that the top is first, with the top
+    as the only start; the assemblies do not fix the side joints.  The
+    witness rule: a cycle's chains come from the first top, in search order,
+    that assembles the cycle and accepts it; the left chain runs from that
+    top in the canonical direction, and the first (j, k) that passes wins.
+
+    Stats: ``assembly_rejected`` counts walks that are not cycles of g,
+    ``verify_rejected`` the distinct (cycle, top) pairs, of cycles not yet
+    accepted, that no triple with that top accepts, and ``accepted`` the
+    assemblies of accepted cycles.
     """
     st = stats if stats is not None else {}
 
@@ -474,14 +466,22 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         tuple[int, frozenset[int]],
         CapContext | list[tuple[tuple[int, ...], tuple[int, ...]]] | None,
     ] = {}
-    path_cache: dict[tuple[frozenset[int], int], list[PartSolution]] = {}
-    # Many splits assemble the same chains; their verdict is computed once.
-    chain_cache: dict[tuple[tuple[int, ...], ...], bool] = {}
+    path_cache: dict[tuple[frozenset[int], int], list[tuple[int, ...]]] = {}
 
-    def read_part(part: frozenset[int], end: int) -> list[PartSolution]:
+    def read_part(part: frozenset[int], end: int) -> list[tuple[int, ...]]:
         if (part, end) not in path_cache:
             path_cache[part, end] = part_paths(g, part, end)
         return path_cache[part, end]
+
+    def accepts(cycle: CycleCandidate, top: int) -> bool:
+        if cycle.order in found:
+            return True
+        at = cycle.order.index(top)
+        chains = _reading(g, cycle.order[at:] + cycle.order[:at], (0,))
+        if chains is None:
+            return False
+        found[cycle.order] = PseudoTriangleSolution(cycle, chains)
+        return True
 
     # The minimum-degree joint can face an opposite chain too short to carry a
     # workable split edge; if nothing is found, the search runs again from the
@@ -501,6 +501,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                 bump("top_rejected")
                 continue
             top_nbrs = g[top]
+            verdicts: dict[tuple[int, ...], bool] = {}  # this top's decisions
             split_edges = sorted(e for e in g.edges if top not in e)
             for pair in split_edges:
                 caps = extract_cap(g, top, pair)
@@ -524,30 +525,25 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                             bump("split_rejected")
                             continue
                         part_a, part_b = split if e == pair else (split[1], split[0])
-                        sols_a = read_part(part_a, e[0])
-                        sols_b = read_part(part_b, e[1]) if sols_a else []
-                        if not sols_b:
+                        paths_a = read_part(part_a, e[0])
+                        paths_b = read_part(part_b, e[1]) if paths_a else []
+                        if not paths_b:
                             bump("part_rejected")
                             continue
                         if not isinstance(cap_cache[key], list):
                             cap_cache[key] = tower_chains(*cap_cache[key])
-                        for sol_a, sol_b, chains in product(sols_a, sols_b, cap_cache[key]):
-                            variants = assemble_hamiltonian(g, chains, sol_a, sol_b)
-                            if not variants:
+                        for path_a, path_b, chains in product(paths_a, paths_b, cap_cache[key]):
+                            cycle = assemble_hamiltonian(g, chains, path_a, path_b)
+                            if cycle is None:
                                 bump("assembly_rejected")
                                 continue
-                            # Assembly made the cycle one of g's and the walk of the
-                            # chains, so of verify_candidate's checks only the chain
-                            # verdict is left.
-                            for sol in variants:
-                                if sol.chains not in chain_cache:
-                                    chain_cache[sol.chains] = _necessary_conditions(g, sol.chains)
-                                if not chain_cache[sol.chains]:
+                            ok = verdicts.get(cycle.order)
+                            if ok is None:
+                                ok = verdicts[cycle.order] = accepts(cycle, top)
+                                if not ok:
                                     bump("verify_rejected")
-                                    continue
+                            if ok:
                                 bump("accepted")
-                                found.setdefault(sol.cycle.order, sol)
-                                break
     return [found[k] for k in sorted(found)]
 
 

@@ -14,12 +14,15 @@ from polyvis import (
     Graph,
     Point,
     Polygon,
+    PolygonError,
     canonicalize,
+    convex_vertex_indices,
     gen_pseudo_triangle,
     is_cycle_in_graph,
     visibility_graph,
 )
 from polyvis.geometry import _segments_touch
+from polyvis.kernels import has_collinear_triple
 from polyvis.tower import NotTowerError, carriers, walk_levels
 
 
@@ -114,6 +117,48 @@ def mutated_pseudo_triangle(i: int) -> Graph:
         if non_edges:
             edges.add(mutate.choice(non_edges))
     return Graph(n, frozenset(edges))
+
+
+def arc_pseudo_triangle(n: int, seed: int) -> Polygon:
+    """A pseudo-triangle from a family apart from ``gen_pseudo_triangle``'s:
+    three concave arcs between three corners, vertex 0 a corner.
+
+    The corners are random integer points in [-10^6, 10^6]^2, taken
+    counterclockwise, with twice the area at least 2.5e11.  The other n - 3
+    vertices are split at random among the three sides.  On side AB each is
+    A + t(B - A) + 2h t(1 - t) (-(B - A)_y, (B - A)_x), rounded, for sorted
+    uniform t and one uniform h in [0.05, 0.9] per side, so the side bows
+    into the triangle.  An attempt is kept if it has no collinear triple, is
+    a valid ``Polygon`` and has exactly 3 convex vertices.
+    """
+    rng = random.Random(f"arc:{n}:{seed}")
+    while True:
+        corners = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(3)]
+        (ax, ay), (bx, by), (cx, cy) = corners
+        twice_area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if abs(twice_area) < 2.5e11:
+            continue
+        if twice_area < 0:
+            corners.reverse()
+        counts = [0, 0, 0]
+        for _ in range(n - 3):
+            counts[rng.randrange(3)] += 1
+        pts = []
+        for (a, b), k in zip(zip(corners, corners[1:] + corners[:1]), counts):
+            h = rng.uniform(0.05, 0.9)
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            pts.append(a)
+            for t in sorted(rng.random() for _ in range(k)):
+                bow = 2 * h * t * (1 - t)
+                pts.append((round(a[0] + t * dx - bow * dy), round(a[1] + t * dy + bow * dx)))
+        if has_collinear_triple(pts):
+            continue
+        try:
+            poly = Polygon(tuple(Point(x, y) for x, y in pts))
+        except PolygonError:
+            continue
+        if len(convex_vertex_indices(poly)) == 3:
+            return poly
 
 
 def collinear_triple_scan(coords) -> bool:

@@ -18,6 +18,7 @@ from polyvis import (
     tower_top_candidates,
     visibility_graph,
 )
+from polyvis.graph import CycleCandidate
 from polyvis.tower import bordering_constraints, level_sets
 
 from conftest import T5_EDGES
@@ -205,6 +206,16 @@ def test_is_cycle(k3, t5_graph):
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert not is_cycle_in_graph(path, canonicalize((0, 1, 2)))
     assert is_cycle_in_graph(t5_graph, canonicalize((0, 1, 2, 3, 4)))
+
+
+def test_is_cycle_rejects_repeated_vertex():
+    # A closed walk of length n along edges that visits a vertex twice is
+    # not a Hamiltonian cycle, and ids outside the graph are rejected, not
+    # looked up.
+    square = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert is_cycle_in_graph(square, CycleCandidate((0, 1, 2, 3)))
+    for order in [(0, 1, 0, 1), (0, 1, 2, 1), (5, 0, 1, 2), (-1, 0, 1, 2), (0, 1, 2)]:
+        assert not is_cycle_in_graph(square, CycleCandidate(order))
 
 
 def test_graph_rejects_bad_edges():

@@ -7,7 +7,6 @@ import pytest
 from polyvis import (
     Graph,
     NotPseudoTriangleError,
-    PartSolution,
     Point,
     Polygon,
     assemble_hamiltonian,
@@ -31,12 +30,14 @@ from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
     _cap_context,
     _necessary_conditions,
+    _reading,
     _top_pairs,
     part_paths,
 )
 
 from conftest import PT6_EDGES
 from oracles import (
+    arc_pseudo_triangle,
     brute_hamiltonian_cycles,
     chain_conditions_scan,
     extract_cap_walk,
@@ -123,21 +124,24 @@ def _pt6_true_decomposition(pt6_graph):
     # The true boundary's cap chains and part paths for top 0, split edge (3, 4).
     (cap,) = extract_cap(pt6_graph, 0, (3, 4))
     (cap_chains,) = tower_chains(*_cap_context(pt6_graph, cap, 0))
-    return cap_chains, PartSolution((2, 3), 2), PartSolution((4,), 4)
+    return cap_chains, (2, 3), (4,)
 
 
 def test_cap_borderings_pt6(pt6_graph):
-    cap_chains, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
+    cap_chains, path_a, path_b = _pt6_true_decomposition(pt6_graph)
     assert cap_chains == ((0, 1), (0, 5))
-    sols = assemble_hamiltonian(pt6_graph, cap_chains, sol_a, sol_b)
-    assert any(s.cycle.order == (0, 1, 2, 3, 4, 5) for s in sols)
-    assert any(verify_candidate(pt6_graph, s) for s in sols)
+    cycle = assemble_hamiltonian(pt6_graph, cap_chains, path_a, path_b)
+    assert cycle.order == (0, 1, 2, 3, 4, 5)
+    # Decided from the top 0: the left chain runs on to the joint 2.
+    chains = _reading(pt6_graph, cycle.order, (0,))
+    assert chains == ((0, 1, 2), (2, 3, 4), (0, 5, 4))
+    assert verify_candidate(pt6_graph, PseudoTriangleSolution(cycle, chains))
 
 
 def test_assemble_rejects_missing_edge(pt6_graph):
-    cap_chains, sol_a, sol_b = _pt6_true_decomposition(pt6_graph)
+    cap_chains, path_a, path_b = _pt6_true_decomposition(pt6_graph)
     broken = Graph(6, frozenset(set(pt6_graph.edges) - {(4, 5)}))
-    assert assemble_hamiltonian(broken, cap_chains, sol_a, sol_b) == []
+    assert assemble_hamiltonian(broken, cap_chains, path_a, path_b) is None
 
 
 def test_cap_context_hangs_tail_below_its_attachment():
@@ -163,18 +167,18 @@ def test_cap_context_two_loose_ends_rejected():
     "edges, part, end, want",
     [
         # A chordless path ending at ``end``, read from its other end.
-        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 3, [((1, 2, 3), 1)]),
-        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 1, [((3, 2, 1), 3)]),
+        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 3, [(1, 2, 3)]),
+        ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 1, [(3, 2, 1)]),
         # ``end`` inside the path: no reading ends there.
         ([(0, 1), (1, 2), (2, 3)], {1, 2, 3}, 2, []),
-        ([(0, 1)], {1}, 1, [((1,), 1)]),
+        ([(0, 1)], {1}, 1, [(1,)]),
         ([(0, 1)], {1}, 0, []),
     ],
     ids=["path", "path-reversed", "interior-end", "singleton", "end-outside"],
 )
 def test_part_paths_direct_readings(edges, part, end, want):
     g = Graph.from_edges(4, edges)
-    assert [(s.path, s.top) for s in part_paths(g, frozenset(part), end)] == want
+    assert part_paths(g, frozenset(part), end) == want
 
 
 def test_part_paths_pseudo_tower_part():
@@ -185,12 +189,9 @@ def test_part_paths_pseudo_tower_part():
     g = Graph.from_edges(6, edges)
     part = frozenset(range(1, 6))
 
-    def read(end):
-        return [(s.path, s.top) for s in part_paths(g, part, end)]
-
-    assert read(5) == [((2, 1, 3, 4, 5), 1), ((3, 1, 2, 4, 5), 1)]
-    assert read(3) == [((5, 4, 2, 1, 3), 1)]
-    assert read(4) == []
+    assert part_paths(g, part, 5) == [(2, 1, 3, 4, 5), (3, 1, 2, 4, 5)]
+    assert part_paths(g, part, 3) == [(5, 4, 2, 1, 3)]
+    assert part_paths(g, part, 4) == []
 
 
 def test_solve_k3(k3):
@@ -231,12 +232,14 @@ def test_verify_candidate_rejects_same_chain_chord(pt6_graph):
 
 def test_verify_candidate_rejects_chains_off_the_cycle():
     # The chains pass the chain conditions, but only the first of g's 6
-    # Hamiltonian cycles is their walk; every other cycle is rejected.
+    # Hamiltonian cycles is their walk; every other cycle is rejected.  By
+    # the witness rule the left chain runs from the top 2 in the canonical
+    # direction.
     g = visibility_graph(gen_pseudo_triangle(7, 1))
     sol = solve_pseudo_triangle(g)[0]
     assert sol.cycle.order == tuple(range(7))
-    assert sol.chains == ((2, 1, 0), (0, 6), (2, 3, 4, 5, 6))
-    assert sol.joints == (2, 0, 6)
+    assert sol.chains == ((2, 3, 4, 5, 6), (6, 0), (2, 1, 0))
+    assert sol.joints == (2, 6, 0)
     assert verify_candidate(g, sol)
     others = [c for c in brute_hamiltonian_cycles(g) if c != sol.cycle.order]
     assert len(others) == 5 and (0, 3, 2, 1, 4, 5, 6) in others
@@ -459,14 +462,8 @@ def test_solve_matches_spec_on_mutated_graphs():
         if g.n > 10:
             continue
         checked += 1
-        spec = spec_cycles(g)
         solved = {s.cycle.order for s in solve_pseudo_triangle(g)}
-        if i in (84, 100):
-            # The decomposition's known misses: on both n=9 graphs the
-            # identity cycle is a reading that no (top, split edge, cap) reaches.
-            assert spec - solved == {tuple(range(9))} and solved <= spec, i
-        else:
-            assert solved == spec, i
+        assert solved == spec_cycles(g), i
     assert checked == 78
 
 
@@ -498,8 +495,10 @@ def test_generated_degenerate_round_trip(n):
     assert boundary_cycle(poly).order in [s.cycle.order for s in sols]
 
 
-# Pseudo-triangles outside the generators' family whose true boundary
-# ``range(n)`` the top rule misses (ROADMAP item 1); joints 0, 4, 7 and 0, 6, 12.
+# Pseudo-triangles outside the generators' family, true boundary ``range(n)``;
+# joints 0, 4, 7 and 0, 6, 12.  The n=8 one is assembled from a top that
+# ``solve`` tries, with a side joint inside a chordless-path part.  The top
+# rule misses the n=16 one (ROADMAP item 1).
 _TOP_RULE_MISSES = {
     8: ((11, 20), (9, 14), (6, 8), (3, 4), (-5, -2), (-4, -3), (2, -10), (3, -15)),
     16: (
@@ -522,12 +521,47 @@ def test_top_rule_misses_are_pseudo_triangles(n):
     assert verify_cycle_scan(visibility_graph(poly), range(n))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: top rule misses the joint")
-@pytest.mark.parametrize("n", sorted(_TOP_RULE_MISSES))
+@pytest.mark.parametrize(
+    "n",
+    [
+        8,
+        pytest.param(
+            16,
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: top rule misses the joint"),
+        ),
+    ],
+)
 def test_top_rule_misses_recovered(n):
     poly = _top_rule_miss(n)
     sols = solve_pseudo_triangle(visibility_graph(poly))
     assert boundary_cycle(poly).order in [s.cycle.order for s in sols]
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48])
+def test_arc_pseudo_triangles_recovered(n):
+    # A second family: three concave arcs between random corners, 40 fixed
+    # seeds per size.  The truth is among the readings.
+    misses = []
+    for seed in range(40):
+        poly = arc_pseudo_triangle(n, seed)
+        sols = solve_pseudo_triangle(visibility_graph(poly))
+        if boundary_cycle(poly).order not in [s.cycle.order for s in sols]:
+            misses.append(seed)
+    assert misses == []
+
+
+def test_solution_witness_rule():
+    # Each reading's chains are those that ``_reading`` finds from its top
+    # joint, with the cycle rotated so that the top comes first.
+    checked = 0
+    for n, seed in [(9, 0), (12, 1), (16, 2), (24, 3)]:
+        g = visibility_graph(gen_pseudo_triangle(n, seed))
+        for s in solve_pseudo_triangle(g):
+            order = s.cycle.order
+            at = order.index(s.joints[0])
+            assert s.chains == _reading(g, order[at:] + order[:at], (0,))
+            checked += 1
+    assert checked >= 4
 
 
 def test_solution_chains_concatenate_to_cycle(pt6_graph):

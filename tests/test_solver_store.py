@@ -28,9 +28,9 @@ from oracles import mutated_pseudo_triangle
 
 STORE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
-EXPECTED = "65455c9a892de1ec1f48c12ef58925955c0e2601cc3fe960aa25f0a9d6760983"
+EXPECTED = "56e21e8f2370ad634fe08e652702ca4292278aee3fd5afdc8574f5d9eea97a85"
 
-EXPECTED_MUTATED = "dd125511dbdbf72c1dbac65e92d4654bb5f8af13e63ae3903c07b36c9768b96b"
+EXPECTED_MUTATED = "9017aaa6d9a0a639f3cf4c4b788d8381022d70647b356e2c25f5d421a80bf718"
 
 EXPECTED_VERIFY = "5c7f429fb42a5fc69b43b46dd673aed83bae1ffc0d197451710ceddf664c93cd"
 
