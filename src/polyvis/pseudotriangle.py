@@ -8,11 +8,15 @@ those are all the readings on mutated pseudo-triangles with n <= 10 and on
 random connected graphs with n <= 8.
 
 Pipeline: pick the minimum-degree vertices as top-joint candidates, try every
-ordered non-incident edge as the split edge, carve the cap (the tower above
-the split edge), split the remainder into two pseudo-tower parts, read the
-parts' boundary paths, and assemble every cap bordering with every pair of
-part paths into a cycle.  If no top yields a reading, the search runs once
-more from the 6 next-lowest-degree vertices.
+non-incident edge as the split edge, carve the cap (the tower above the split
+edge), split the remainder into two pseudo-tower parts, read each part's
+boundary paths once, ending at its endpoint of the split edge, and assemble
+every pair of part paths with every cap chain pair, taken in both orders,
+into a cycle.  One orientation of the split edge is enough: the reversed
+edge's walks are these, reflected.  A walk is a cycle of g iff its two
+junctions, where the cap chains meet the part paths, are edges (the lemma
+of ``assemble_hamiltonian``).  If no top yields a reading, the search runs
+once more from the 6 next-lowest-degree vertices.
 
 Decision: assembly fixes the cycle but not the side joints (on a part that
 is a chordless path, the graph does not say where the joint sits), so each
@@ -54,13 +58,15 @@ from ``tower.bordering_chains``, the package's one reading of a bordering:
 to the known top and levels the residual, once per (top, cap);
 ``pseudotower.tower_chains`` reads each bordering's chain pair, the top
 first, only once some split of the cap has two parts that solve; and
-``part_paths`` reads a chordless path off the same walk.
+``part_paths`` reads a chordless path off the same walk.  Caps, their chain
+pairs and part paths are memoized per ``solve`` with ``functools.cache``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations, product
 from typing import Sequence
 
@@ -139,6 +145,11 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     The walk's first candidate is N(top) - e.  With more than two vertices
     it is too wide for a level, so the walk ends there, and its only cap,
     base | {top} when the candidate meets the base, is read without walking.
+
+    A cap is not filtered by the vertices the top sees in it: ``solve``'s
+    joint-pair rule and ``_cap_context`` decide it, the latter by leveling it
+    from the top.  ``solve`` splits each cap once, so its
+    ``split_rejected`` and ``part_rejected`` count once per (split edge, cap).
     """
     w0, w1 = e
     if top in e:
@@ -173,17 +184,7 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
                         caps.add((base | placed | {p}) - cut)
         except NotTowerError:
             pass
-
-    # The cap must level as a tower from the top, so the top needs at most two
-    # cap neighbors forming a clique.
-    results = []
-    top_nbrs = g[top]
-    for cap in caps:
-        tn = top_nbrs & cap
-        if len(tn) > 2 or (len(tn) == 2 and not g.has_edge(*tn)):
-            continue
-        results.append(cap)
-    return sorted(results, key=sorted)
+    return sorted(caps, key=sorted)
 
 
 def split_parts(
@@ -215,20 +216,18 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     """Boundary readings of a side part as Hamiltonian paths ending at its
     split-edge endpoint, sorted.
 
-    Singletons are read directly.  The part's neighbor-set view, in g's own
-    vertex ids, is walked by ``pseudotower.extract_tail`` with ``end`` as its
-    top: a residual of ``{end}`` means a chordless path ending at ``end``,
-    read as it stands.  Anything else is solved as a pseudo-tower, and each
-    solution whose chain ends at ``end`` is unfolded around its joint: the
-    other chain upward, then this chain downward.  The unfolded path covers
+    The part's neighbor-set view, in g's own vertex ids, is walked by
+    ``pseudotower.extract_tail`` with ``end`` as its top: a residual of
+    ``{end}`` means a chordless path ending at ``end`` (``(end,)`` for a
+    singleton), read as it stands.  Anything else is solved as a
+    pseudo-tower, and each solution whose chain ends at ``end`` is unfolded
+    around its joint: the other chain upward, then this chain downward.  The unfolded path covers
     the part, because the bordering chains cover the residual and the tail
     is hung below one of them.  Where a side joint sits on the path is left
     to the decision of the assembled cycle (see ``solve``).
     """
     if end not in part:
         return []
-    if len(part) == 1:
-        return [(end,)]
     inner = {v: g[v] & part for v in part}
     try:
         # The walk rejects only a part with two loose ends besides ``end``,
@@ -260,14 +259,28 @@ def assemble_hamiltonian(
     first, as ``pseudotower.tower_chains`` reads it, and each path is one of
     ``part_paths``.
 
-    Returns the canonical cycle, or None when the walk is not a cycle of g.
-    The walk visits every vertex once: the cap and the two parts partition
-    the vertices, the chains cover the cap, and each part path covers its
-    part (see ``part_paths``).
+    Returns the canonical cycle, or None unless both junctions, ``left[-1]``
+    to ``path_a[0]`` and ``right[-1]`` to ``path_b[0]``, are edges of g.
+    Lemma: with both junctions edges, the walk is a Hamiltonian cycle of g,
+    which ``_reading`` needs.
+    - Every new vertex of a level is a common neighbor of the level above it.
+    - Every level below the top's but the last has two vertices (a one-vertex
+      candidate is closed with its carrier), one on each chain, since the
+      pair is a constraint edge.  So a new vertex's predecessor on its chain
+      is its chain's vertex in the level above, and consecutive vertices on
+      a bordering chain are adjacent.
+    - Tails and ``extract_tail`` paths walk edges, a tail hangs from a
+      neighbor of its inner end, and an unfolded part reading (see
+      ``part_paths``) joins two bordering chains at their apex.
+    - The split edge, ``path_a[-1]`` to ``path_b[-1]``, is an edge.
+    - The cap and the two parts partition the vertices; the chains cover the
+      cap, meeting only at the top, and each part path covers its part once.
+    So the junctions are the only pairs of the walk that can fail.
     """
     left, right = cap_chains
-    cycle = canonicalize([*left, *path_a, *reversed(path_b), *reversed(right[1:])])
-    return cycle if is_cycle_in_graph(g, cycle) else None
+    if not (g.has_edge(left[-1], path_a[0]) and g.has_edge(right[-1], path_b[0])):
+        return None
+    return canonicalize([*left, *path_a, *reversed(path_b), *reversed(right[1:])])
 
 
 def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool:
@@ -430,8 +443,10 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     (``top_rejected``), and so is a cap C that no pair p fits with
     ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
     leveled (``cap_pair_rejected``).  A cap's chain pairs are read only once
-    some split of it has two parts that solve.  Assembly joins each chain
-    pair to each pair of part paths and returns only the cycle.
+    some split of it has two parts that solve.  Each (split edge, cap) is
+    split and its parts read once, in one orientation, and assembly joins
+    each chain pair, in both orders, to each pair of part paths and returns
+    only the cycle.
 
     Decision: each distinct (cycle, top) is decided once, by ``_reading``
     on the canonical cycle rotated so that the top is first, with the top
@@ -440,15 +455,17 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     that assembles the cycle and accepts it; the left chain runs from that
     top in the canonical direction, and the first (j, k) that passes wins.
 
-    Stats: ``assembly_rejected`` counts walks that are not cycles of g,
-    ``verify_rejected`` the distinct (cycle, top) pairs, of cycles not yet
-    accepted, that no triple with that top accepts, and ``accepted`` the
-    assemblies of accepted cycles.
+    Stats: ``split_rejected`` and ``part_rejected`` count each (split edge,
+    cap) once, whose rest is not two parts split by the edge or has a part
+    without a path; ``assembly_rejected`` counts walks with a junction that
+    is not an edge, ``verify_rejected`` the distinct (cycle, top) pairs, of
+    cycles not yet accepted, that no triple with that top accepts, and
+    ``accepted`` the assemblies of accepted cycles.
     """
     st = stats if stats is not None else {}
 
-    def bump(key: str, k: int = 1) -> None:
-        st[key] = st.get(key, 0) + k
+    def bump(key: str) -> None:
+        st[key] = st.get(key, 0) + 1
 
     if g.n < 3 or not is_connected(g):
         return []
@@ -459,19 +476,15 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         return []
 
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
-    # A (top, cap) entry holds the leveled cap, or None if it does not level;
-    # once some split of the cap has two parts that solve, it holds the cap's
-    # chain pairs instead.
-    cap_cache: dict[
-        tuple[int, frozenset[int]],
-        CapContext | list[tuple[tuple[int, ...], tuple[int, ...]]] | None,
-    ] = {}
-    path_cache: dict[tuple[frozenset[int], int], list[tuple[int, ...]]] = {}
+    read_part = cache(partial(part_paths, g))
 
-    def read_part(part: frozenset[int], end: int) -> list[tuple[int, ...]]:
-        if (part, end) not in path_cache:
-            path_cache[part, end] = part_paths(g, part, end)
-        return path_cache[part, end]
+    @cache
+    def context(top: int, cap: frozenset[int]) -> CapContext | None:
+        return _cap_context(g, cap, top)
+
+    @cache
+    def cap_chains(top: int, cap: frozenset[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        return tower_chains(*context(top, cap))
 
     def accepts(cycle: CycleCandidate, top: int) -> bool:
         if cycle.order in found:
@@ -513,26 +526,23 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                     if not any(p & cap == seen for p in joint_pairs):
                         bump("cap_pair_rejected")
                         continue
-                    key = (top, cap)
-                    if key not in cap_cache:
-                        cap_cache[key] = _cap_context(g, cap, top)
-                    if cap_cache[key] is None:
+                    if context(top, cap) is None:
                         bump("cap_not_tower")
                         continue
                     split = split_parts(g, cap, pair)
-                    for e in (pair, (pair[1], pair[0])):
-                        if split is None:
-                            bump("split_rejected")
-                            continue
-                        part_a, part_b = split if e == pair else (split[1], split[0])
-                        paths_a = read_part(part_a, e[0])
-                        paths_b = read_part(part_b, e[1]) if paths_a else []
-                        if not paths_b:
-                            bump("part_rejected")
-                            continue
-                        if not isinstance(cap_cache[key], list):
-                            cap_cache[key] = tower_chains(*cap_cache[key])
-                        for path_a, path_b, chains in product(paths_a, paths_b, cap_cache[key]):
+                    if split is None:
+                        bump("split_rejected")
+                        continue
+                    paths_a = read_part(split[0], pair[0])
+                    paths_b = read_part(split[1], pair[1]) if paths_a else []
+                    if not paths_b:
+                        bump("part_rejected")
+                        continue
+                    # The reversed split edge's walks are these, reflected,
+                    # with the chain pair swapped: each pair goes both ways.
+                    chain_pairs = cap_chains(top, cap)
+                    for path_a, path_b, (c1, c2) in product(paths_a, paths_b, chain_pairs):
+                        for chains in ((c1, c2), (c2, c1)):
                             cycle = assemble_hamiltonian(g, chains, path_a, path_b)
                             if cycle is None:
                                 bump("assembly_rejected")

@@ -336,8 +336,7 @@ def polygon_edges_touch_scan(points):
 def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     """``pseudotriangle.extract_cap`` with every cap read off the leveling
     walk, however wide the top's first level: the caps are read wherever a
-    candidate level meets the base, with the flank rule, and the top must
-    see at most two cap vertices, adjacent if two."""
+    candidate level meets the base, with the flank rule."""
     w0, w1 = e
     base = (g[w0] & g[w1]) - {w0, w1}
     if not base:
@@ -361,13 +360,7 @@ def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[i
                     caps.add((base | placed | {p}) - cut)
     except NotTowerError:
         pass
-    results = []
-    for cap in caps:
-        tn = g[top] & cap
-        if len(tn) > 2 or (len(tn) == 2 and not g.has_edge(*tn)):
-            continue
-        results.append(cap)
-    return sorted(results, key=sorted)
+    return sorted(caps, key=sorted)
 
 
 def induces_path(g: Graph, vertices) -> bool:

@@ -18,24 +18,21 @@ import pytest
 from polyvis import (
     Graph,
     Polygon,
-    bordering_graph,
     boundary_cycle,
     canonicalize,
     check_strong_ordering,
-    compute_leveling,
     convex_vertex_indices,
-    enumerate_borderings,
     gen_pseudo_tower,
     gen_pseudo_triangle,
     gen_tower,
     solve_pseudo_tower,
     solve_pseudo_triangle,
     solve_tower,
-    tower_top_candidates,
     verify_candidate,
     verify_cycle,
     visibility_graph,
 )
+from polyvis.tower import bordering_graph, compute_leveling, enumerate_borderings, tower_top_candidates
 
 from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
 from oracles import (

@@ -7,19 +7,17 @@ from polyvis import (
     NotTowerError,
     canonicalize,
     connected_components,
-    extract_tail,
     gen_pseudo_tower,
     gen_tower,
-    induced_subgraph,
     is_cycle_in_graph,
     parse_graph,
     serialize_graph,
     solve_pseudo_tower,
-    tower_top_candidates,
     visibility_graph,
 )
-from polyvis.graph import CycleCandidate
-from polyvis.tower import bordering_constraints, level_sets
+from polyvis.graph import CycleCandidate, induced_subgraph
+from polyvis.pseudotower import extract_tail
+from polyvis.tower import bordering_constraints, level_sets, tower_top_candidates
 
 from conftest import T5_EDGES
 

@@ -4,10 +4,10 @@ from polyvis import (
     Graph,
     NotPseudoTowerError,
     PseudoTowerSolution,
-    extract_tail,
     gen_pseudo_tower,
     solve_pseudo_tower,
 )
+from polyvis.pseudotower import extract_tail
 
 from conftest import T5_EDGES
 

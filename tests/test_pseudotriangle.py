@@ -9,22 +9,20 @@ from polyvis import (
     NotPseudoTriangleError,
     Point,
     Polygon,
-    assemble_hamiltonian,
     boundary_cycle,
     canonicalize,
     convex_vertex_indices,
-    extract_cap,
     gen_pseudo_triangle,
     gen_tower,
     parse_graph,
     solve_pseudo_triangle,
     solve_tower,
-    split_parts,
-    top_joint_candidates,
     verify_candidate,
     verify_cycle,
     visibility_graph,
 )
+from polyvis import pseudotriangle
+from polyvis.graph import CycleCandidate, is_cycle_in_graph
 from polyvis.pseudotower import tower_chains
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
@@ -32,7 +30,11 @@ from polyvis.pseudotriangle import (
     _necessary_conditions,
     _reading,
     _top_pairs,
+    assemble_hamiltonian,
+    extract_cap,
     part_paths,
+    split_parts,
+    top_joint_candidates,
 )
 
 from conftest import PT6_EDGES
@@ -334,15 +336,18 @@ def test_top_pairs_match_scan():
     assert found > 1000
 
 
+def _graph_set(name: str) -> list[Graph]:
+    if name == "brute-force":
+        return _brute_force_graphs()
+    return [parse_graph(p.read_text()) for p in sorted(AUTO_MIXED.glob("*.graph"))]
+
+
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
 def test_extract_cap_matches_walk(graphs):
     # Every split edge of every top gets the caps that the walk reads, however
     # wide the first level; and a cap in which the top sees one vertex levels
     # iff it is a chordless path hanging from the top.
-    if graphs == "brute-force":
-        gs = _brute_force_graphs()
-    else:
-        gs = [parse_graph(p.read_text()) for p in sorted(AUTO_MIXED.glob("*.graph"))]
+    gs = _graph_set(graphs)
     cases = ((g, top, e) for g in gs for top in range(g.n) for e in g.edges if top not in e)
     wide = hanging = not_hanging = 0
     for g, top, e in cases:
@@ -356,6 +361,36 @@ def test_extract_cap_matches_walk(graphs):
                 hanging += levels
                 not_hanging += not levels
     assert wide > 100 and hanging > 100 and not_hanging > 100
+
+
+def _is_path(g: Graph, path: tuple[int, ...]) -> bool:
+    return len(set(path)) == len(path) and all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_assembly_checks_only_junctions(monkeypatch, graphs):
+    # Every walk that solve assembles is a cycle of g iff its two junctions
+    # are edges: the cap chains and part paths never leave g, and they
+    # partition its vertices.
+    gs = _graph_set(graphs)
+    assemble = pseudotriangle.assemble_hamiltonian
+    verdicts = {True: 0, False: 0}
+
+    def spy(g, cap_chains, path_a, path_b):
+        cycle = assemble(g, cap_chains, path_a, path_b)
+        left, right = cap_chains
+        for path in (left, right, path_a, path_b):
+            assert _is_path(g, path), (g.edges, cap_chains, path_a, path_b)
+        walk = CycleCandidate((*left, *path_a, *reversed(path_b), *reversed(right[1:])))
+        assert (cycle is not None) == is_cycle_in_graph(g, walk), (g.edges, walk)
+        assert cycle is None or cycle == canonicalize(walk.order)
+        verdicts[cycle is not None] += 1
+        return cycle
+
+    monkeypatch.setattr(pseudotriangle, "assemble_hamiltonian", spy)
+    for g in gs:
+        solve_pseudo_triangle(g)
+    assert verdicts[True] > 400 and verdicts[False] > 400, verdicts
 
 
 def test_chain_conditions_match_scan():

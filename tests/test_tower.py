@@ -3,19 +3,21 @@ import pytest
 from polyvis import (
     Graph,
     NotTowerError,
-    bordering_graph,
     canonicalize,
     check_strong_ordering,
-    compute_leveling,
-    enumerate_borderings,
     gen_tower,
     solve_pseudo_triangle,
     solve_tower,
-    tower_top_candidates,
     visibility_graph,
     boundary_cycle,
 )
-from polyvis.tower import bordering_chains
+from polyvis.tower import (
+    bordering_chains,
+    bordering_graph,
+    compute_leveling,
+    enumerate_borderings,
+    tower_top_candidates,
+)
 
 from oracles import brute_hamiltonian_cycles
 
