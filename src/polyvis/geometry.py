@@ -8,14 +8,23 @@ three vertices collinear anywhere) by resampling, and are deterministic per
 (n, seed).  They build no graph beyond the one they return: a pseudo-triangle
 attempt tests its side visibility, and a pseudo-tower attempt the degrees of
 its cut's two flanks, on those vertex pairs alone, so a pseudo-tower costs one
-kernel pass and a pseudo-triangle none.  Polygon validation runs the exact
-edge-touch test only on edge pairs whose bounding boxes meet.
+kernel pass and a pseudo-triangle none.  An attempt is a list of plain
+``(x, y)`` int tuples until it passes ``kernels.has_collinear_triple``; only
+then does ``Polygon`` build its ``Point``s, so a rejected attempt costs its
+random draws and that test.  Each generator's draw stream (its polygons, its
+attempts in order and its failures) is pinned by
+``tests/test_geometry.py::test_generator_outputs_pinned`` and by the
+benchmark stores that ``tests/test_oracle_store.py`` regenerates.  Polygon
+validation runs the exact edge-touch test only on edge pairs whose bounding
+boxes meet.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import index, sub
 from typing import Iterable, NamedTuple
 
 from . import kernels
@@ -38,19 +47,24 @@ class PolygonParseError(ValueError):
         self.line_no = line_no
 
 
-def _orient(a: Point, b: Point, c: Point) -> int:
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+# The predicates below take any (x, y) pairs: ``Point``s or plain int tuples.
+XY = tuple[int, int]
 
 
-def _on_closed_segment(a: Point, b: Point, r: Point) -> bool:
+def _orient(a: XY, b: XY, c: XY) -> int:
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _on_closed_segment(a: XY, b: XY, r: XY) -> bool:
     return (
         _orient(a, b, r) == 0
-        and min(a.x, b.x) <= r.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= r.y <= max(a.y, b.y)
+        and min(a[0], b[0]) <= r[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= r[1] <= max(a[1], b[1])
     )
 
 
-def _segments_touch(p: Point, q: Point, a: Point, b: Point) -> bool:
+def _segments_touch(p: XY, q: XY, a: XY, b: XY) -> bool:
     """Closed intersection test: any shared point counts."""
     d1 = _orient(a, b, p)
     d2 = _orient(a, b, q)
@@ -75,24 +89,28 @@ def _segments_touch(p: Point, q: Point, a: Point, b: Point) -> bool:
 class Polygon:
     """Simple polygon, counterclockwise, integer coordinates.
 
-    Construction validates: n >= 3, distinct vertices, positive signed area,
-    no three consecutive collinear vertices, and no boundary self-intersection.
+    Construction validates: integer coordinates, n >= 3, distinct vertices,
+    positive signed area, no three consecutive collinear vertices, and no
+    boundary self-intersection.  It accepts any (x, y) pairs, checks them as
+    plain int tuples and stores them as ``Point``s.
     """
 
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(Point(int(p[0]), int(p[1])) for p in self.points)
-        object.__setattr__(self, "points", pts)
+        pts = []
+        for i, p in enumerate(self.points):
+            try:
+                pts.append((index(p[0]), index(p[1])))
+            except TypeError:
+                raise PolygonError(f"vertex {i} has non-integer coordinates {p!r}") from None
+        object.__setattr__(self, "points", tuple(Point._make(p) for p in pts))
         n = len(pts)
         if n < 3:
             raise PolygonError("a polygon needs at least 3 vertices")
         if len(set(pts)) != n:
             raise PolygonError("duplicate vertices")
-        area2 = sum(
-            pts[i].x * pts[(i + 1) % n].y - pts[(i + 1) % n].x * pts[i].y
-            for i in range(n)
-        )
+        area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
         if area2 <= 0:
             raise PolygonError("vertices must be in counterclockwise order")
         for i in range(n):
@@ -100,11 +118,11 @@ class Polygon:
                 raise PolygonError(f"three consecutive collinear vertices at {i}")
         # Edges whose axis-aligned boxes are apart cannot touch, so only the
         # pairs with overlapping boxes get the exact test.
-        ends = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-        lo_x = [min(a.x, b.x) for a, b in ends]
-        hi_x = [max(a.x, b.x) for a, b in ends]
-        lo_y = [min(a.y, b.y) for a, b in ends]
-        hi_y = [max(a.y, b.y) for a, b in ends]
+        ends = list(zip(pts, pts[1:] + pts[:1]))
+        lo_x = [min(ax, bx) for (ax, _), (bx, _) in ends]
+        hi_x = [max(ax, bx) for (ax, _), (bx, _) in ends]
+        lo_y = [min(ay, by) for (_, ay), (_, by) in ends]
+        hi_y = [max(ay, by) for (_, ay), (_, by) in ends]
         for i in range(n):
             a, b = ends[i]
             lx, hx, ly, hy = lo_x[i], hi_x[i], lo_y[i], hi_y[i]
@@ -152,15 +170,9 @@ _MAX_ATTEMPTS = 400
 def _nondecreasing_parts(rng: random.Random, count: int, total: int) -> list[int]:
     if count == 0:
         return []
-    cuts = sorted(rng.randint(0, total) for _ in range(count - 1))
-    parts = []
-    prev = 0
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    parts.append(total - prev)
-    parts.sort()
-    return parts
+    # randrange(total + 1) draws what randint(0, total) draws, one call sooner.
+    cuts = sorted(map(rng.randrange, repeat(total + 1, count - 1)))
+    return sorted(map(sub, [*cuts, total], [0, *cuts]))
 
 
 def _increasing_ints(rng: random.Random, count: int, total: int, start: int) -> list[int]:
@@ -169,18 +181,15 @@ def _increasing_ints(rng: random.Random, count: int, total: int, start: int) -> 
     if total < minimal:
         raise ValueError("total too small for a strictly increasing sequence")
     bumps = _nondecreasing_parts(rng, count, total - minimal)
-    return [start + i + bumps[i] for i in range(count)]
+    return [start + i + b for i, b in enumerate(bumps)]
 
 
 def _prefix(values: Iterable[int]) -> list[int]:
-    out = [0]
-    for v in values:
-        out.append(out[-1] + v)
-    return out
+    return list(accumulate(values, initial=0))
 
 
-def _funnel_points(rng: random.Random, m_left: int, m_right: int, k_bottom: int) -> list[Point]:
-    """One sampled tower / pseudo-triangle shape.
+def _funnel_points(rng: random.Random, m_left: int, m_right: int, k_bottom: int) -> list[XY]:
+    """One sampled tower / pseudo-triangle shape, apex at x = 0.
 
     Two strictly convex side staircases from the base corners up to a shared
     apex, plus an optional strictly concave bottom dent of ``k_bottom``
@@ -219,17 +228,17 @@ def _funnel_points(rng: random.Random, m_left: int, m_right: int, k_bottom: int)
     y_left = _prefix(dy_left)
     y_right = _prefix(dy_right)
 
-    pts: list[Point] = [Point(stretch * m_left, height)]  # apex
+    shift = stretch * m_left  # puts the apex at x = 0
+    pts = [(0, height)]  # apex
     for t in range(m_left - 1, 0, -1):  # left side, walking down
-        pts.append(Point(stretch * t, y_left[t]))
-    pts.append(Point(0, 0))  # left base corner
+        pts.append((stretch * t - shift, y_left[t]))
+    pts.append((-shift, 0))  # left base corner
     for c, h in zip(bottom_cols, bottom_heights):
-        pts.append(Point(c, h))
-    pts.append(Point(span, 0))  # right base corner
+        pts.append((c - shift, h))
+    pts.append((span - shift, 0))  # right base corner
     for t in range(1, m_right):  # right side, walking up
-        pts.append(Point(span - stretch * t, y_right[t]))
-
-    return [Point(p.x - stretch * m_left, p.y) for p in pts]
+        pts.append((span - stretch * t - shift, y_right[t]))
+    return pts
 
 
 def gen_tower(n: int, seed: int) -> Polygon:
@@ -265,7 +274,7 @@ def _sees_both_sides(poly: Polygon, chains: dict[str, tuple[int, ...]]) -> list[
     ]
 
 
-def _degenerate_points(rng: random.Random, n: int) -> list[Point] | None:
+def _degenerate_points(rng: random.Random, n: int) -> list[XY] | None:
     """A pinched shape: shallow-start side chains hide the corners' long
     sightlines behind their own steepening walls, and one tall central dent
     under the apex blocks the low sightlines, leaving the dent top as the only
@@ -293,15 +302,15 @@ def _degenerate_points(rng: random.Random, n: int) -> list[Point] | None:
 
     y_left = _prefix(dy_left)
     y_right = _prefix(dy_right)
-    pts: list[Point] = [Point(m_left, height)]
+    pts = [(0, height)]  # apex at x = 0
     for t in range(m_left - 1, 0, -1):
-        pts.append(Point(t, y_left[t]))
-    pts.append(Point(0, 0))
-    pts.append(Point(x_d, h_d))
-    pts.append(Point(span, 0))
+        pts.append((t - m_left, y_left[t]))
+    pts.append((-m_left, 0))
+    pts.append((x_d - m_left, h_d))
+    pts.append((span - m_left, 0))
     for t in range(1, m_right):
-        pts.append(Point(span - t, y_right[t]))
-    return [Point(p.x - m_left, p.y) for p in pts]
+        pts.append((span - t - m_left, y_right[t]))
+    return pts
 
 
 def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -53,6 +54,10 @@ def test_polygon_validation_errors():
         Polygon(((0, 0), (4, 0), (0, 3), (4, 3)))  # self-intersecting
     with pytest.raises(PolygonError):
         Polygon(((0, 0), (4, 0), (4, 0), (0, 3)))  # duplicate point
+    with pytest.raises(PolygonError, match="vertex 0 has non-integer coordinates"):
+        Polygon(((0.7, 0), (4, 0), (0, 3.9)))  # no silent truncation
+    with pytest.raises(PolygonError, match="vertex 2 "):
+        Polygon(((0, 0), (4, 0), ("0", 3)))
 
 
 def test_gen_tower_shape_properties():
@@ -299,3 +304,60 @@ def test_gen_pseudo_tower_builds_one_graph(monkeypatch):
             deg_one = [v for v in range(inst.graph.n) if inst.graph.degree(v) == 1]
             assert len(deg_one) == 1
             assert inst.kept[deg_one[0]] in (cut[0] - 1, cut[-1] + 1)
+
+
+EXPECTED_GENERATORS = "2cef221182b549dedbee17eba8960247fc6a5cd7465aded609b2b8f315ff46ba"
+
+
+def _generator_outcome(gen, *args):
+    try:
+        out = gen(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+    if isinstance(out, geometry.PseudoTowerInstance):
+        return out.parent.coords(), out.kept, out.tail, out.chains
+    return out.coords()
+
+
+def _generator_outcomes():
+    for seed in range(5):
+        for n in range(4, 20):
+            yield ("tower", n, seed), _generator_outcome(gen_tower, n, seed)
+        for n in range(3, 20):
+            yield ("pt", n, seed), _generator_outcome(gen_pseudo_triangle, n, seed)
+        for n in range(6, 20):
+            yield ("pt-degenerate", n, seed), _generator_outcome(
+                gen_pseudo_triangle, n, seed, True
+            )
+        for n in range(5, 20):
+            yield ("pseudo-tower", n, seed), _generator_outcome(gen_pseudo_tower, n, seed)
+    for seed in range(8):
+        yield ("pt-degenerate", 80, seed), _generator_outcome(
+            gen_pseudo_triangle, 80, seed, True
+        )
+
+
+def _generator_digest() -> tuple[str, list]:
+    h = hashlib.sha256()
+    failed = []
+    for key, out in _generator_outcomes():
+        if isinstance(out, str):
+            failed.append(key)
+        h.update(f"{key!r}: {out!r}\n".encode())
+    return h.hexdigest(), failed
+
+
+def test_generator_outputs_pinned():
+    """Every generator gives the same polygons, and fails the same way, as
+    before: towers at n 4-19, plain pseudo-triangles at n 3-19, degenerate
+    ones at n 6-19 and pseudo-towers at n 5-19 (coordinates, ``kept``,
+    ``tail`` and ``chains``), each for seeds 0-4, where the benchmark stores
+    (n >= 8 and n >= 20) do not reach.  Degenerate n=80 seeds 0-7 add six
+    runs that fail after all their attempts, which pins the whole draw
+    stream.  The digest is only read: when a change is meant to alter
+    generator output, recompute it with ``_generator_digest`` and say why in
+    CHANGES.md.
+    """
+    digest, failed = _generator_digest()
+    assert failed == [("pt-degenerate", 80, s) for s in (0, 1, 2, 3, 6, 7)]
+    assert digest == EXPECTED_GENERATORS
