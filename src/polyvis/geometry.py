@@ -2,17 +2,21 @@
 
 Everything here works on an integer grid with exact arithmetic, so the
 visible/blocked predicate is two-valued.  Visibility comes from ``kernels``,
-the one exact visibility kernel (pure Python, about O(m*n) per graph with m
-edges, O(n^3) for a convex polygon).  Generators enforce general position (no
-three vertices collinear anywhere) by resampling, and are deterministic per
-(n, seed).  They build no graph beyond the one they return: a pseudo-triangle
-attempt tests its side visibility, and a pseudo-tower attempt the degrees of
-its cut's two flanks, on those vertex pairs alone, so a pseudo-tower costs one
-kernel pass and a pseudo-triangle none.  An attempt is a list of plain
-``(x, y)`` int tuples until it passes ``kernels.has_collinear_triple``; only
-then does ``Polygon`` build its ``Point``s, so a rejected attempt costs its
-random draws and that test.  Each generator's draw stream (its polygons, its
-attempts in order and its failures) is pinned by
+the one exact visibility kernel (pure Python: one ear-clipping triangulation
+and a window walk from each vertex, O(n^2) per graph in the worst case).
+Generators enforce general position (no three vertices collinear anywhere)
+by resampling, and are deterministic per (n, seed).  They build no graph
+beyond the one they return: a pseudo-triangle attempt tests its side
+visibility, and a pseudo-tower attempt the degrees of its cut's two flanks,
+on those vertex pairs alone with ``kernels.segment_visible``, so a
+pseudo-tower costs one kernel pass and a pseudo-triangle none.  An attempt
+is a list of plain ``(x, y)`` int tuples until it has passed every test that
+can reject it before a graph: ``kernels.has_collinear_triple``, then for a
+pseudo-triangle its three convex vertices and its side visibility, for a
+pseudo-tower its flank degrees.  Only then does ``Polygon`` validate it and
+build its ``Point``s, so a rejected attempt costs its random draws and those
+tests.  Each generator's draw stream (its polygons, its attempts in order
+and its failures) is pinned by
 ``tests/test_geometry.py::test_generator_outputs_pinned`` and by the
 benchmark stores that ``tests/test_oracle_store.py`` regenerates.  Polygon
 validation runs the exact edge-touch test only on edge pairs whose bounding
@@ -22,10 +26,10 @@ boxes meet.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import index, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .graph import CycleCandidate, Graph, canonicalize, induced_subgraph
@@ -92,10 +96,12 @@ class Polygon:
     Construction validates: integer coordinates, n >= 3, distinct vertices,
     positive signed area, no three consecutive collinear vertices, and no
     boundary self-intersection.  It accepts any (x, y) pairs, checks them as
-    plain int tuples and stores them as ``Point``s.
+    plain int tuples and stores them both as ``Point``s and, for ``coords``,
+    as those plain tuples.
     """
 
     points: tuple[Point, ...]
+    _coords: tuple[XY, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = []
@@ -105,6 +111,7 @@ class Polygon:
             except TypeError:
                 raise PolygonError(f"vertex {i} has non-integer coordinates {p!r}") from None
         object.__setattr__(self, "points", tuple(Point._make(p) for p in pts))
+        object.__setattr__(self, "_coords", tuple(pts))
         n = len(pts)
         if n < 3:
             raise PolygonError("a polygon needs at least 3 vertices")
@@ -138,8 +145,8 @@ class Polygon:
     def n(self) -> int:
         return len(self.points)
 
-    def coords(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p.x, p.y) for p in self.points)
+    def coords(self) -> tuple[XY, ...]:
+        return self._coords
 
 
 def visibility_graph(poly: Polygon) -> Graph:
@@ -151,13 +158,16 @@ def boundary_cycle(poly: Polygon) -> CycleCandidate:
     return canonicalize(range(poly.n))
 
 
-def convex_vertex_indices(poly: Polygon) -> tuple[int, ...]:
-    """Indices of strictly convex vertices (left turns on the CCW boundary)."""
-    pts = poly.points
-    n = poly.n
+def _convex_indices(pts: Sequence[XY]) -> tuple[int, ...]:
+    n = len(pts)
     return tuple(
         i for i in range(n) if _orient(pts[i - 1], pts[i], pts[(i + 1) % n]) > 0
     )
+
+
+def convex_vertex_indices(poly: Polygon) -> tuple[int, ...]:
+    """Indices of strictly convex vertices (left turns on the CCW boundary)."""
+    return _convex_indices(poly.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +269,10 @@ def gen_tower(n: int, seed: int) -> Polygon:
     raise RuntimeError(f"tower generation failed for n={n}, seed={seed}")
 
 
-def _sees_both_sides(poly: Polygon, chains: dict[str, tuple[int, ...]]) -> list[int]:
+def _sees_both_sides(coords: kernels.Coords, chains: dict[str, tuple[int, ...]]) -> list[int]:
     """The bottom vertices that see some vertex of each side chain (a side
     chain without its base corner), tested pair by pair without a graph.
     """
-    coords = poly.coords()
     left_targets = chains["left"][:-1]
     right_targets = chains["right"][:-1]
     return [
@@ -340,17 +349,21 @@ def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
             pts = _funnel_points(rng, m_left, m_right, k_bottom)
         if kernels.has_collinear_triple(pts):
             continue
+        joints = _convex_indices(pts)
+        if len(joints) != 3:
+            continue
+        both = _sees_both_sides(pts, _chains(joints, n))
+        if degenerate:
+            if len(both) != 1:
+                continue
+        elif not any(v + 1 in both for v in both):  # two adjacent bottom vertices
+            continue
+        # Validation comes last: every test rejects by ``continue``, so their
+        # order does not change which attempt is kept.
         try:
-            poly = Polygon(tuple(pts))
-            chains = pseudo_triangle_chains(poly)  # raises unless 3 convex vertices
+            return Polygon(tuple(pts))
         except PolygonError:
             continue
-        both = _sees_both_sides(poly, chains)
-        if degenerate:
-            if len(both) == 1:
-                return poly
-        elif any(v + 1 in both for v in both):  # two adjacent bottom vertices
-            return poly
     raise RuntimeError(
         f"pseudo-triangle generation failed for n={n}, seed={seed}, degenerate={degenerate}"
     )
@@ -364,8 +377,11 @@ def pseudo_triangle_chains(poly: Polygon) -> dict[str, tuple[int, ...]]:
     joints = convex_vertex_indices(poly)
     if len(joints) != 3:
         raise PolygonError(f"expected 3 convex vertices, found {len(joints)}")
-    a, b, c = sorted(joints)
-    n = poly.n
+    return _chains(joints, poly.n)
+
+
+def _chains(joints: tuple[int, ...], n: int) -> dict[str, tuple[int, ...]]:
+    a, b, c = joints  # ascending
     return {
         "left": tuple(range(a, b + 1)),
         "bottom": tuple(range(b, c + 1)),
@@ -420,7 +436,6 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         pts = _funnel_points(rng, m_left, m_right, 0)
         if kernels.has_collinear_triple(pts):
             continue
-        parent = Polygon(tuple(pts))
         left_corner, right_corner = m_left, m_left + 1  # no bottom vertices
         if cut_left:
             cut = range(left_corner - removed + 1, left_corner + 1)
@@ -430,9 +445,9 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         # The cut is a run without the apex, so every kept vertex but its two
         # flanks keeps both boundary neighbours: only a flank can have degree 1.
         flanks = (cut.start - 1, cut.stop)
-        coords = parent.coords()
-        if [_kept_degree_upto_2(coords, f, kept) for f in flanks].count(1) != 1:
+        if [_kept_degree_upto_2(pts, f, kept) for f in flanks].count(1) != 1:
             continue
+        parent = Polygon(tuple(pts))
         relabel = {old: new for new, old in enumerate(kept)}
 
         sub, _ = induced_subgraph(visibility_graph(parent), kept)

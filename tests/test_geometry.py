@@ -282,7 +282,7 @@ def test_gen_pseudo_triangle_builds_no_graph(monkeypatch):
         left = set(chains["left"][:-1])
         right = set(chains["right"][:-1])
         want = [w for w in chains["bottom"] if g[w] & left and g[w] & right]
-        assert geometry._sees_both_sides(poly, chains) == want
+        assert geometry._sees_both_sides(poly.coords(), chains) == want
         if degenerate:
             assert len(want) == 1
         else:

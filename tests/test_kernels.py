@@ -3,7 +3,9 @@ the three-scan visibility oracle and the triple-loop collinearity oracle, on
 polygons that need not be in general position."""
 
 import math
+import threading
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyvis import Polygon, PolygonError, gen_pseudo_triangle, gen_tower, kernels
@@ -18,6 +20,19 @@ GRAZED = ((0, 0), (12, 0), (12, 6), (5, 6), (4, 2), (3, 6), (0, 6))
 # An arrowhead with its notch at vertex 1: the chord 0-2 runs below the notch,
 # outside the polygon, and every edge shares an endpoint with it.
 ARROWHEAD = ((0, 0), (4, 2), (8, 0), (4, 6))
+
+
+def _spiral(turns: float, steps: int, scale: int):
+    """A corridor between two rounded Archimedean spirals, ``steps`` vertices
+    a turn, winding ``turns`` times around vertex (0, 0), where its inner wall
+    starts.  Coarse enough that many vertices are collinear with others."""
+    outer, inner = [], []
+    for k in range(int(turns * steps) + 1):
+        t = 2 * math.pi * k / steps
+        r = scale * k / steps
+        outer.append((round((r + 0.35 * scale) * math.cos(t)), round((r + 0.35 * scale) * math.sin(t))))
+        inner.append((round(r * math.cos(t)), round(r * math.sin(t))))
+    return tuple(outer + inner[::-1])
 
 
 def _orient(a, b, c) -> int:
@@ -204,3 +219,51 @@ def test_visibility_edges_dense_convex():
         edges = kernels.visibility_edges(coords)
         assert edges == _pairwise(coords, segment_visible_scan)
         assert len(edges) == 30 * 29 // 2  # a convex polygon sees everything
+
+
+def test_visibility_edges_dense_convex_n60():
+    for seed in range(2):
+        coords = random_convex_polygon(60, seed).coords()
+        edges = kernels.visibility_edges(coords)
+        assert len(edges) == 60 * 59 // 2
+        assert edges == _pairwise(coords) == _pairwise(coords, segment_visible_scan)
+
+
+def test_visibility_edges_spirals():
+    # Sightlines down a spiral corridor cross many triangles, each narrowing
+    # the window.  Each of these spirals has sightlines that end exactly on a
+    # window ray, on either side (grazed), and a diagonal that would run
+    # through a vertex were ears tested on open triangles.
+    spirals = [_spiral(2, 8, 8), _spiral(3.5, 8, 8), _spiral(3, 12, 16)]
+    for coords in spirals:
+        Polygon(coords)  # a valid simple CCW polygon
+        edges = kernels.visibility_edges(coords)
+        assert edges == _pairwise(coords) == _pairwise(coords, segment_visible_scan)
+        assert kernels.visibility_edges(_scaled(coords)) == edges
+
+
+def _raises_value_error_promptly(coords) -> bool:
+    """visibility_edges(coords) raises ValueError, within a few seconds."""
+    raised = []
+
+    def run():
+        try:
+            kernels.visibility_edges(coords)
+        except ValueError:
+            raised.append(True)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive(), "visibility_edges did not return"
+    return bool(raised)
+
+
+def test_visibility_edges_rejects_non_polygons():
+    clockwise = [GRAZED[::-1], T5_POINTS[::-1], random_convex_polygon(30, 0).coords()[::-1]]
+    bowtie = ((0, 0), (4, 4), (4, 0), (0, 4))
+    pentagram = ((0, 10), (-6, -8), (10, 3), (-10, 3), (6, -8))
+    for coords in [*clockwise, bowtie, pentagram]:
+        with pytest.raises(PolygonError):
+            Polygon(coords)
+        assert _raises_value_error_promptly(coords)
