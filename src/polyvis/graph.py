@@ -38,7 +38,8 @@ class Graph(Mapping[int, frozenset[int]]):
 
     ``edges`` holds each edge once as a sorted pair.  The graph is also a
     read-only mapping from each vertex to its neighbor set (``g[v]``), built
-    on construction, so every solver reads it as an ``NbrView``.
+    on construction, so every solver reads it as an ``NbrView``; hot kernels
+    read the plain dict ``_nbrs``, sparing a ``__getitem__`` call per lookup.
     """
 
     n: int

@@ -61,7 +61,9 @@ def extract_tail(nbrs: NbrView, top: int | None = None) -> tuple[tuple[int, ...]
     already has all its neighbours on the walk), and it cannot stop at a
     second degree-1 vertex, so it ends at ``top`` or at degree >= 3.
     """
-    deg_one = [v for v, nb in nbrs.items() if len(nb) == 1 and v != top]
+    deg_one = [v for v, nb in nbrs.items() if len(nb) == 1]
+    if top in deg_one:
+        deg_one.remove(top)
     if len(deg_one) >= 2:
         raise NotPseudoTowerError(f"{len(deg_one)} degree-1 vertices, expected at most 1")
     if not deg_one:

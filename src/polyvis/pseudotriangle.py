@@ -154,59 +154,60 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     w0, w1 = e
     if top in e:
         raise ValueError("split edge must not touch the top")
-    if not g.has_edge(w0, w1):
+    nbrs = g._nbrs
+    if w1 not in nbrs[w0]:
         raise ValueError("split edge must be an edge of the graph")
-    base = (g[w0] & g[w1]) - {w0, w1}
+    base = nbrs[w0] & nbrs[w1]  # no self-loops: neither endpoint is in it
     if not base:
         return []
     if top in base:
         return [base]
 
     cut = frozenset(e)
-    first = g[top] - cut
+    first = nbrs[top] - cut
     caps: set[frozenset[int]] = set()
     if len(first) > 2:
-        if first & base:
+        if not first.isdisjoint(base):
             caps.add(base | {top})
     else:
         levels = [frozenset({top})]
         placed = {top, w0, w1}
         try:
-            for cand in walk_levels(g, levels, placed):
-                if not cand & base:
+            for cand in walk_levels(nbrs, levels, placed):
+                if cand.isdisjoint(base):
                     continue
                 caps.add((base | placed) - cut)
                 if cand <= base:
                     break
-                if len(cand) == 2 and g.has_edge(*cand):
-                    (p,) = cand - base
-                    if len(carriers(g, levels[-1], placed, p)) == 1:
-                        caps.add((base | placed | {p}) - cut)
+                if len(cand) == 2:
+                    a, b = cand
+                    if a in nbrs[b]:
+                        (p,) = cand - base
+                        if len(carriers(nbrs, levels[-1], placed, p)) == 1:
+                            caps.add((base | placed | {p}) - cut)
         except NotTowerError:
             pass
-    return sorted(caps, key=sorted)
+    return sorted(caps, key=sorted) if len(caps) > 1 else list(caps)
 
 
 def split_parts(
     g: Graph, cap: frozenset[int], e: tuple[int, int]
 ) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Components of the graph minus the cap, with the split edge itself cut:
-    accepted iff there are exactly two and they separate e's endpoints.
+    """Components of the graph minus the cap, with the split edge ``e`` (an
+    edge of g) cut: accepted iff there are exactly two and they separate e's
+    endpoints.  w0's side grows without w1, which cuts the edge; w1 would
+    join it iff w1 has a neighbor there other than w0.
     """
     w0, w1 = e
-    rest = set(range(g.n)) - cap
-    if w0 not in rest or w1 not in rest:
+    if w0 in cap or w1 in cap:
         return None
-    cut = {w0: {w1}, w1: {w0}}  # the split edge itself is cut
-
-    def nbr(u: int) -> frozenset[int]:
-        nb = g[u]
-        return nb - cut[u] if u in cut else nb
-
-    part_a = frozenset().union(*bfs_layers(nbr, w0, rest))
-    if w1 not in rest:
+    nbrs = g._nbrs
+    rest = nbrs.keys() - cap
+    rest.discard(w1)
+    part_a = frozenset().union(*bfs_layers(nbrs.__getitem__, w0, rest))
+    if len(nbrs[w1] & part_a) > 1:
         return None
-    part_b = frozenset().union(*bfs_layers(nbr, w1, rest))
+    part_b = frozenset().union(*bfs_layers(nbrs.__getitem__, w1, rest))
     if rest:  # a third component
         return None
     return part_a, part_b
@@ -228,7 +229,8 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     """
     if end not in part:
         return []
-    inner = {v: g[v] & part for v in part}
+    nbrs = g._nbrs
+    inner = {v: nbrs[v] & part for v in part}
     try:
         # The walk rejects only a part with two loose ends besides ``end``,
         # which the pseudo-tower solver rejects as well.
@@ -573,10 +575,11 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     first, and the cap is rejected at the first vertex with two onward cap
     neighbors, or if the path does not cover the cap.
     """
-    below = g[top] & cap
+    nbrs = g._nbrs
+    below = nbrs[top] & cap
     if len(below) == 1:
         path, prev = list(below), top
-        while onward := (g[path[-1]] & cap) - {prev}:
+        while onward := (nbrs[path[-1]] & cap) - {prev}:
             if len(onward) > 1:
                 return None
             prev = path[-1]
@@ -584,20 +587,20 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
         if len(path) + 1 < len(cap):
             return None
         # The path is the whole tail; the top alone is left to level.
-        tail, attachment, nbrs = tuple(reversed(path)), top, {top: frozenset()}
+        tail, attachment, view = tuple(reversed(path)), top, {top: frozenset()}
     else:
-        nbrs = {v: g[v] & cap for v in cap}  # the cap's view, one per cap
+        view = {v: nbrs[v] & cap for v in cap}  # the cap's view, one per cap
         try:
-            tail, residual = extract_tail(nbrs, top)
+            tail, residual = extract_tail(view, top)
         except NotPseudoTowerError:
             return None
         attachment = None
         if tail:
-            (attachment,) = nbrs[tail[-1]] & residual
-            nbrs = {v: nbrs[v] & residual for v in residual}
+            (attachment,) = view[tail[-1]] & residual
+            view = {v: view[v] & residual for v in residual}
     try:
-        lv = level_sets(nbrs, top)
-        bg = bordering_constraints(nbrs, lv)
+        lv = level_sets(view, top)
+        bg = bordering_constraints(view, lv)
     except NotTowerError:
         return None
     return lv, bg, tail, attachment

@@ -44,13 +44,6 @@ class Leveling:
     def top(self) -> int:
         return next(iter(self.levels[0]))
 
-    def memberships(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, lvl in enumerate(self.levels, start=1):
-            for v in lvl:
-                out.setdefault(v, []).append(i)
-        return out
-
 
 @dataclass(frozen=True)
 class BorderingGraph:
@@ -168,11 +161,11 @@ def walk_levels(
 
 def carriers(nbrs: NbrView, current: frozenset[int], placed: set[int], p: int) -> list[int]:
     """The single-vertex rule's test: the vertices of ``current`` with an
-    unplaced neighbor other than ``p``, in order.  Below the candidate level
-    {p} the next level is {p, x} for the one carrier x; none or several
-    reject the leveling.
+    unplaced neighbor other than ``p``.  Below the candidate level {p} the
+    next level is {p, x} for the one carrier x; none or several reject the
+    leveling, so callers read only the count and the single carrier.
     """
-    return [x for x in sorted(current) if nbrs[x] - placed - {p}]
+    return [x for x in current if not nbrs[x] - placed <= {p}]
 
 
 def compute_leveling(g: Graph, top: int) -> Leveling:
@@ -188,25 +181,23 @@ def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
     two-vertex level.  Raises NotTowerError if 2-coloring fails.
     """
     top = lv.top
-    nodes = frozenset(v for v in nbrs if v != top)
+    nodes = nbrs.keys() - {top}
     # A vertex sits in a run of consecutive levels (a carrier stays on into
     # the next level), so two vertices' levels are 2 or more apart exactly
-    # when one run ends at least 2 levels before the other starts.
-    member = lv.memberships()
-    first = {v: lvls[0] for v, lvls in member.items()}
-    last = {v: lvls[-1] for v, lvls in member.items()}
+    # when one run ends at least 2 levels before the other starts.  Runs
+    # start at ``level_of``; one pass, later levels overwriting, ends them.
+    first = lv.level_of
+    last = {v: i for i, lvl in enumerate(lv.levels, start=1) for v in lvl}
 
     constraints: set[tuple[int, int]] = set()
     for u in nodes:
+        first_u, last_u = first[u], last[u]
         for v in nbrs[u]:
             if v <= u or v == top:
                 continue
-            if first[v] - last[u] >= 2 or first[u] - last[v] >= 2:
+            if first[v] - last_u >= 2 or first_u - last[v] >= 2:
                 constraints.add((u, v))
-    for lvl in lv.levels:
-        if len(lvl) == 2:
-            a, b = sorted(lvl)
-            constraints.add((a, b))
+    constraints.update(tuple(sorted(lvl)) for lvl in lv.levels if len(lvl) == 2)
 
     adj: dict[int, set[int]] = {v: set() for v in nodes}
     for a, b in constraints:

@@ -23,7 +23,7 @@ from polyvis import (
 )
 from polyvis.geometry import _segments_touch
 from polyvis.kernels import has_collinear_triple
-from polyvis.tower import NotTowerError, carriers, walk_levels
+from polyvis.tower import Leveling, NotTowerError, carriers, walk_levels
 
 
 def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -363,6 +363,35 @@ def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[i
     return sorted(caps, key=sorted)
 
 
+def split_parts_scan(
+    g: Graph, cap: frozenset[int], e: tuple[int, int]
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """``pseudotriangle.split_parts`` from its definition: the components of
+    g minus ``cap`` and minus the edge ``e``, found by a plain search, if
+    there are exactly two and one holds each endpoint."""
+    w0, w1 = e
+    rest = set(range(g.n)) - cap
+    if w0 not in rest or w1 not in rest:
+        return None
+    comps = []
+    while rest:
+        seen, stack = set(), [min(rest)]
+        while stack:
+            u = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            stack.extend(
+                v for v in g[u] & rest if v not in seen and {u, v} != {w0, w1}
+            )
+        rest -= seen
+        comps.append(frozenset(seen))
+    if len(comps) != 2:
+        return None
+    a, b = comps if w0 in comps[0] else comps[::-1]
+    return (a, b) if w0 in a and w1 in b else None
+
+
 def induces_path(g: Graph, vertices) -> bool:
     """Do ``vertices`` induce a chordless path in g?  The empty set counts as
     one; otherwise the induced graph is connected, no vertex has more than two
@@ -400,3 +429,53 @@ def top_pairs_scan(g: Graph, top: int) -> set[frozenset[int]]:
 def hangs_path(g: Graph, cap: frozenset[int], top: int) -> bool:
     """Does ``cap`` induce a chordless path with ``top`` at one end?"""
     return induces_path(g, cap) and len(g[top] & cap) == 1
+
+
+def bordering_constraints_scan(
+    nbrs, lv: Leveling
+) -> tuple[frozenset[tuple[int, int]], tuple[frozenset[int], ...], dict[int, int]] | None:
+    """``tower.bordering_constraints`` from its definition: the constraint
+    edges, the components and the 2-colouring, or None on an odd cycle.
+
+    Over the vertices but the apex, a graph edge is a constraint when some
+    level of one endpoint and some level of the other are 2 or more apart,
+    trying every pair of levels, and so is the pair of each two-vertex level.
+    Components come in order of their smallest vertex, and each is coloured
+    by a depth-first walk that gives its smallest vertex colour 0.
+    """
+    top = lv.top
+    levels_of: dict[int, list[int]] = {}
+    for i, lvl in enumerate(lv.levels):
+        for v in lvl:
+            levels_of.setdefault(v, []).append(i)
+    nodes = sorted(v for v in nbrs if v != top)
+    edges = {
+        (u, v)
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
+        if v in nbrs[u]
+        and min(abs(a - b) for a in levels_of[u] for b in levels_of[v]) >= 2
+    }
+    edges |= {tuple(sorted(lvl)) for lvl in lv.levels if len(lvl) == 2}
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    coloring: dict[int, int] = {}
+    comps = []
+    for start in nodes:
+        if start in coloring:
+            continue
+        coloring[start] = 0
+        comp, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in coloring:
+                    coloring[v] = 1 - coloring[u]
+                    comp.add(v)
+                    stack.append(v)
+                elif coloring[v] == coloring[u]:
+                    return None
+        comps.append(frozenset(comp))
+    return frozenset(edges), tuple(comps), coloring

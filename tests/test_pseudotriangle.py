@@ -47,6 +47,7 @@ from oracles import (
     mutated_pseudo_triangle,
     random_connected_graph,
     spec_cycles,
+    split_parts_scan,
     top_pairs_scan,
     verify_cycle_scan,
 )
@@ -120,6 +121,43 @@ def test_split_parts_pt6(pt6_graph):
 def test_split_parts_rejects_connected_rest(pt6_graph):
     # Removing too small a cap leaves one connected blob.
     assert split_parts(pt6_graph, frozenset({0}), (2, 3)) is None
+
+
+def test_split_parts_rejects_w1_reached_around_the_edge():
+    # Cap {0}, split edge (1, 2): w0's side {1, 3} sees w1 through 3, so the
+    # edge does not separate the rest.  Without the chord 2-3 it does.
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert split_parts(g, frozenset({0}), (1, 2)) is None
+    h = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3)])
+    assert split_parts(h, frozenset({0}), (1, 2)) == (frozenset({1, 3}), frozenset({2}))
+    assert split_parts(h, frozenset({0}), (2, 1)) == (frozenset({2}), frozenset({1, 3}))
+
+
+def test_split_parts_rejects_third_component():
+    # Vertex 3 hangs off the cap alone: the rest has three components.
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    assert split_parts(g, frozenset({0}), (1, 2)) is None
+    assert split_parts(g, frozenset({0, 3}), (1, 2)) == (frozenset({1}), frozenset({2}))
+
+
+def test_split_parts_rejects_endpoint_in_cap(pt6_graph):
+    assert split_parts(pt6_graph, frozenset({0, 1, 5}), (4, 5)) is None
+    assert split_parts(pt6_graph, frozenset({0, 1, 5}), (5, 4)) is None
+    assert split_parts(pt6_graph, frozenset({0, 1, 2}), (2, 3)) is None
+
+
+def test_split_parts_matches_scan():
+    # Every edge of small random graphs against every cap of up to two
+    # vertices off the edge.
+    rng = random.Random("split-parts")
+    for i in range(60):
+        n = rng.randint(4, 9)
+        g = random_connected_graph(n, rng.randint(0, n), i)
+        caps = [frozenset({a}) for a in range(n)]
+        caps += [frozenset({a, b}) for a in range(n) for b in range(a + 1, n)]
+        for e in sorted(g.edges):
+            for cap in caps:
+                assert split_parts(g, cap, e) == split_parts_scan(g, cap, e), (i, cap, e)
 
 
 def _pt6_true_decomposition(pt6_graph):

@@ -6,9 +6,12 @@ pseudo-triangle reading (cycle, chains and joints) pins the candidate lists,
 rejection path included.  The store is only read.  A second sha256
 pins the pseudo-triangle candidates on criterion 7's 200 mutated graphs, most
 of which reach the search from the fallback tops.  A third pins
-``verify_cycle``'s verdicts on auto-mixed's 49 verify orders.  When a change
-is meant to alter these answers, recompute the digests with ``_digest``,
-``_mutated_digest`` and ``_verify_digest`` and say why in CHANGES.md.
+``verify_cycle``'s verdicts on auto-mixed's 49 verify orders.  A fourth pins
+the pseudo-triangle search's work: ``solve``'s stats dict on every graph of
+both sets, so a change meant only to speed the search up cannot move a
+count.  When a change is meant to alter these answers or counts, recompute
+the digests with ``_digest``, ``_mutated_digest``, ``_verify_digest`` and
+``_stats_digest`` and say why in CHANGES.md.
 """
 
 import hashlib
@@ -33,6 +36,8 @@ EXPECTED = "56e21e8f2370ad634fe08e652702ca4292278aee3fd5afdc8574f5d9eea97a85"
 EXPECTED_MUTATED = "9017aaa6d9a0a639f3cf4c4b788d8381022d70647b356e2c25f5d421a80bf718"
 
 EXPECTED_VERIFY = "5c7f429fb42a5fc69b43b46dd673aed83bae1ffc0d197451710ceddf664c93cd"
+
+EXPECTED_STATS = "ebe5e85b97660ee1fb34f081a1a48b850ab056dd65ea9c784e506274f12274c4"
 
 
 def _answers(g) -> tuple:
@@ -90,3 +95,18 @@ def _verify_digest() -> tuple[int, str]:
 
 def test_auto_mixed_verify_verdicts_unchanged():
     assert _verify_digest() == (49, EXPECTED_VERIFY)
+
+
+def _stats_digest() -> str:
+    graphs = [(f.name, parse_graph(f.read_text())) for f in sorted(STORE.glob("*.graph"))]
+    graphs += [(f"mut{i}", mutated_pseudo_triangle(i)) for i in range(200)]
+    h = hashlib.sha256()
+    for name, g in graphs:
+        stats: dict[str, int] = {}
+        solve_pseudo_triangle(g, stats)
+        h.update(f"{name}: {sorted(stats.items())!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_solve_stats_unchanged():
+    assert _stats_digest() == EXPECTED_STATS

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from polyvis import (
@@ -6,20 +8,25 @@ from polyvis import (
     canonicalize,
     check_strong_ordering,
     gen_tower,
+    parse_graph,
     solve_pseudo_triangle,
     solve_tower,
     visibility_graph,
     boundary_cycle,
 )
+from polyvis import pseudotower, pseudotriangle
 from polyvis.tower import (
     bordering_chains,
+    bordering_constraints,
     bordering_graph,
     compute_leveling,
     enumerate_borderings,
     tower_top_candidates,
 )
 
-from oracles import brute_hamiltonian_cycles
+from oracles import bordering_constraints_scan, brute_hamiltonian_cycles
+
+AUTO_MIXED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
 
 def test_top_candidates_t5(t5_graph):
@@ -94,6 +101,33 @@ def test_bordering_graph_odd_cycle_rejected():
     assert [set(l) for l in lv.levels][:3] == [{0}, {1, 2}, {3, 4}]
     with pytest.raises(NotTowerError):
         bordering_graph(g, lv)
+
+
+def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
+    # Every leveling that the pseudo-triangle search builds on the benchmark's
+    # auto-mixed store, caps and side parts alike, odd cycles included.
+    seen = []
+
+    def record(nbrs, lv):
+        try:
+            bg = bordering_constraints(nbrs, lv)
+        except NotTowerError:
+            seen.append((dict(nbrs), lv, None))
+            raise
+        seen.append((dict(nbrs), lv, bg))
+        return bg
+
+    monkeypatch.setattr(pseudotriangle, "bordering_constraints", record)
+    monkeypatch.setattr(pseudotower, "bordering_constraints", record)
+    for f in sorted(AUTO_MIXED.glob("*.graph")):
+        solve_pseudo_triangle(parse_graph(f.read_text()))
+    rejected = sum(bg is None for _, _, bg in seen)
+    # 2,076 and 131 of them are caps', the rest side parts'.
+    assert (len(seen) - rejected, rejected) == (3005, 137)
+    for nbrs, lv, bg in seen:
+        want = bordering_constraints_scan(nbrs, lv)
+        got = None if bg is None else (bg.constraint_edges, bg.components, bg.coloring)
+        assert got == want
 
 
 def test_enumerate_borderings_counts(t5_graph):
