@@ -94,7 +94,11 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
         raise NotPseudoTowerError("pseudo-tower graphs need at least 3 vertices")
     if not is_connected(nbrs):
         raise NotPseudoTowerError("graph is not connected")
+    return _read_pseudo_tower(nbrs)
 
+
+def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
+    """``solve_pseudo_tower`` on a view known to be connected."""
     tail, residual = extract_tail(nbrs)
     if len(residual) < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")

@@ -38,7 +38,7 @@ rule also reads the cap that leveling the other vertex alone would give (see
 ``extract_cap``).  Every closed level places a vertex, so a walk ends within
 n levels and needs no budget.
 
-Three exact rules decide a cap from what its top sees before it is leveled;
+Four exact rules decide a cap from what its top sees before it is leveled;
 none changes an answer:
 
 1. Wide first level.  If N(top) minus the split edge has more than two
@@ -51,15 +51,18 @@ none changes an answer:
 3. One top neighbor.  A cap in which the top sees one vertex levels only as
    a chordless path hanging from the top, and ``_cap_context`` walks that
    path before any leveling.
+4. Two firm top neighbors.  A vertex with three or more cap neighbors is
+   off the cap's tail, so two such that the top sees, non-adjacent, are both
+   in level 2, which is then no clique: ``solve`` rejects the cap unleveled.
 
 Caps and side parts are read by the pseudo-tower code, whose chains come
 from ``tower.bordering_chains``, the package's one reading of a bordering:
 ``_cap_context`` walks the cap's tail with ``pseudotower.extract_tail`` up
-to the known top and levels the residual, once per (top, cap);
-``pseudotower.tower_chains`` reads each bordering's chain pair, the top
-first, only once some split of the cap has two parts that solve; and
-``part_paths`` reads a chordless path off the same walk.  Caps, their chain
-pairs and part paths are memoized per ``solve`` with ``functools.cache``.
+to the known top and levels the residual, once per (top, cap); once some
+split of the cap has two parts that solve, ``solve`` builds the residual's
+constraint graph and ``pseudotower.tower_chains`` reads each bordering's
+chain pair, the top first; ``part_paths`` reads a chordless path off the
+same walk.  Caps, chain pairs and part paths are memoized per ``solve``.
 """
 
 from __future__ import annotations
@@ -73,14 +76,14 @@ from typing import Sequence
 from .graph import (
     CycleCandidate,
     Graph,
+    NbrView,
     bfs_layers,
     canonicalize,
     is_connected,
     is_cycle_in_graph,
 )
-from .pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower, tower_chains
+from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, extract_tail, tower_chains
 from .tower import (
-    BorderingGraph,
     Leveling,
     NotTowerError,
     bordering_constraints,
@@ -108,9 +111,9 @@ class PseudoTriangleSolution:
         return left[0], left[-1], right[-1]
 
 
-CapContext = tuple[Leveling, BorderingGraph, tuple[int, ...], int | None]
-"""A leveled cap: its leveling and constraint graph, then its tail and the
-tail's attachment, as ``pseudotower.tower_chains`` takes them."""
+CapContext = tuple[NbrView, Leveling, tuple[int, ...], int | None]
+"""A leveled cap: its residual's view and leveling, then its tail and the
+tail's attachment; ``solve`` builds the constraint graph to read chains."""
 
 
 def top_joint_candidates(g: Graph) -> frozenset[int]:
@@ -146,10 +149,8 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     it is too wide for a level, so the walk ends there, and its only cap,
     base | {top} when the candidate meets the base, is read without walking.
 
-    A cap is not filtered by the vertices the top sees in it: ``solve``'s
-    joint-pair rule and ``_cap_context`` decide it, the latter by leveling it
-    from the top.  ``solve`` splits each cap once, so its
-    ``split_rejected`` and ``part_rejected`` count once per (split edge, cap).
+    ``solve``, not this walk, filters a cap by the vertices the top sees in
+    it (rules 2 to 4), and splits each (split edge, cap) once.
     """
     w0, w1 = e
     if top in e:
@@ -217,11 +218,12 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     """Boundary readings of a side part as Hamiltonian paths ending at its
     split-edge endpoint, sorted.
 
-    The part's neighbor-set view, in g's own vertex ids, is walked by
-    ``pseudotower.extract_tail`` with ``end`` as its top: a residual of
-    ``{end}`` means a chordless path ending at ``end`` (``(end,)`` for a
-    singleton), read as it stands.  Anything else is solved as a
-    pseudo-tower, and each solution whose chain ends at ``end`` is unfolded
+    The part is connected, a component from ``split_parts``.  Its view, in
+    g's own vertex ids, is walked by ``pseudotower.extract_tail`` with
+    ``end`` as its top: a residual of ``{end}`` means a chordless path ending
+    at ``end`` (``(end,)`` for a singleton), read as it stands, and a tail
+    with ``end`` of degree 1 leaves two loose ends, so no reading.  Anything
+    else is read as a pseudo-tower, and each solution whose chain ends at ``end`` is unfolded
     around its joint: the other chain upward, then this chain downward.  The unfolded path covers
     the part, because the bordering chains cover the residual and the tail
     is hung below one of them.  Where a side joint sits on the path is left
@@ -237,7 +239,9 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
         tail, residual = extract_tail(inner, end)
         if residual == {end}:
             return [(*tail, end)]
-        sols = solve_pseudo_tower(inner)
+        if tail and len(inner[end]) == 1:
+            return []
+        sols = _read_pseudo_tower(inner)
     except NotPseudoTowerError:
         return []
     paths = {
@@ -457,12 +461,14 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     that assembles the cycle and accepts it; the left chain runs from that
     top in the canonical direction, and the first (j, k) that passes wins.
 
-    Stats: ``split_rejected`` and ``part_rejected`` count each (split edge,
-    cap) once, whose rest is not two parts split by the edge or has a part
-    without a path; ``assembly_rejected`` counts walks with a junction that
-    is not an edge, ``verify_rejected`` the distinct (cycle, top) pairs, of
-    cycles not yet accepted, that no triple with that top accepts, and
-    ``accepted`` the assemblies of accepted cycles.
+    Stats: each (split edge, cap) counts once as ``cap_not_tower`` if the
+    cap does not level, ``split_rejected`` if its rest is not two parts split
+    by the edge, ``part_rejected`` if a part has no path, or ``cap_not_tower``
+    if its constraint graph, built only then, has an odd cycle;
+    ``assembly_rejected`` counts walks with a junction that is not an edge,
+    ``verify_rejected`` the distinct (cycle, top) pairs, of cycles not yet
+    accepted, that no triple with that top accepts, and ``accepted`` the
+    assemblies of accepted cycles.
     """
     st = stats if stats is not None else {}
 
@@ -485,8 +491,12 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         return _cap_context(g, cap, top)
 
     @cache
-    def cap_chains(top: int, cap: frozenset[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return tower_chains(*context(top, cap))
+    def cap_chains(top: int, cap: frozenset[int]) -> list[tuple[tuple[int, ...], ...]] | None:
+        view, lv, tail, attachment = context(top, cap)
+        try:
+            return tower_chains(lv, bordering_constraints(view, lv), tail, attachment)
+        except NotTowerError:  # an odd cycle of constraints
+            return None
 
     def accepts(cycle: CycleCandidate, top: int) -> bool:
         if cycle.order in found:
@@ -528,7 +538,8 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                     if not any(p & cap == seen for p in joint_pairs):
                         bump("cap_pair_rejected")
                         continue
-                    if context(top, cap) is None:
+                    firm = [v for v in seen if len(g[v] & cap) > 2]  # rule 4
+                    if len(firm) == 2 and not g.has_edge(*firm) or context(top, cap) is None:
                         bump("cap_not_tower")
                         continue
                     split = split_parts(g, cap, pair)
@@ -540,9 +551,11 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                     if not paths_b:
                         bump("part_rejected")
                         continue
+                    if (chain_pairs := cap_chains(top, cap)) is None:
+                        bump("cap_not_tower")
+                        continue
                     # The reversed split edge's walks are these, reflected,
                     # with the chain pair swapped: each pair goes both ways.
-                    chain_pairs = cap_chains(top, cap)
                     for path_a, path_b, (c1, c2) in product(paths_a, paths_b, chain_pairs):
                         for chains in ((c1, c2), (c2, c1)):
                             cycle = assemble_hamiltonian(g, chains, path_a, path_b)
@@ -565,8 +578,8 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
     chain.  The cap is read by the pseudo-tower code with its apex known:
-    ``extract_tail`` walks the tail up to the top at most, the residual is
-    leveled from the top as a tower, and ``tower_chains`` reads its borderings.
+    ``extract_tail`` walks the tail up to the top at most, and the residual is
+    leveled from the top as a tower; ``solve`` reads its borderings later.
 
     A top with one cap neighbor u makes {u} level 2, and a one-vertex level
     needs a carrier among the top's level, but the top has no neighbor left
@@ -599,8 +612,6 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
             (attachment,) = view[tail[-1]] & residual
             view = {v: view[v] & residual for v in residual}
     try:
-        lv = level_sets(view, top)
-        bg = bordering_constraints(view, lv)
+        return view, level_sets(view, top), tail, attachment
     except NotTowerError:
         return None
-    return lv, bg, tail, attachment

@@ -23,7 +23,15 @@ from polyvis import (
 )
 from polyvis.geometry import _segments_touch
 from polyvis.kernels import has_collinear_triple
-from polyvis.tower import Leveling, NotTowerError, carriers, walk_levels
+from polyvis.pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower, tower_chains
+from polyvis.tower import (
+    Leveling,
+    NotTowerError,
+    bordering_constraints,
+    carriers,
+    level_sets,
+    walk_levels,
+)
 
 
 def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -479,3 +487,46 @@ def bordering_constraints_scan(
                     return None
         comps.append(frozenset(comp))
     return frozenset(edges), tuple(comps), coloring
+
+
+def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
+    """A cap's chain pairs read eagerly, as the pseudo-triangle search once
+    read every cap it leveled: the tail walk with ``top`` known, leveling of
+    the residual from ``top`` with no shortcut for a one-vertex or two-vertex
+    top neighbourhood, then ``tower_chains`` over ``bordering_constraints``.
+    None if the cap does not level or its constraint graph has an odd cycle.
+    """
+    view = {v: g[v] & cap for v in cap}
+    try:
+        tail, residual = extract_tail(view, top)
+        attachment = None
+        if tail:
+            (attachment,) = view[tail[-1]] & residual
+            view = {v: view[v] & residual for v in residual}
+        lv = level_sets(view, top)
+        return tower_chains(lv, bordering_constraints(view, lv), tail, attachment)
+    except (NotPseudoTowerError, NotTowerError):
+        return None
+
+
+def part_paths_scan(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]]:
+    """``pseudotriangle.part_paths`` without its shortcuts: the tail walk with
+    ``end`` as top, and anything but a path ending at ``end`` goes to the
+    full ``solve_pseudo_tower``, connectivity check included, whose chains
+    ending at ``end`` are unfolded around the apex."""
+    if end not in part:
+        return []
+    inner = {v: g[v] & part for v in part}
+    try:
+        tail, residual = extract_tail(inner, end)
+        if residual == {end}:
+            return [(*tail, end)]
+        sols = solve_pseudo_tower(inner)
+    except NotPseudoTowerError:
+        return []
+    paths = set()
+    for s in sols:
+        for chain, other in (s.chains, s.chains[::-1]):
+            if chain[-1] == end:
+                paths.add((*reversed(other), *chain[1:]))
+    return sorted(paths)

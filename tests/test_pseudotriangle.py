@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from polyvis import (
 from polyvis import pseudotriangle
 from polyvis.graph import CycleCandidate, is_cycle_in_graph
 from polyvis.pseudotower import tower_chains
+from polyvis.tower import NotTowerError, bordering_constraints
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
     _cap_context,
@@ -41,10 +43,12 @@ from conftest import PT6_EDGES
 from oracles import (
     arc_pseudo_triangle,
     brute_hamiltonian_cycles,
+    cap_chains_scan,
     chain_conditions_scan,
     extract_cap_walk,
     hangs_path,
     mutated_pseudo_triangle,
+    part_paths_scan,
     random_connected_graph,
     spec_cycles,
     split_parts_scan,
@@ -160,10 +164,17 @@ def test_split_parts_matches_scan():
                 assert split_parts(g, cap, e) == split_parts_scan(g, cap, e), (i, cap, e)
 
 
+def _cap_chains(g: Graph, cap: frozenset[int], top: int):
+    """The cap's chain pairs as ``solve`` reads them from its context: the
+    constraint graph is built from the residual's view and leveling."""
+    view, lv, tail, attachment = _cap_context(g, cap, top)
+    return tower_chains(lv, bordering_constraints(view, lv), tail, attachment)
+
+
 def _pt6_true_decomposition(pt6_graph):
     # The true boundary's cap chains and part paths for top 0, split edge (3, 4).
     (cap,) = extract_cap(pt6_graph, 0, (3, 4))
-    (cap_chains,) = tower_chains(*_cap_context(pt6_graph, cap, 0))
+    (cap_chains,) = _cap_chains(pt6_graph, cap, 0)
     return cap_chains, (2, 3), (4,)
 
 
@@ -188,14 +199,14 @@ def test_cap_context_hangs_tail_below_its_attachment():
     # Cap {0, 1, 2, 3}: the triangle 0-1-2 levels from the top 0, and 3 hangs
     # off 2 as a tail, so it goes below 2 on 2's side.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert tower_chains(*_cap_context(g, frozenset(range(4)), 0)) == [((0, 1), (0, 2, 3))]
+    assert _cap_chains(g, frozenset(range(4)), 0) == [((0, 1), (0, 2, 3))]
 
 
 def test_cap_context_tail_at_the_top():
     # Cap {0, 1}: the top 0 has degree 1 too, but is never a tail end, so 1
     # is the tail and hangs below the top on the first side.
     g = Graph.from_edges(2, [(0, 1)])
-    assert tower_chains(*_cap_context(g, frozenset({0, 1}), 0)) == [((0, 1), (0,))]
+    assert _cap_chains(g, frozenset({0, 1}), 0) == [((0, 1), (0,))]
 
 
 def test_cap_context_two_loose_ends_rejected():
@@ -232,6 +243,33 @@ def test_part_paths_pseudo_tower_part():
     assert part_paths(g, part, 5) == [(2, 1, 3, 4, 5), (3, 1, 2, 4, 5)]
     assert part_paths(g, part, 3) == [(5, 4, 2, 1, 3)]
     assert part_paths(g, part, 4) == []
+
+
+def test_odd_cycle_cap_counted_once(monkeypatch):
+    # The cap {0, .., 6} levels from 0 as {0}, {1, 2}, {3, 4}, {5, 6}, but 1
+    # sees 5 and 6 two levels down, so the constraints 1-5, 1-6 and 5-6 make
+    # a triangle.  The split edge (7, 8) leaves two one-vertex parts, which
+    # have paths, so the cap is rejected only when its chains are read.
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5), (1, 6)]
+    edges += [(3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (5, 8), (6, 8), (7, 8)]
+    g = Graph.from_edges(9, edges)
+    cap = frozenset(range(7))
+    assert extract_cap(g, 0, (7, 8)) == [cap]
+    assert _cap_context(g, cap, 0) is not None
+    assert cap_chains_scan(g, cap, 0) is None
+    with pytest.raises(NotTowerError):
+        _cap_chains(g, cap, 0)
+    assert split_parts(g, cap, (7, 8)) == ({7}, {8})
+
+    # Only this (split edge, cap) reaches the search; every other edge of
+    # every top is cap_rejected.
+    monkeypatch.setattr(
+        pseudotriangle, "extract_cap", lambda g, top, e: [cap] if (top, e) == (0, (7, 8)) else []
+    )
+    stats: dict[str, int] = {}
+    assert solve_pseudo_triangle(g, stats) == []
+    assert stats["cap_not_tower"] == 1
+    assert not {"split_rejected", "part_rejected", "assembly_rejected"} & stats.keys()
 
 
 def test_solve_k3(k3):
@@ -399,6 +437,98 @@ def test_extract_cap_matches_walk(graphs):
                 hanging += levels
                 not_hanging += not levels
     assert wide > 100 and hanging > 100 and not_hanging > 100
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_two_firm_top_neighbors_never_level(graphs):
+    # Rule 4: wherever the top sees two non-adjacent cap vertices that each
+    # have three or more cap neighbors, the cap does not level.
+    gs = _graph_set(graphs)
+    fired = 0
+    for g in gs:
+        for top in range(g.n):
+            for e in (e for e in g.edges if top not in e):
+                for cap in extract_cap(g, top, e):
+                    firm = [v for v in g[top] & cap if len(g[v] & cap) > 2]
+                    if any(not g.has_edge(a, b) for a, b in combinations(firm, 2)):
+                        assert _cap_context(g, cap, top) is None, (g.edges, top, cap)
+                        fired += 1
+    assert fired > 30, fired
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
+    # Every cap that solve levels has the chains that an eager reading gives,
+    # and every cap whose chains solve reads gets them, or none on an odd
+    # cycle of constraints.  Spies on solve's bindings tie each constraint
+    # graph and chain reading to the context, and so the cap, it came from.
+    cap_context = pseudotriangle._cap_context
+    borderings = pseudotriangle.bordering_constraints
+    chains_of = pseudotriangle.tower_chains
+    leveled: dict[int, tuple[int, frozenset[int]]] = {}  # id of a leveling -> (top, cap)
+    read: dict[tuple[int, frozenset[int]], list | None] = {}
+
+    def spy_context(g, cap, top):
+        ctx = cap_context(g, cap, top)
+        if ctx is not None:
+            leveled[id(ctx[1])] = top, cap
+        return ctx
+
+    def spy_borderings(view, lv):
+        read[leveled[id(lv)]] = None  # stays None if the graph has an odd cycle
+        return borderings(view, lv)
+
+    def spy_chains(lv, bg, tail, attachment):
+        chains = read[leveled[id(lv)]] = chains_of(lv, bg, tail, attachment)
+        return chains
+
+    monkeypatch.setattr(pseudotriangle, "_cap_context", spy_context)
+    monkeypatch.setattr(pseudotriangle, "bordering_constraints", spy_borderings)
+    monkeypatch.setattr(pseudotriangle, "tower_chains", spy_chains)
+    caps = reads = odd = 0
+    for g in _graph_set(graphs):
+        leveled.clear()
+        read.clear()
+        solve_pseudo_triangle(g)
+        for top, cap in leveled.values():
+            eager = cap_chains_scan(g, cap, top)
+            try:
+                lazy = _cap_chains(g, cap, top)
+            except NotTowerError:
+                lazy = None
+            assert lazy == eager, (g.edges, top, cap)
+            if (top, cap) in read:
+                assert read[top, cap] == eager, (g.edges, top, cap)
+        caps += len(leveled)
+        reads += len(read)
+        odd += list(read.values()).count(None)
+    assert caps > 1.5 * reads > 300, (caps, reads)
+    if graphs == "auto-mixed":
+        assert odd > 0
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_part_paths_match_scan(monkeypatch, graphs):
+    # Every (part, end) that solve reads gets the readings of the full
+    # pseudo-tower solve, connectivity check and all.
+    reads: set[tuple[frozenset[int], int]] = set()
+    read_part = pseudotriangle.part_paths
+
+    def spy(g, part, end):
+        reads.add((part, end))
+        return read_part(g, part, end)
+
+    monkeypatch.setattr(pseudotriangle, "part_paths", spy)
+    total = found = 0
+    for g in _graph_set(graphs):
+        reads.clear()
+        solve_pseudo_triangle(g)
+        for part, end in reads:
+            paths = read_part(g, part, end)
+            assert paths == part_paths_scan(g, part, end), (g.edges, part, end)
+            found += bool(paths)
+        total += len(reads)
+    assert total > found > 100, (total, found)
 
 
 def _is_path(g: Graph, path: tuple[int, ...]) -> bool:

@@ -37,7 +37,7 @@ EXPECTED_MUTATED = "9017aaa6d9a0a639f3cf4c4b788d8381022d70647b356e2c25f5d421a80b
 
 EXPECTED_VERIFY = "5c7f429fb42a5fc69b43b46dd673aed83bae1ffc0d197451710ceddf664c93cd"
 
-EXPECTED_STATS = "ebe5e85b97660ee1fb34f081a1a48b850ab056dd65ea9c784e506274f12274c4"
+EXPECTED_STATS = "3c37d22f47cc11e3d5f01619b1420ea54c9c19267b06c4c813589d72583d6e2d"
 
 
 def _answers(g) -> tuple:

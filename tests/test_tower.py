@@ -104,27 +104,45 @@ def test_bordering_graph_odd_cycle_rejected():
 
 
 def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
-    # Every leveling that the pseudo-triangle search builds on the benchmark's
-    # auto-mixed store, caps and side parts alike, odd cycles included.
+    # Every constraint graph that the pseudo-triangle search builds on the
+    # benchmark's auto-mixed store, caps and side parts alike, odd cycles
+    # included.  A cap's is built only once its chains are needed, so every
+    # cap that the search levels is checked too.
     seen = []
+    leveled = []
+    cap_context = pseudotriangle._cap_context
+
+    def constraints(nbrs, lv):
+        try:
+            return bordering_constraints(nbrs, lv)
+        except NotTowerError:
+            return None
 
     def record(nbrs, lv):
-        try:
-            bg = bordering_constraints(nbrs, lv)
-        except NotTowerError:
-            seen.append((dict(nbrs), lv, None))
-            raise
+        bg = constraints(nbrs, lv)
         seen.append((dict(nbrs), lv, bg))
+        if bg is None:
+            raise NotTowerError("constraint graph has an odd cycle")
         return bg
+
+    def record_cap(g, cap, top):
+        ctx = cap_context(g, cap, top)
+        if ctx is not None:
+            leveled.append(ctx[:2])
+        return ctx
 
     monkeypatch.setattr(pseudotriangle, "bordering_constraints", record)
     monkeypatch.setattr(pseudotower, "bordering_constraints", record)
+    monkeypatch.setattr(pseudotriangle, "_cap_context", record_cap)
     for f in sorted(AUTO_MIXED.glob("*.graph")):
         solve_pseudo_triangle(parse_graph(f.read_text()))
     rejected = sum(bg is None for _, _, bg in seen)
-    # 2,076 and 131 of them are caps', the rest side parts'.
-    assert (len(seen) - rejected, rejected) == (3005, 137)
-    for nbrs, lv, bg in seen:
+    # 645 and 36 of them are caps', the rest side parts'; the search levels
+    # 2,207 caps, of which 131 have an odd cycle.
+    assert (len(seen) - rejected, rejected) == (1644, 42)
+    caps = [(nbrs, lv, constraints(nbrs, lv)) for nbrs, lv in leveled]
+    assert (len(caps), sum(bg is None for _, _, bg in caps)) == (2207, 131)
+    for nbrs, lv, bg in seen + caps:
         want = bordering_constraints_scan(nbrs, lv)
         got = None if bg is None else (bg.constraint_edges, bg.components, bg.coloring)
         assert got == want
