@@ -451,11 +451,8 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         relabel = {old: new for new, old in enumerate(kept)}
 
         sub, _ = induced_subgraph(visibility_graph(parent), kept)
-        try:
-            tail, residual = extract_tail(sub)
-        except ValueError:
-            continue
-        if not tail or len(residual) < 3:
+        tail, residual = extract_tail(sub)  # a tail, as sub has one degree-1 vertex
+        if len(residual) < 3:
             continue
 
         left_old = list(range(0, left_corner + 1))

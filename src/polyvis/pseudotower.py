@@ -9,8 +9,11 @@ mapping from each vertex, in the caller's own ids, to its neighbor set.  A
 restricted to it, so no subgraph is built and nothing is renumbered.  All
 output refers to the input vertex ids.
 
-The pseudo-triangle solver reads its caps and side parts with the same tail
-walk (``extract_tail`` with a known top) and chain reader (``tower_chains``).
+``hang_tail`` walks the tail and restricts the view to the residual, and
+``tower.tower_readings`` reads the residual with the tail hung below its
+attachment chain.  The pseudo-triangle solver reads its caps with
+``hang_tail`` given the known top, and its side parts with
+``_read_pseudo_tower``.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import NbrView, is_connected
-from .tower import (
-    BorderingGraph,
-    Leveling,
-    NotTowerError,
-    bordering_chains,
-    bordering_constraints,
-    level_sets,
-    tower_top_candidates,
-)
+from .tower import NotTowerError, tower_readings
 
 
 class NotPseudoTowerError(ValueError):
@@ -81,8 +76,8 @@ def extract_tail(nbrs: NbrView, top: int | None = None) -> tuple[tuple[int, ...]
 
 
 def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
-    """All consistent chain pairs: extract the tail, run tower leveling and
-    borderings on the residual for every apex candidate, and append the tail
+    """All consistent chain pairs: hang the tail, then read the residual from
+    every apex candidate with ``tower.tower_readings``, which appends the tail
     to the chain ending at its attachment vertex.
 
     ``nbrs`` is a graph or a neighbor-set view; the chains use its vertex ids.
@@ -99,58 +94,28 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
 
 def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     """``solve_pseudo_tower`` on a view known to be connected."""
-    tail, residual = extract_tail(nbrs)
-    if len(residual) < 3:
+    tail, attachment, res = hang_tail(nbrs)
+    if len(res) < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
-    res = nbrs
-    attachment = None
-    if tail:
-        res = {v: nbrs[v] & residual for v in residual}
-        (attachment,) = nbrs[tail[-1]] & residual
-
     try:
-        tops = tower_top_candidates(res)
+        readings = tower_readings(res, tail, attachment)
     except NotTowerError as exc:
         raise NotPseudoTowerError(f"residual is not a tower graph: {exc}") from exc
-
-    solutions: list[PseudoTowerSolution] = []
-    any_leveling = False
-    for top in sorted(tops):
-        try:
-            lv = level_sets(res, top)
-            bg = bordering_constraints(res, lv)
-        except NotTowerError:
-            continue
-        any_leveling = True
-        for chains in tower_chains(lv, bg, tail, attachment):
-            solutions.append(PseudoTowerSolution(tail, chains))
-    if not any_leveling:
+    if readings is None:
         raise NotPseudoTowerError("residual fails tower leveling from every apex candidate")
-    solutions.sort(key=PseudoTowerSolution.chain_key)
-    return solutions
+    solutions = [PseudoTowerSolution(tail, chains) for chains in readings]
+    return sorted(solutions, key=PseudoTowerSolution.chain_key)
 
 
-def tower_chains(
-    lv: Leveling,
-    bg: BorderingGraph,
-    tail: tuple[int, ...],
-    attachment: int | None,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The chain pair of every bordering of a leveled residual, as
-    ``tower.bordering_chains`` reads it, with the tail (outermost vertex
-    first) appended below the chain that ends at ``attachment``.  A bordering
-    that leaves the attachment above the bottom of its chain is inconsistent
-    and dropped.
+def hang_tail(
+    nbrs: NbrView, top: int | None = None
+) -> tuple[tuple[int, ...], int | None, NbrView]:
+    """``extract_tail``, then the tail, the residual vertex it hangs from
+    (None without a tail) and the residual's view.  Without a tail the
+    view is ``nbrs`` itself.
     """
-    out = []
-    suffix = tuple(reversed(tail))  # innermost tail vertex first
-    for c1, c2 in bordering_chains(lv, bg):
-        if tail:
-            if c1[-1] == attachment:
-                c1 += suffix
-            elif c2[-1] == attachment:
-                c2 += suffix
-            else:
-                continue
-        out.append((c1, c2))
-    return out
+    tail, residual = extract_tail(nbrs, top)
+    if not tail:
+        return tail, None, nbrs
+    (attachment,) = nbrs[tail[-1]] & residual
+    return tail, attachment, {v: nbrs[v] & residual for v in residual}

@@ -56,13 +56,15 @@ none changes an answer:
    in level 2, which is then no clique: ``solve`` rejects the cap unleveled.
 
 Caps and side parts are read by the pseudo-tower code, whose chains come
-from ``tower.bordering_chains``, the package's one reading of a bordering:
-``_cap_context`` walks the cap's tail with ``pseudotower.extract_tail`` up
-to the known top and levels the residual, once per (top, cap); once some
-split of the cap has two parts that solve, ``solve`` builds the residual's
-constraint graph and ``pseudotower.tower_chains`` reads each bordering's
-chain pair, the top first; ``part_paths`` reads a chordless path off the
-same walk.  Caps, chain pairs and part paths are memoized per ``solve``.
+from ``tower.bordering_chains``, the package's one reading of a leveled
+view: ``_cap_context`` hangs the cap's tail with ``pseudotower.hang_tail``
+up to the known top and levels the residual, once per (top, cap); once some
+split of the cap has two parts that solve, ``solve`` reads the residual's
+chain pairs, the top first, with ``bordering_chains``, the tail hung below
+them.  ``part_paths`` reads a chordless path off ``extract_tail``'s walk
+and any other part with ``pseudotower._read_pseudo_tower``, which runs
+``tower.tower_readings``.  Caps, chain pairs and part paths are memoized per
+``solve``.
 """
 
 from __future__ import annotations
@@ -82,15 +84,8 @@ from .graph import (
     is_connected,
     is_cycle_in_graph,
 )
-from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, extract_tail, tower_chains
-from .tower import (
-    Leveling,
-    NotTowerError,
-    bordering_constraints,
-    carriers,
-    level_sets,
-    walk_levels,
-)
+from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, extract_tail, hang_tail
+from .tower import Leveling, NotTowerError, bordering_chains, carriers, level_sets, walk_levels
 
 
 class NotPseudoTriangleError(ValueError):
@@ -113,7 +108,7 @@ class PseudoTriangleSolution:
 
 CapContext = tuple[NbrView, Leveling, tuple[int, ...], int | None]
 """A leveled cap: its residual's view and leveling, then its tail and the
-tail's attachment; ``solve`` builds the constraint graph to read chains."""
+tail's attachment; ``solve`` reads its chains with ``bordering_chains``."""
 
 
 def top_joint_candidates(g: Graph) -> frozenset[int]:
@@ -262,7 +257,7 @@ def assemble_hamiltonian(
     """Close the boundary: the cap's a-side chain from the top down, part a
     down to the split edge, across to part b and back up, then the cap's
     b-side chain upward.  ``cap_chains`` is one chain pair of the cap, the top
-    first, as ``pseudotower.tower_chains`` reads it, and each path is one of
+    first, as ``tower.bordering_chains`` reads it, and each path is one of
     ``part_paths``.
 
     Returns the canonical cycle, or None unless both junctions, ``left[-1]``
@@ -494,7 +489,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     def cap_chains(top: int, cap: frozenset[int]) -> list[tuple[tuple[int, ...], ...]] | None:
         view, lv, tail, attachment = context(top, cap)
         try:
-            return tower_chains(lv, bordering_constraints(view, lv), tail, attachment)
+            return bordering_chains(view, lv, tail, attachment)
         except NotTowerError:  # an odd cycle of constraints
             return None
 
@@ -578,7 +573,7 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
     chain.  The cap is read by the pseudo-tower code with its apex known:
-    ``extract_tail`` walks the tail up to the top at most, and the residual is
+    ``hang_tail`` walks the tail up to the top at most, and the residual is
     leveled from the top as a tower; ``solve`` reads its borderings later.
 
     A top with one cap neighbor u makes {u} level 2, and a one-vertex level
@@ -602,15 +597,10 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
         # The path is the whole tail; the top alone is left to level.
         tail, attachment, view = tuple(reversed(path)), top, {top: frozenset()}
     else:
-        view = {v: nbrs[v] & cap for v in cap}  # the cap's view, one per cap
         try:
-            tail, residual = extract_tail(view, top)
+            tail, attachment, view = hang_tail({v: nbrs[v] & cap for v in cap}, top)
         except NotPseudoTowerError:
             return None
-        attachment = None
-        if tail:
-            (attachment,) = view[tail[-1]] & residual
-            view = {v: view[v] & residual for v in residual}
     try:
         return view, level_sets(view, top), tail, attachment
     except NotTowerError:

@@ -2,10 +2,12 @@
 
 A tower's visibility graph is covered by ordered level sets grown greedily from
 the apex.  A 2-coloring of the constraint graph over those levels assigns every
-vertex to the left or right boundary chain.  ``bordering_chains`` reads each
-consistent assignment as two chains from the apex down, the one chain reading
-that the pseudo-tower and pseudo-triangle solvers share; down one chain and
-back up the other is one Hamiltonian cycle candidate.
+vertex to the left or right boundary chain.  ``bordering_chains`` builds that
+graph for a leveled view and reads each consistent assignment as two chains
+from the apex down, a pseudo-tower's tail hung below one of them; it is the
+one chain reading that all three solvers share.  ``tower_readings`` is the
+one loop over apex candidates, which the tower and pseudo-tower solvers run.
+Down one chain and back up the other is one Hamiltonian cycle candidate.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ def walk_levels(
     ``nbrs[v]`` is v's neighbor set and ``len(nbrs)`` the number of vertices.
     Each candidate level is the set of unplaced common neighbors of the last
     level, which has one or two vertices.  It is yielded before it is closed
-    by the rules for exhaustion, two-vertex levels (a clique) and
-    single-vertex levels (see ``carriers``).
+    by one rule: more than two vertices reject the walk, a pair must be a
+    clique, and a single vertex needs exactly one carrier (see ``carriers``)
+    unless it is the last unplaced vertex.
     ``levels`` and ``placed`` are extended in place, so a consumer reads the
     walk's state from them between steps.  Vertices already in ``placed`` at
     the start are outside the walk: the candidate and carrier tests skip them.
@@ -130,33 +133,22 @@ def walk_levels(
         if not cand:
             raise NotTowerError("leveling stalled: no common neighbor outside placed levels")
         yield cand
-        if len(cand) == total - len(placed):
-            if len(cand) > 2:
-                raise NotTowerError(f"last level would have {len(cand)} vertices")
-            if len(cand) == 2:
-                a, b = cand
-                if a not in nbrs[b]:
-                    raise NotTowerError("last level is not a clique")
-            levels.append(cand)
-            placed |= cand
-            return
         if len(cand) > 2:
             raise NotTowerError(f"level would have {len(cand)} vertices")
         if len(cand) == 2:
             a, b = cand
             if a not in nbrs[b]:
                 raise NotTowerError("two-vertex level is not a clique")
-            levels.append(cand)
-            placed |= cand
-        else:
+        elif len(placed) + 1 < total:  # a single vertex, not the last one
             (p,) = cand
             xs = carriers(nbrs, current, placed, p)
             if len(xs) != 1:
                 raise NotTowerError(
                     f"{len(xs)} level vertices reach below a single-vertex level"
                 )
-            levels.append(frozenset({p, xs[0]}))
-            placed.add(p)
+            cand = frozenset({p, xs[0]})
+        levels.append(cand)
+        placed |= cand
 
 
 def carriers(nbrs: NbrView, current: frozenset[int], placed: set[int], p: int) -> list[int]:
@@ -251,22 +243,60 @@ def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:
 
 
 def bordering_chains(
-    lv: Leveling, bg: BorderingGraph
+    nbrs: NbrView,
+    lv: Leveling,
+    tail: tuple[int, ...] = (),
+    attachment: int | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The chain pair of every bordering, in ``enumerate_borderings`` order:
-    each chain runs from the apex down, ordered by ``(level_of, v)``.
+    """The chain pair of every bordering of a leveled view, in
+    ``enumerate_borderings`` order: each chain runs from the apex down,
+    ordered by ``(level_of, v)``.  Raises NotTowerError if the constraint
+    graph has an odd cycle.
 
     No chain holds two vertices of one level: two vertices with the same
     ``level_of`` first meet in a two-vertex level, whose pair is a constraint
     edge.  The constraint components cover every vertex but the apex, so the
-    two chains hold all of them.
+    two chains hold all of them.  A ``tail`` (outermost vertex first) hangs
+    below the chain that ends at ``attachment``; a bordering that leaves the
+    attachment above the bottom of its chain is inconsistent and dropped.
     """
+    bg = bordering_constraints(nbrs, lv)
     top = lv.top
+    suffix = tuple(reversed(tail))  # innermost tail vertex first
 
     def chain(side: frozenset[int]) -> tuple[int, ...]:
         return (top, *sorted(side, key=lambda v: (lv.level_of[v], v)))
 
-    return [(chain(b.left), chain(b.right)) for b in enumerate_borderings(bg)]
+    out = []
+    for b in enumerate_borderings(bg):
+        c1, c2 = chain(b.left), chain(b.right)
+        if tail:
+            if c1[-1] == attachment:
+                c1 += suffix
+            elif c2[-1] == attachment:
+                c2 += suffix
+            else:
+                continue
+        out.append((c1, c2))
+    return out
+
+
+def tower_readings(
+    nbrs: NbrView, tail: tuple[int, ...] = (), attachment: int | None = None
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
+    """The one loop over apex candidates: the ``bordering_chains`` of every
+    candidate whose leveling and constraint graph succeed, in candidate
+    order, or None if none does.  Raises NotTowerError if there is no apex
+    candidate.
+    """
+    readings, leveled = [], False
+    for top in sorted(tower_top_candidates(nbrs)):
+        try:
+            readings += bordering_chains(nbrs, level_sets(nbrs, top), tail, attachment)
+        except NotTowerError:
+            continue
+        leveled = True
+    return readings if leveled else None
 
 
 def check_strong_ordering(g: Graph, h: CycleCandidate) -> bool:
@@ -358,28 +388,14 @@ def _strong_with_split(g: Graph, walk: list[int], split: int) -> bool:
 
 
 def solve_tower(g: Graph) -> list[CycleCandidate]:
-    """All tower boundary candidates: every apex candidate is leveled, all
-    borderings enumerated, and the resulting cycles filtered by the strong
-    ordering criterion.  Deterministically sorted, deduplicated.
+    """All tower boundary candidates: down one chain of each reading of
+    ``tower_readings`` and back up the other is a cycle, kept if it passes
+    the strong ordering criterion.  Deterministically sorted, deduplicated.
     """
     try:
-        tops = tower_top_candidates(g)
+        readings = tower_readings(g) or []
     except NotTowerError:
         return []
-    found: set[tuple[int, ...]] = set()
-    out: list[CycleCandidate] = []
-    for top in sorted(tops):
-        try:
-            lv = level_sets(g, top)
-            bg = bordering_constraints(g, lv)
-        except NotTowerError:
-            continue
-        for c1, c2 in bordering_chains(lv, bg):
-            # Down one chain and back up the other; check_strong_ordering
-            # first tests that this is a cycle of g.
-            cand = canonicalize((*c1, *reversed(c2[1:])))
-            if cand.order not in found and check_strong_ordering(g, cand):
-                found.add(cand.order)
-                out.append(cand)
-    out.sort(key=lambda c: c.order)
-    return out
+    # check_strong_ordering first tests that a walk is a cycle of g.
+    cycles = {canonicalize((*c1, *reversed(c2[1:]))) for c1, c2 in readings}
+    return sorted((c for c in cycles if check_strong_ordering(g, c)), key=lambda c: c.order)

@@ -23,11 +23,11 @@ from polyvis import (
 )
 from polyvis.geometry import _segments_touch
 from polyvis.kernels import has_collinear_triple
-from polyvis.pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower, tower_chains
+from polyvis.pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower
 from polyvis.tower import (
     Leveling,
     NotTowerError,
-    bordering_constraints,
+    bordering_chains,
     carriers,
     level_sets,
     walk_levels,
@@ -493,7 +493,7 @@ def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
     """A cap's chain pairs read eagerly, as the pseudo-triangle search once
     read every cap it leveled: the tail walk with ``top`` known, leveling of
     the residual from ``top`` with no shortcut for a one-vertex or two-vertex
-    top neighbourhood, then ``tower_chains`` over ``bordering_constraints``.
+    top neighbourhood, then ``bordering_chains`` with the tail hung.
     None if the cap does not level or its constraint graph has an odd cycle.
     """
     view = {v: g[v] & cap for v in cap}
@@ -504,7 +504,7 @@ def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
             (attachment,) = view[tail[-1]] & residual
             view = {v: view[v] & residual for v in residual}
         lv = level_sets(view, top)
-        return tower_chains(lv, bordering_constraints(view, lv), tail, attachment)
+        return bordering_chains(view, lv, tail, attachment)
     except (NotPseudoTowerError, NotTowerError):
         return None
 

@@ -1,0 +1,41 @@
+"""Every name a polyvis module imports is read somewhere in that module.
+
+``__init__.py`` is left out: it imports names to re-export them.  The check
+uses only the stdlib ``ast`` module, so it runs wherever the tests do.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polyvis"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the module's imports that no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    names = (n for n in ast.walk(tree) if isinstance(n, ast.Name))
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == [
+        "os (line 1)",
+        "c (line 2)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

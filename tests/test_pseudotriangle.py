@@ -24,8 +24,7 @@ from polyvis import (
 )
 from polyvis import pseudotriangle
 from polyvis.graph import CycleCandidate, is_cycle_in_graph
-from polyvis.pseudotower import tower_chains
-from polyvis.tower import NotTowerError, bordering_constraints
+from polyvis.tower import NotTowerError, bordering_chains
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
     _cap_context,
@@ -166,9 +165,9 @@ def test_split_parts_matches_scan():
 
 def _cap_chains(g: Graph, cap: frozenset[int], top: int):
     """The cap's chain pairs as ``solve`` reads them from its context: the
-    constraint graph is built from the residual's view and leveling."""
+    residual's view and leveling, with the tail hung."""
     view, lv, tail, attachment = _cap_context(g, cap, top)
-    return tower_chains(lv, bordering_constraints(view, lv), tail, attachment)
+    return bordering_chains(view, lv, tail, attachment)
 
 
 def _pt6_true_decomposition(pt6_graph):
@@ -460,11 +459,10 @@ def test_two_firm_top_neighbors_never_level(graphs):
 def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
     # Every cap that solve levels has the chains that an eager reading gives,
     # and every cap whose chains solve reads gets them, or none on an odd
-    # cycle of constraints.  Spies on solve's bindings tie each constraint
-    # graph and chain reading to the context, and so the cap, it came from.
+    # cycle of constraints.  Spies on solve's bindings tie each chain
+    # reading to the context, and so the cap, it came from.
     cap_context = pseudotriangle._cap_context
-    borderings = pseudotriangle.bordering_constraints
-    chains_of = pseudotriangle.tower_chains
+    chains_of = pseudotriangle.bordering_chains
     leveled: dict[int, tuple[int, frozenset[int]]] = {}  # id of a leveling -> (top, cap)
     read: dict[tuple[int, frozenset[int]], list | None] = {}
 
@@ -474,17 +472,14 @@ def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
             leveled[id(ctx[1])] = top, cap
         return ctx
 
-    def spy_borderings(view, lv):
-        read[leveled[id(lv)]] = None  # stays None if the graph has an odd cycle
-        return borderings(view, lv)
-
-    def spy_chains(lv, bg, tail, attachment):
-        chains = read[leveled[id(lv)]] = chains_of(lv, bg, tail, attachment)
-        return chains
+    def spy_chains(view, lv, tail, attachment):
+        key = leveled[id(lv)]
+        read[key] = None  # stays None if the constraint graph has an odd cycle
+        read[key] = chains_of(view, lv, tail, attachment)
+        return read[key]
 
     monkeypatch.setattr(pseudotriangle, "_cap_context", spy_context)
-    monkeypatch.setattr(pseudotriangle, "bordering_constraints", spy_borderings)
-    monkeypatch.setattr(pseudotriangle, "tower_chains", spy_chains)
+    monkeypatch.setattr(pseudotriangle, "bordering_chains", spy_chains)
     caps = reads = odd = 0
     for g in _graph_set(graphs):
         leveled.clear()

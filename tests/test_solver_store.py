@@ -9,25 +9,32 @@ of which reach the search from the fallback tops.  A third pins
 ``verify_cycle``'s verdicts on auto-mixed's 49 verify orders.  A fourth pins
 the pseudo-triangle search's work: ``solve``'s stats dict on every graph of
 both sets, so a change meant only to speed the search up cannot move a
-count.  When a change is meant to alter these answers or counts, recompute
-the digests with ``_digest``, ``_mutated_digest``, ``_verify_digest`` and
-``_stats_digest`` and say why in CHANGES.md.
+count.  A fifth pins the tower and pseudo-tower solvers on their own
+inputs: criterion 2's 300 towers and 300 pseudo-towers and criterion 7's
+1,000 random and 200 mutated graphs.  When a change is meant to alter these
+answers or counts, recompute the digests with ``_digest``,
+``_mutated_digest``, ``_verify_digest``, ``_stats_digest`` and
+``_tower_digest`` and say why in CHANGES.md.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from polyvis import (
     NotPseudoTowerError,
+    gen_pseudo_tower,
+    gen_tower,
     parse_graph,
     solve_pseudo_tower,
     solve_pseudo_triangle,
     solve_tower,
     verify_cycle,
+    visibility_graph,
 )
 
-from oracles import mutated_pseudo_triangle
+from oracles import mutated_pseudo_triangle, random_connected_graph
 
 STORE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
@@ -39,14 +46,20 @@ EXPECTED_VERIFY = "5c7f429fb42a5fc69b43b46dd673aed83bae1ffc0d197451710ceddf664c9
 
 EXPECTED_STATS = "3c37d22f47cc11e3d5f01619b1420ea54c9c19267b06c4c813589d72583d6e2d"
 
+EXPECTED_TOWERS = "97fb37d142380c72ebd5c6de42ce4ae17586713a88a356ebfa9fe902793e1ead"
+
 
 def _answers(g) -> tuple:
+    return (*_tower_answers(g), _triangles(g))
+
+
+def _tower_answers(g, message: bool = False) -> tuple:
     towers = [c.order for c in solve_tower(g)]
     try:
         pseudo = [(s.tail, s.chains) for s in solve_pseudo_tower(g)]
-    except NotPseudoTowerError:
-        pseudo = "rejected"
-    return towers, pseudo, _triangles(g)
+    except NotPseudoTowerError as exc:
+        pseudo = f"rejected: {exc}" if message else "rejected"
+    return towers, pseudo
 
 
 def _triangles(g) -> list:
@@ -110,3 +123,30 @@ def _stats_digest() -> str:
 
 def test_solve_stats_unchanged():
     assert _stats_digest() == EXPECTED_STATS
+
+
+def _tower_graphs():
+    # Criterion 2's inputs, then criterion 7's, with the same n and seeds.
+    for i in range(300):
+        yield f"tower{i}", visibility_graph(gen_tower(4 + i % 27, 3000 + i // 27))
+    for i in range(300):
+        yield f"ptower{i}", gen_pseudo_tower(5 + i % 26, 4000 + i // 26).graph
+    rng = random.Random("fuzz-suite")
+    for i in range(1000):
+        n = rng.randint(3, 20)
+        yield f"fuzz{i}", random_connected_graph(n, rng.randint(0, n), i)
+    for i in range(200):
+        yield f"mut{i}", mutated_pseudo_triangle(i)
+
+
+def _tower_digest() -> tuple[int, str]:
+    h = hashlib.sha256()
+    count = 0
+    for name, g in _tower_graphs():
+        h.update(f"{name}: {_tower_answers(g, message=True)!r}\n".encode())
+        count += 1
+    return count, h.hexdigest()
+
+
+def test_tower_and_pseudo_tower_answers_unchanged():
+    assert _tower_digest() == (1800, EXPECTED_TOWERS)

@@ -14,7 +14,7 @@ from polyvis import (
     visibility_graph,
     boundary_cycle,
 )
-from polyvis import pseudotower, pseudotriangle
+from polyvis import pseudotriangle, tower
 from polyvis.tower import (
     bordering_chains,
     bordering_constraints,
@@ -131,8 +131,7 @@ def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
             leveled.append(ctx[:2])
         return ctx
 
-    monkeypatch.setattr(pseudotriangle, "bordering_constraints", record)
-    monkeypatch.setattr(pseudotower, "bordering_constraints", record)
+    monkeypatch.setattr(tower, "bordering_constraints", record)
     monkeypatch.setattr(pseudotriangle, "_cap_context", record_cap)
     for f in sorted(AUTO_MIXED.glob("*.graph")):
         solve_pseudo_triangle(parse_graph(f.read_text()))
@@ -179,8 +178,7 @@ def test_enumerate_borderings_single_component(k3):
 def test_tower_hamiltonian_t5(t5_graph):
     # Each bordering's chain pair, read down one chain and back up the other.
     lv = compute_leveling(t5_graph, 0)
-    bg = bordering_graph(t5_graph, lv)
-    pairs = bordering_chains(lv, bg)
+    pairs = bordering_chains(t5_graph, lv)
     assert pairs == [((0, 1, 2), (0, 4, 3)), ((0, 1, 3), (0, 4, 2))]
     cycles = [canonicalize((*c1, *reversed(c2[1:]))) for c1, c2 in pairs]
     assert [c.order for c in cycles] == [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4)]
@@ -188,8 +186,7 @@ def test_tower_hamiltonian_t5(t5_graph):
 
 def test_tower_hamiltonian_k3(k3):
     lv = compute_leveling(k3, 0)
-    bg = bordering_graph(k3, lv)
-    ((c1, c2),) = bordering_chains(lv, bg)
+    ((c1, c2),) = bordering_chains(k3, lv)
     assert (c1, c2) == ((0, 1), (0, 2))
     assert canonicalize((*c1, *reversed(c2[1:]))).order == (0, 1, 2)
 
