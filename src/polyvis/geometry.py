@@ -15,8 +15,12 @@ can reject it before a graph: ``kernels.has_collinear_triple``, then for a
 pseudo-triangle its three convex vertices and its side visibility, for a
 pseudo-tower its flank degrees.  Only then does ``Polygon`` validate it and
 build its ``Point``s, so a rejected attempt costs its random draws and those
-tests.  Each generator's draw stream (its polygons, its attempts in order
-and its failures) is pinned by
+tests.  The bulk of the draws, the cut points of ``_nondecreasing_parts``,
+come from ``_draws_below``, which replicates the bits CPython's
+``Random._randbelow_with_getrandbits`` draws for ``randrange`` without its
+call frames; ``tests/test_geometry.py::test_draws_below_match_random`` pins
+it against ``random``.  Each generator's draw stream (its polygons, its
+attempts in order and its failures) is pinned by
 ``tests/test_geometry.py::test_generator_outputs_pinned`` and by the
 benchmark stores that ``tests/test_oracle_store.py`` regenerates.  Polygon
 validation runs the exact edge-touch test only on edge pairs whose bounding
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import index, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -177,11 +181,30 @@ def convex_vertex_indices(poly: Polygon) -> tuple[int, ...]:
 _MAX_ATTEMPTS = 400
 
 
+def _draws_below(rng: random.Random, stop: int, count: int) -> list[int]:
+    """``count`` values of ``rng.randrange(stop)``, drawn as CPython's
+    ``Random._randbelow_with_getrandbits`` draws them: ``stop.bit_length()``
+    random bits until the value is below ``stop``.  Same values, same
+    generator state after, without randrange's argument checks and frames.
+    ``randint(a, b)`` equals ``a`` plus one such draw below ``b - a + 1``.
+    """
+    if stop < 1:
+        raise ValueError(f"empty range below {stop}")
+    bits = rng.getrandbits
+    k = stop.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= stop:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
 def _nondecreasing_parts(rng: random.Random, count: int, total: int) -> list[int]:
     if count == 0:
         return []
-    # randrange(total + 1) draws what randint(0, total) draws, one call sooner.
-    cuts = sorted(map(rng.randrange, repeat(total + 1, count - 1)))
+    cuts = sorted(_draws_below(rng, total + 1, count - 1))
     return sorted(map(sub, [*cuts, total], [0, *cuts]))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -304,6 +305,30 @@ def test_gen_pseudo_tower_builds_one_graph(monkeypatch):
             deg_one = [v for v in range(inst.graph.n) if inst.graph.degree(v) == 1]
             assert len(deg_one) == 1
             assert inst.kept[deg_one[0]] in (cut[0] - 1, cut[-1] + 1)
+
+
+DRAW_SEEDS = ("tower:20:0", "pseudo-triangle:40:1:False", "pseudo-tower:80:3", "x")
+
+
+def test_draws_below_match_random():
+    """The generators' bounded draws give what ``randrange(stop)`` and
+    ``randint(a, b)`` give, and leave the generator in the same state, so a
+    Python whose ``random`` draws differently fails here first."""
+    stops = {*range(1, 301)}
+    for j in range(71):
+        stops |= {2**j - 1, 2**j, 2**j + 1}
+    stops.discard(0)
+    spans = [(-1, 0), (-5, 5), (-300, -1), (-(2**40), 2**40), (-7, -7)]
+    for seed in DRAW_SEEDS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for stop in sorted(stops):
+            assert geometry._draws_below(ours, stop, 3) == [theirs.randrange(stop) for _ in range(3)]
+        for a, b in spans:
+            assert a + geometry._draws_below(ours, b - a + 1, 1)[0] == theirs.randint(a, b)
+        assert ours.getstate() == theirs.getstate()
+    assert geometry._draws_below(random.Random(0), 5, 0) == []
+    with pytest.raises(ValueError):
+        geometry._draws_below(random.Random(0), 0, 1)
 
 
 EXPECTED_GENERATORS = "2cef221182b549dedbee17eba8960247fc6a5cd7465aded609b2b8f315ff46ba"

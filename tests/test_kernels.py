@@ -4,6 +4,7 @@ polygons that need not be in general position."""
 
 import math
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -122,6 +123,42 @@ def test_visibility_edges_matches_segment_visible_on_grid(poly):
     assert all(tuple(sorted((i, (i + 1) % n))) in edges for i in range(n))
 
 
+def _rotations_relabel(coords) -> None:
+    """Starting the vertex list at k relabels the graph by i -> (i - k) mod n.
+
+    The walk from p skips what holds no vertex later than p, so its output
+    depends on the numbering; the wrap from n - 1 to 0 moves with k.
+    """
+    n = len(coords)
+    edges = kernels.visibility_edges(coords)
+    for k in range(1, n):
+        rotated = tuple(coords[k:]) + tuple(coords[:k])
+        relabelled = sorted(
+            tuple(sorted(((i - k) % n, (j - k) % n))) for i, j in edges
+        )
+        assert kernels.visibility_edges(rotated) == relabelled, k
+
+
+def test_visibility_edges_rotations_relabel():
+    for coords in [*_sample_polygons(), ARROWHEAD, _spiral(2, 8, 8)]:
+        _rotations_relabel(coords)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid_polygons())
+def test_visibility_edges_rotations_relabel_on_grid(poly):
+    _rotations_relabel(poly.coords())
+
+
+def test_visibility_edges_matches_segment_visible_large_n():
+    polys = [gen(n, seed) for gen in (gen_tower, gen_pseudo_triangle)
+             for n in (80, 160) for seed in (0, 1)]
+    polys.append(gen_pseudo_triangle(40, 0, degenerate=True))
+    for poly in polys:
+        coords = poly.coords()
+        assert kernels.visibility_edges(coords) == _pairwise(coords)
+
+
 def test_grazing_segment_blocked():
     Polygon(GRAZED)  # a valid simple polygon
     assert (0, 2) not in kernels.visibility_edges(GRAZED)
@@ -171,6 +208,34 @@ def test_has_collinear_triple_cases():
     assert not kernels.has_collinear_triple([(0, 0), (1, 0), (0, 1)])
     for coords in _sample_polygons():
         assert kernels.has_collinear_triple(coords) == collinear_triple_scan(coords)
+
+
+def test_has_collinear_triple_planted_at_every_position():
+    # Points on a parabola are in general position.  Moving one point of a
+    # triple onto the line through the other two plants a collinear triple
+    # at that index triple, whichever row order the kernel scans in.  The
+    # affine maps keep collinearity exactly: the first leaves small floats,
+    # the second gives coordinates and slopes near 2^60, which all round to
+    # one float (every row goes to the exact scan), and the third slopes
+    # past the float range (the overflow fallback).
+    big, huge = 2**60, 2**1100
+    maps = (
+        lambda x, y: (x, y),
+        lambda x, y: (x + big, x * big + y + big),
+        lambda x, y: (x, y * huge + x),
+    )
+    for n in range(3, 10):
+        base = [(t, t * t) for t in range(1, n + 1)]
+        for f in maps:
+            assert not kernels.has_collinear_triple([f(x, y) for x, y in base])
+        for triple in combinations(range(n), 3):
+            for moved in triple:
+                a, b = (base[i] for i in triple if i != moved)
+                pts = list(base)
+                pts[moved] = (2 * a[0] - b[0], 2 * a[1] - b[1])
+                for f in maps:
+                    planted = [f(x, y) for x, y in pts]
+                    assert kernels.has_collinear_triple(planted), (n, triple, moved)
 
 
 def test_has_collinear_triple_float_slopes_collide():
