@@ -9,11 +9,12 @@ mapping from each vertex, in the caller's own ids, to its neighbor set.  A
 restricted to it, so no subgraph is built and nothing is renumbered.  All
 output refers to the input vertex ids.
 
-``hang_tail`` walks the tail and restricts the view to the residual, and
-``tower.tower_readings`` reads the residual with the tail hung below its
-attachment chain.  The pseudo-triangle solver reads its caps with
-``hang_tail`` given the known top, and its side parts with
-``_read_pseudo_tower``.
+``extract_tail`` walks the tail, ``hang_tail`` restricts the view to the
+residual, and ``tower.tower_readings`` reads the residual with the tail hung
+below its attachment chain.  The pseudo-triangle solver hangs its caps'
+tails walked from the known top, and reads its side parts with
+``_read_pseudo_tower``, reusing its own walk of a part where the two walks
+agree.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     return _read_pseudo_tower(nbrs)
 
 
-def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
-    """``solve_pseudo_tower`` on a view known to be connected."""
-    tail, attachment, res = hang_tail(nbrs)
+def _read_pseudo_tower(
+    nbrs: NbrView, walk: tuple[tuple[int, ...], frozenset[int]] | None = None
+) -> list[PseudoTowerSolution]:
+    """``solve_pseudo_tower`` on a view known to be connected.  ``walk`` is
+    ``extract_tail(nbrs)``, when the caller has it already."""
+    tail, attachment, res = hang_tail(nbrs, walk or extract_tail(nbrs))
     if len(res) < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
     try:
@@ -108,13 +112,14 @@ def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
 
 
 def hang_tail(
-    nbrs: NbrView, top: int | None = None
+    nbrs: NbrView, walk: tuple[tuple[int, ...], frozenset[int]]
 ) -> tuple[tuple[int, ...], int | None, NbrView]:
-    """``extract_tail``, then the tail, the residual vertex it hangs from
-    (None without a tail) and the residual's view.  Without a tail the
-    view is ``nbrs`` itself.
+    """Hang ``walk``, the tail and residual that ``extract_tail`` read off
+    ``nbrs``: the tail, the residual vertex it hangs from (None without a
+    tail) and the residual's view.  Without a tail the view is ``nbrs``
+    itself.
     """
-    tail, residual = extract_tail(nbrs, top)
+    tail, residual = walk
     if not tail:
         return tail, None, nbrs
     (attachment,) = nbrs[tail[-1]] & residual

@@ -48,23 +48,31 @@ none changes an answer:
    chains' first vertices, that leave the rest of its neighborhood inducing a
    chordless path (``_top_pairs``).  A top without such a pair is skipped,
    and so is a cap whose vertices the top sees are not those of one pair.
+   Since a pair lies in N(top), a cap C fits the pair p iff N(top) & C is a
+   subset of p.  ``solve`` decides once per top whether the rule can reject
+   a cap at all: where the one pair is all of N(top), as at every admitted
+   top of degree 2, every cap fits it, and the test is skipped.
 3. One top neighbor.  A cap in which the top sees one vertex levels only as
    a chordless path hanging from the top, and ``_cap_context`` walks that
    path before any leveling.
 4. Two firm top neighbors.  A vertex with three or more cap neighbors is
    off the cap's tail, so two such that the top sees, non-adjacent, are both
    in level 2, which is then no clique: ``solve`` rejects the cap unleveled.
+   A cap that passes rule 2 shows the top at most two vertices, so the rule
+   is evaluated only where the top sees exactly two, their adjacency first
+   and their cap degrees after; every other cap has no such pair.
 
 Caps and side parts are read by the pseudo-tower code, whose chains come
 from ``tower.bordering_chains``, the package's one reading of a leveled
-view: ``_cap_context`` hangs the cap's tail with ``pseudotower.hang_tail``
-up to the known top and levels the residual, once per (top, cap); once some
-split of the cap has two parts that solve, ``solve`` reads the residual's
-chain pairs, the top first, with ``bordering_chains``, the tail hung below
-them.  ``part_paths`` reads a chordless path off ``extract_tail``'s walk
-and any other part with ``pseudotower._read_pseudo_tower``, which runs
-``tower.tower_readings``.  Caps, chain pairs and part paths are memoized per
-``solve``.
+view: ``_cap_context`` walks the cap's tail up to the known top, hangs it
+with ``pseudotower.hang_tail`` and levels the residual, once per (top,
+cap); once some split of the cap has two parts that solve, ``solve`` reads
+the residual's chain pairs, the top first, with ``bordering_chains``, the
+tail hung below them.  ``part_paths`` reads a chordless path off
+``extract_tail``'s walk and any other part with
+``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings`` and
+reuses that walk wherever its own, without a top, would be the same.  Caps,
+chain pairs and part paths are memoized per ``solve``.
 """
 
 from __future__ import annotations
@@ -218,8 +226,10 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     ``end`` as its top: a residual of ``{end}`` means a chordless path ending
     at ``end`` (``(end,)`` for a singleton), read as it stands, and a tail
     with ``end`` of degree 1 leaves two loose ends, so no reading.  Anything
-    else is read as a pseudo-tower, and each solution whose chain ends at ``end`` is unfolded
-    around its joint: the other chain upward, then this chain downward.  The unfolded path covers
+    else is read as a pseudo-tower, handed this walk wherever the solver's
+    own walk, without a top, would be the same, and each solution whose
+    chain ends at ``end`` is unfolded around its joint: the other chain
+    upward, then this chain downward.  The unfolded path covers
     the part, because the bordering chains cover the residual and the tail
     is hung below one of them.  Where a side joint sits on the path is left
     to the decision of the assembled cycle (see ``solve``).
@@ -231,12 +241,19 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     try:
         # The walk rejects only a part with two loose ends besides ``end``,
         # which the pseudo-tower solver rejects as well.
-        tail, residual = extract_tail(inner, end)
+        walk = extract_tail(inner, end)
+        tail, residual = walk
         if residual == {end}:
             return [(*tail, end)]
-        if tail and len(inner[end]) == 1:
+        degree = len(inner[end])
+        if tail and degree == 1:
             return []
-        sols = _read_pseudo_tower(inner)
+        # The pseudo-tower solver walks the part without a top, which gives
+        # this walk unless it reaches ``end``: where ``end`` is the only loose
+        # end, or where the tail runs on through an ``end`` of degree 2.
+        if degree == 1 or degree == 2 and tail and end in inner[tail[-1]]:
+            walk = None
+        sols = _read_pseudo_tower(inner, walk)
     except NotPseudoTowerError:
         return []
     paths = {
@@ -443,7 +460,11 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     ``_top_pairs`` starts no reading and is skipped in both rounds
     (``top_rejected``), and so is a cap C that no pair p fits with
     ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
-    leveled (``cap_pair_rejected``).  A cap's chain pairs are read only once
+    leveled (``cap_pair_rejected``).  That test reads ``N(top) & C <= p``,
+    the same since p lies in N(top), and is skipped at a top whose one
+    pair is all of N(top), which every cap fits.  Rule 4 of the module
+    docstring runs only on caps in which the top sees two vertices, the
+    most that rule 2 lets through.  A cap's chain pairs are read only once
     some split of it has two parts that solve.  Each (split edge, cap) is
     split and its parts read once, in one orientation, and assembly joins
     each chain pair, in both orders, to each pair of part paths and returns
@@ -481,13 +502,11 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
     read_part = cache(partial(part_paths, g))
 
-    @cache
-    def context(top: int, cap: frozenset[int]) -> CapContext | None:
-        return _cap_context(g, cap, top)
+    context = cache(partial(_cap_context, g))
 
     @cache
     def cap_chains(top: int, cap: frozenset[int]) -> list[tuple[tuple[int, ...], ...]] | None:
-        view, lv, tail, attachment = context(top, cap)
+        view, lv, tail, attachment = context(cap, top)
         try:
             return bordering_chains(view, lv, tail, attachment)
         except NotTowerError:  # an odd cycle of constraints
@@ -508,8 +527,10 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     # 6 next-smallest-degree vertices.  They need not include the other joints:
     # on some pseudo-triangles outside the generators' family the fallback
     # misses the joint that the true boundary needs.
-    by_degree = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    nbrs = g._nbrs
+    by_degree = sorted(range(g.n), key=lambda v: (len(nbrs[v]), v))
     fallback = [v for v in by_degree if v not in tops][:6]
+    edges = sorted(g.edges)
     for attempt, round_tops in enumerate((sorted(tops), fallback)):
         if found or not round_tops:
             break
@@ -520,21 +541,36 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
             if not joint_pairs:
                 bump("top_rejected")
                 continue
-            top_nbrs = g[top]
+            top_nbrs = nbrs[top]
+            # Rule 2 holds for every cap when the one pair is all of N(top).
+            pair_rule = joint_pairs != [top_nbrs]
             verdicts: dict[tuple[int, ...], bool] = {}  # this top's decisions
-            split_edges = sorted(e for e in g.edges if top not in e)
-            for pair in split_edges:
+            for pair in edges:
+                if top in pair:
+                    continue
                 caps = extract_cap(g, top, pair)
                 if not caps:
                     bump("cap_rejected")
                     continue
                 for cap in caps:
                     seen = top_nbrs & cap
-                    if not any(p & cap == seen for p in joint_pairs):
-                        bump("cap_pair_rejected")
-                        continue
-                    firm = [v for v in seen if len(g[v] & cap) > 2]  # rule 4
-                    if len(firm) == 2 and not g.has_edge(*firm) or context(top, cap) is None:
+                    if pair_rule:
+                        for p in joint_pairs:
+                            if seen <= p:
+                                break
+                        else:
+                            bump("cap_pair_rejected")
+                            continue
+                    if len(seen) == 2:  # rule 4
+                        a, b = seen
+                        if (
+                            b not in nbrs[a]
+                            and len(nbrs[a] & cap) > 2
+                            and len(nbrs[b] & cap) > 2
+                        ):
+                            bump("cap_not_tower")
+                            continue
+                    if context(cap, top) is None:
                         bump("cap_not_tower")
                         continue
                     split = split_parts(g, cap, pair)
@@ -573,8 +609,9 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
     chain.  The cap is read by the pseudo-tower code with its apex known:
-    ``hang_tail`` walks the tail up to the top at most, and the residual is
-    leveled from the top as a tower; ``solve`` reads its borderings later.
+    ``extract_tail`` walks the tail up to the top at most, ``hang_tail``
+    hangs it, and the residual is leveled from the top as a tower;
+    ``solve`` reads its borderings later.
 
     A top with one cap neighbor u makes {u} level 2, and a one-vertex level
     needs a carrier among the top's level, but the top has no neighbor left
@@ -598,7 +635,8 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
         tail, attachment, view = tuple(reversed(path)), top, {top: frozenset()}
     else:
         try:
-            tail, attachment, view = hang_tail({v: nbrs[v] & cap for v in cap}, top)
+            view = {v: nbrs[v] & cap for v in cap}
+            tail, attachment, view = hang_tail(view, extract_tail(view, top))
         except NotPseudoTowerError:
             return None
     try:

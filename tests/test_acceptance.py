@@ -56,11 +56,12 @@ class Instance:
     polygon: Polygon
     graph: Graph
     solutions: list
+    stats: dict[str, int]
     elapsed: float
 
 
-@pytest.fixture(scope="module")
-def pseudo_triangle_corpus() -> tuple[list[Instance], float]:
+def build_corpus() -> tuple[list[Instance], float]:
+    """Criterion 1's 500 pseudo-triangles, solved, and the total seconds."""
     cases: list[tuple[int, int, bool]] = []
     i = 0
     while len(cases) < 450:
@@ -77,9 +78,15 @@ def pseudo_triangle_corpus() -> tuple[list[Instance], float]:
         poly = gen_pseudo_triangle(n, seed, degen)
         g = visibility_graph(poly)
         t1 = time.perf_counter()
-        sols = solve_pseudo_triangle(g)
-        out.append(Instance(n, seed, degen, poly, g, sols, time.perf_counter() - t1))
+        stats: dict[str, int] = {}
+        sols = solve_pseudo_triangle(g, stats)
+        out.append(Instance(n, seed, degen, poly, g, sols, stats, time.perf_counter() - t1))
     return out, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def pseudo_triangle_corpus() -> tuple[list[Instance], float]:
+    return build_corpus()
 
 
 def test_criterion_1_pseudo_triangle_round_trip(pseudo_triangle_corpus):
@@ -100,18 +107,37 @@ def test_criterion_1_pseudo_triangle_round_trip(pseudo_triangle_corpus):
 
 
 # One sha256 over every reading (cycle, chains, joints) of the criterion-1
-# corpus.  As in test_solver_store.py, recompute it only when a change is meant
-# to alter these answers, and say why in CHANGES.md.
+# corpus, and one over ``solve``'s stats dict on each of its graphs.  As in
+# test_solver_store.py, recompute them only when a change is meant to alter
+# these answers or counts, and say why in CHANGES.md.
 CORPUS_EXPECTED = "664f6f2dc2dafbe85b9baf6c9aede644118a348ac51e24c7b3226a2f9a86b582"
 
+CORPUS_STATS_EXPECTED = "8e51a4bf278080bb5688ecec8bcb623dec7f153ac1d5f649e648d42983cef145"
 
-def test_criterion_1_candidates_unchanged(pseudo_triangle_corpus):
-    instances, _ = pseudo_triangle_corpus
+
+def _corpus_digest(instances: list[Instance]) -> str:
     h = hashlib.sha256()
     for r in instances:
         answers = [(s.cycle.order, s.chains, s.joints) for s in r.solutions]
         h.update(f"{r.n} {r.seed} {r.degenerate}: {answers!r}\n".encode())
-    assert h.hexdigest() == CORPUS_EXPECTED
+    return h.hexdigest()
+
+
+def _corpus_stats_digest(instances: list[Instance]) -> str:
+    h = hashlib.sha256()
+    for r in instances:
+        h.update(f"{r.n} {r.seed} {r.degenerate}: {sorted(r.stats.items())!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_criterion_1_candidates_unchanged(pseudo_triangle_corpus):
+    instances, _ = pseudo_triangle_corpus
+    assert _corpus_digest(instances) == CORPUS_EXPECTED
+
+
+def test_criterion_1_stats_unchanged(pseudo_triangle_corpus):
+    instances, _ = pseudo_triangle_corpus
+    assert _corpus_stats_digest(instances) == CORPUS_STATS_EXPECTED
 
 
 def test_criterion_2_tower_and_pseudo_tower_round_trip():
@@ -200,24 +226,21 @@ def test_criterion_5_small_instance_oracle_equivalence(pseudo_triangle_corpus):
     )
 
 
-def test_criterion_6_scaling():
+def test_criterion_6_scaling(criterion_6_sweep):
     points: list[tuple[int, float]] = []
     worst_160 = 0.0
     misses = 0
     slowest: dict[int, tuple[float, int]] = {}  # n -> (seconds, seed)
-    for n in (20, 40, 80, 160):
-        for seed in range(20):
-            poly = gen_pseudo_triangle(n, seed)
-            g = visibility_graph(poly)
-            t0 = time.perf_counter()
-            sols = solve_pseudo_triangle(g)
-            dt = time.perf_counter() - t0
-            slowest[n] = max(slowest.get(n, (0.0, seed)), (dt, seed))
-            if n == 160:
-                worst_160 = max(worst_160, dt)
-            if boundary_cycle(poly).order not in [s.cycle.order for s in sols]:
-                misses += 1
-            points.append((g.m, dt))
+    for n, seed, poly, g in criterion_6_sweep:
+        t0 = time.perf_counter()
+        sols = solve_pseudo_triangle(g)
+        dt = time.perf_counter() - t0
+        slowest[n] = max(slowest.get(n, (0.0, seed)), (dt, seed))
+        if n == 160:
+            worst_160 = max(worst_160, dt)
+        if boundary_cycle(poly).order not in [s.cycle.order for s in sols]:
+            misses += 1
+        points.append((g.m, dt))
 
     xs = [math.log(m) for m, _ in points]
     ys = [math.log(max(t, 1e-9)) for _, t in points]

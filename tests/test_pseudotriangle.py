@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from polyvis import (
 )
 from polyvis import pseudotriangle
 from polyvis.graph import CycleCandidate, is_cycle_in_graph
+from polyvis.pseudotower import NotPseudoTowerError, extract_tail
 from polyvis.tower import NotTowerError, bordering_chains
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
@@ -38,7 +40,7 @@ from polyvis.pseudotriangle import (
     top_joint_candidates,
 )
 
-from conftest import PT6_EDGES
+from conftest import PT6_EDGES, T5_EDGES
 from oracles import (
     arc_pseudo_triangle,
     brute_hamiltonian_cycles,
@@ -515,6 +517,7 @@ def test_part_paths_match_scan(monkeypatch, graphs):
 
     monkeypatch.setattr(pseudotriangle, "part_paths", spy)
     total = found = 0
+    walks_differ: Counter[str] = Counter()
     for g in _graph_set(graphs):
         reads.clear()
         solve_pseudo_triangle(g)
@@ -522,8 +525,48 @@ def test_part_paths_match_scan(monkeypatch, graphs):
             paths = read_part(g, part, end)
             assert paths == part_paths_scan(g, part, end), (g.edges, part, end)
             found += bool(paths)
+            walks_differ[_second_walk(g, part, end)] += 1
         total += len(reads)
     assert total > found > 100, (total, found)
+    # Both kinds of part whose walk part_paths cannot reuse are read.
+    assert walks_differ["through"] and walks_differ["loose"], walks_differ
+
+
+def _second_walk(g: Graph, part: frozenset[int], end: int) -> str | None:
+    """How the tail walk of a part without a top, as the pseudo-tower solver
+    walks it, differs from ``part_paths``' walk with ``end`` as top: the tail
+    runs on "through" ``end``, or ``end`` is the "loose" end it starts at."""
+    inner = {v: g[v] & part for v in part}
+    try:
+        with_top, without = extract_tail(inner, end), extract_tail(inner)
+    except NotPseudoTowerError:
+        return None
+    if with_top == without:
+        return None
+    return "through" if with_top[0] else "loose"
+
+
+@pytest.mark.parametrize(
+    "tail, end, kind, want",
+    [
+        ([(3, 5), (5, 6)], 5, "through", []),
+        ([(3, 5), (5, 6), (6, 7)], 6, "through", []),
+        ([(3, 5), (5, 6), (6, 7)], 5, "through", []),
+        ([(3, 5)], 5, "loose", [(2, 1, 0, 4, 3, 5), (2, 4, 0, 1, 3, 5)]),
+        ([(3, 5), (5, 6)], 3, None, []),
+    ],
+    ids=["through-degree-2", "through-long", "through-above", "only-loose-end", "tail-stops-at-end"],
+)
+def test_part_paths_where_walks_differ(tail, end, kind, want):
+    # The tower on 0..4 (apex 0, base 2-3) with a path hanging off 3.  Where
+    # the tail runs through ``end`` at degree 2, or ``end`` is the only loose
+    # end, the walk with ``end`` as top is not the pseudo-tower solver's; a
+    # tail that stops at ``end`` of degree 3 or more walks the same way.  A
+    # tail through ``end`` leaves no chain ending there.
+    g = Graph(8, T5_EDGES | frozenset(tail))
+    part = frozenset(v for v in range(8) if g[v])
+    assert _second_walk(g, part, end) == kind
+    assert part_paths(g, part, end) == part_paths_scan(g, part, end) == want
 
 
 def _is_path(g: Graph, path: tuple[int, ...]) -> bool:

@@ -11,10 +11,15 @@ the pseudo-triangle search's work: ``solve``'s stats dict on every graph of
 both sets, so a change meant only to speed the search up cannot move a
 count.  A fifth pins the tower and pseudo-tower solvers on their own
 inputs: criterion 2's 300 towers and 300 pseudo-towers and criterion 7's
-1,000 random and 200 mutated graphs.  When a change is meant to alter these
-answers or counts, recompute the digests with ``_digest``,
-``_mutated_digest``, ``_verify_digest``, ``_stats_digest`` and
-``_tower_digest`` and say why in CHANGES.md.
+1,000 random and 200 mutated graphs.  A sixth and a seventh pin the
+pseudo-triangle readings and ``solve``'s stats on criterion 6's 80 sweep
+graphs (n 20 to 160), where the search is largest.  ``test_acceptance.py`` pins the
+criterion-1 corpus's readings and stats in the same way.  When a change is
+meant to alter these answers or counts, recompute every digest with
+
+    PYTHONPATH=src python tests/test_solver_store.py
+
+and say why in CHANGES.md.
 """
 
 import hashlib
@@ -48,6 +53,10 @@ EXPECTED_STATS = "3c37d22f47cc11e3d5f01619b1420ea54c9c19267b06c4c813589d72583d6e
 
 EXPECTED_TOWERS = "97fb37d142380c72ebd5c6de42ce4ae17586713a88a356ebfa9fe902793e1ead"
 
+EXPECTED_SWEEP = "f763287a49166ca2b8b8bdf0ef9488f68180a8907f2ad0db8c2c5a40ca7957ef"
+
+EXPECTED_SWEEP_STATS = "a8b749006fe40228a282a2eb82f8d4590c04168650fdab6e24b0960f00e7c4f5"
+
 
 def _answers(g) -> tuple:
     return (*_tower_answers(g), _triangles(g))
@@ -62,8 +71,8 @@ def _tower_answers(g, message: bool = False) -> tuple:
     return towers, pseudo
 
 
-def _triangles(g) -> list:
-    return [(s.cycle.order, s.chains, s.joints) for s in solve_pseudo_triangle(g)]
+def _triangles(g, stats: dict[str, int] | None = None) -> list:
+    return [(s.cycle.order, s.chains, s.joints) for s in solve_pseudo_triangle(g, stats)]
 
 
 def _digest(files: list[Path]) -> str:
@@ -150,3 +159,40 @@ def _tower_digest() -> tuple[int, str]:
 
 def test_tower_and_pseudo_tower_answers_unchanged():
     assert _tower_digest() == (1800, EXPECTED_TOWERS)
+
+
+def _sweep_digests(sweep) -> tuple[str, str]:
+    readings, work = hashlib.sha256(), hashlib.sha256()
+    for n, seed, _, g in sweep:
+        stats: dict[str, int] = {}
+        readings.update(f"{n} {seed}: {_triangles(g, stats)!r}\n".encode())
+        work.update(f"{n} {seed}: {sorted(stats.items())!r}\n".encode())
+    return readings.hexdigest(), work.hexdigest()
+
+
+def test_criterion_6_sweep_unchanged(criterion_6_sweep):
+    assert len(criterion_6_sweep) == 80
+    assert _sweep_digests(criterion_6_sweep) == (EXPECTED_SWEEP, EXPECTED_SWEEP_STATS)
+
+
+if __name__ == "__main__":
+    import test_acceptance
+    from conftest import criterion_6_instances
+
+    files = sorted(STORE.glob("*.graph"))
+    corpus, _ = test_acceptance.build_corpus()
+    sweep, sweep_stats = _sweep_digests(criterion_6_instances())
+    digests = {
+        "EXPECTED": _digest(files),
+        "EXPECTED_MUTATED": _mutated_digest(),
+        "EXPECTED_VERIFY": _verify_digest()[1],
+        "EXPECTED_STATS": _stats_digest(),
+        "EXPECTED_TOWERS": _tower_digest()[1],
+        "EXPECTED_SWEEP": sweep,
+        "EXPECTED_SWEEP_STATS": sweep_stats,
+        "CORPUS_EXPECTED": test_acceptance._corpus_digest(corpus),
+        "CORPUS_STATS_EXPECTED": test_acceptance._corpus_stats_digest(corpus),
+    }
+    pins = globals() | vars(test_acceptance)
+    for name, value in digests.items():
+        print(f'{name} = "{value}"' + ("" if value == pins[name] else "  # differs from the pin"))
