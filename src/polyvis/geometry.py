@@ -36,7 +36,7 @@ from operator import index, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
-from .graph import CycleCandidate, Graph, canonicalize, induced_subgraph
+from .graph import CycleCandidate, Graph, canonicalize, data_lines, induced_subgraph
 from .pseudotower import extract_tail
 
 
@@ -251,25 +251,34 @@ def _funnel_points(rng: random.Random, m_left: int, m_right: int, k_bottom: int)
         bottom_cols = sorted(rng.sample(range(1, span), k_bottom))
         bottom_heights = [profile[c] for c in bottom_cols]
 
-    span = stretch * width
     slope_start = stretch * dent_cap + 1  # side slope per column beats the dent's
     min_left = m_left * slope_start + m_left * (m_left - 1) // 2
     min_right = m_right * slope_start + m_right * (m_right - 1) // 2
     height = max(min_left, min_right) + rng.randint(0, 2 * width + 4)
     dy_left = _increasing_ints(rng, m_left, height, slope_start)
     dy_right = _increasing_ints(rng, m_right, height, slope_start)
-    y_left = _prefix(dy_left)
-    y_right = _prefix(dy_right)
+    return _outline(stretch, _prefix(dy_left), _prefix(dy_right), zip(bottom_cols, bottom_heights))
 
-    shift = stretch * m_left  # puts the apex at x = 0
-    pts = [(0, height)]  # apex
-    for t in range(m_left - 1, 0, -1):  # left side, walking down
+
+def _outline(stretch: int, y_left: list[int], y_right: list[int], dent: Iterable[XY]) -> list[XY]:
+    """The funnel's points counterclockwise from its apex at x = 0: the left
+    side walking down, the left base corner, the dent's (column, height)
+    points, columns counted from that corner, the right base corner and the
+    right side walking up.  ``y_left`` and ``y_right`` are the sides' prefix
+    heights, 0 at the base up to the apex's, one per side vertex, and each
+    side step spans ``stretch`` columns.  It draws no random numbers.
+    """
+    m_left, m_right = len(y_left) - 1, len(y_right) - 1
+    span = stretch * (m_left + m_right)
+    shift = stretch * m_left
+    pts = [(0, y_left[-1])]  # apex
+    for t in range(m_left - 1, 0, -1):
         pts.append((stretch * t - shift, y_left[t]))
-    pts.append((-shift, 0))  # left base corner
-    for c, h in zip(bottom_cols, bottom_heights):
+    pts.append((-shift, 0))
+    for c, h in dent:
         pts.append((c - shift, h))
-    pts.append((span - shift, 0))  # right base corner
-    for t in range(1, m_right):  # right side, walking up
+    pts.append((span - shift, 0))
+    for t in range(1, m_right):
         pts.append((span - stretch * t - shift, y_right[t]))
     return pts
 
@@ -332,17 +341,7 @@ def _degenerate_points(rng: random.Random, n: int) -> list[XY] | None:
         return None
     h_d = max(1, cap - rng.randint(0, 1))
 
-    y_left = _prefix(dy_left)
-    y_right = _prefix(dy_right)
-    pts = [(0, height)]  # apex at x = 0
-    for t in range(m_left - 1, 0, -1):
-        pts.append((t - m_left, y_left[t]))
-    pts.append((-m_left, 0))
-    pts.append((x_d - m_left, h_d))
-    pts.append((span - m_left, 0))
-    for t in range(1, m_right):
-        pts.append((span - t - m_left, y_right[t]))
-    return pts
+    return _outline(1, _prefix(dy_left), _prefix(dy_right), [(x_d, h_d)])
 
 
 def gen_pseudo_triangle(n: int, seed: int, degenerate: bool = False) -> Polygon:
@@ -492,13 +491,9 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
 
 
 def parse_polygon(text: str) -> Polygon:
-    """Parse a polygon file: first line ``n``, then n lines ``x y``, CCW."""
-    data: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data.append((line_no, stripped))
+    """Parse a polygon file: first line ``n``, then n lines ``x y``, CCW;
+    ``#`` lines are comments."""
+    data = data_lines(text)
     if not data:
         raise PolygonParseError(1, "missing vertex count")
     head_no, head = data[0]

@@ -193,14 +193,20 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(old_of), edges), old_of
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of a graph or polygon file that carry data, stripped, each
+    with its 1-based line number; blank lines and ``#`` comments are skipped.
+    """
+    return [
+        (line_no, stripped)
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    ]
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a graph file: ``n m`` then m lines ``u v``; ``#`` lines are comments."""
-    data: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data.append((line_no, stripped))
+    data = data_lines(text)
     if not data:
         raise GraphParseError(1, "missing header 'n m'")
 

@@ -13,8 +13,7 @@ output refers to the input vertex ids.
 residual, and ``tower.tower_readings`` reads the residual with the tail hung
 below its attachment chain.  The pseudo-triangle solver hangs its caps'
 tails walked from the known top, and reads its side parts with
-``_read_pseudo_tower``, reusing its own walk of a part where the two walks
-agree.
+``_read_pseudo_tower``.
 """
 
 from __future__ import annotations
@@ -93,12 +92,9 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     return _read_pseudo_tower(nbrs)
 
 
-def _read_pseudo_tower(
-    nbrs: NbrView, walk: tuple[tuple[int, ...], frozenset[int]] | None = None
-) -> list[PseudoTowerSolution]:
-    """``solve_pseudo_tower`` on a view known to be connected.  ``walk`` is
-    ``extract_tail(nbrs)``, when the caller has it already."""
-    tail, attachment, res = hang_tail(nbrs, walk or extract_tail(nbrs))
+def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
+    """``solve_pseudo_tower`` on a view known to be connected."""
+    tail, attachment, res = hang_tail(nbrs, extract_tail(nbrs))
     if len(res) < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
     try:

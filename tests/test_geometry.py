@@ -164,14 +164,21 @@ def test_polygon_file_round_trip(t5_polygon):
 
 
 def test_polygon_parse_errors():
-    with pytest.raises(PolygonParseError):
-        parse_polygon("")
-    with pytest.raises(PolygonParseError):
-        parse_polygon("2\n0 0\n1 1\n")
-    with pytest.raises(PolygonParseError):
-        parse_polygon("3\n0 0\nbad line\n2 2\n")
-    with pytest.raises(PolygonParseError):
-        parse_polygon("3\n0 0\n1 0\n")
+    cases = [
+        ("", "missing vertex count"),
+        ("2\n0 0\n1 1\n", "at least 3 vertices"),
+        ("3\n0 0\nbad line\n2 2\n", "line 3: expected integers"),
+        ("3\n0 0\n1 0\n", "line 3: expected 3 vertex lines, found 2"),
+        ("x\n", "expected vertex count, got 'x'"),
+        # Comments and blank lines are skipped but keep their line numbers.
+        ("# tri\n\n3\n0 0\n# c\n1 0\n", "line 6: expected 3 vertex lines, found 2"),
+        ("3\n0 0\n1\n2 2\n", "line 3: expected 'x y', got '1'"),
+        ("3\n0 0\n1 0 2\n2 2\n", "line 3: expected 'x y', got '1 0 2'"),
+    ]
+    for text, fragment in cases:
+        with pytest.raises(PolygonParseError) as exc:
+            parse_polygon(text)
+        assert fragment in str(exc.value), (text, str(exc.value))
 
 
 def test_render_svg_t5(t5_polygon, t5_graph):

@@ -54,6 +54,12 @@ def test_parse_t5_degrees():
         ("3 1\nnope\n", "expected"),
         ("3 2\n0 1\n", "edge lines"),
         ("", "header"),
+        ("3\n", "expected 'n m', got '3'"),
+        ("1 2 3\n", "expected 'n m', got '1 2 3'"),
+        ("a b\n", "expected integers in header"),
+        ("-1 0\n", "must be non-negative"),
+        ("3 -1\n", "must be non-negative"),
+        ("3 1\n0 x\n", "line 2: expected integers, got '0 x'"),
     ],
 )
 def test_parse_errors(text, fragment):
