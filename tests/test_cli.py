@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -7,8 +6,7 @@ from polyvis import gen_pseudo_triangle, serialize_graph, visibility_graph, writ
 from polyvis.cli import build_parser, main
 
 from conftest import PT6_EDGES, T5_EDGES
-
-AUTO_MIXED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
+from corpora import AUTO_MIXED
 
 
 def _graph_file(tmp_path, n, edges, name="g.txt"):

@@ -1,7 +1,6 @@
 import dataclasses
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +14,6 @@ from polyvis import (
     convex_vertex_indices,
     gen_pseudo_triangle,
     gen_tower,
-    parse_graph,
     solve_pseudo_triangle,
     solve_tower,
     verify_candidate,
@@ -39,6 +37,7 @@ from polyvis.pseudotriangle import (
 )
 
 from conftest import PT6_EDGES, T5_EDGES
+from corpora import graph_set
 from oracles import (
     arc_pseudo_triangle,
     brute_hamiltonian_cycles,
@@ -46,7 +45,6 @@ from oracles import (
     chain_conditions_scan,
     extract_cap_walk,
     hangs_path,
-    mutated_pseudo_triangle,
     part_paths_scan,
     random_connected_graph,
     spec_cycles,
@@ -54,8 +52,6 @@ from oracles import (
     top_pairs_scan,
     verify_cycle_scan,
 )
-
-AUTO_MIXED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
 
 def test_top_candidates_k3(k3):
@@ -414,7 +410,7 @@ def test_top_pairs_match_scan():
 def _graph_set(name: str) -> list[Graph]:
     if name == "brute-force":
         return _brute_force_graphs()
-    return [parse_graph(p.read_text()) for p in sorted(AUTO_MIXED.glob("*.graph"))]
+    return [r.graph for r in graph_set("auto-mixed")]
 
 
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
@@ -462,6 +458,7 @@ def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
     # and every cap whose chains solve reads gets them, or none on an odd
     # cycle of constraints.  Spies on solve's bindings tie each chain
     # reading to the context, and so the cap, it came from.
+    gs = _graph_set(graphs)
     cap_context = pseudotriangle._cap_context
     chains_of = pseudotriangle.bordering_chains
     leveled: dict[int, tuple[int, frozenset[int]]] = {}  # id of a leveling -> (top, cap)
@@ -482,7 +479,7 @@ def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
     monkeypatch.setattr(pseudotriangle, "_cap_context", spy_context)
     monkeypatch.setattr(pseudotriangle, "bordering_chains", spy_chains)
     caps = reads = odd = 0
-    for g in _graph_set(graphs):
+    for g in gs:
         leveled.clear()
         read.clear()
         solve_pseudo_triangle(g)
@@ -507,6 +504,7 @@ def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
 def test_part_paths_match_scan(monkeypatch, graphs):
     # Every (part, end) that solve reads gets the readings of the full
     # pseudo-tower solve, connectivity check and all.
+    gs = _graph_set(graphs)
     reads: set[tuple[frozenset[int], int]] = set()
     read_part = pseudotriangle.part_paths
 
@@ -516,7 +514,7 @@ def test_part_paths_match_scan(monkeypatch, graphs):
 
     monkeypatch.setattr(pseudotriangle, "part_paths", spy)
     total = found = 0
-    for g in _graph_set(graphs):
+    for g in gs:
         reads.clear()
         solve_pseudo_triangle(g)
         for part, end in reads:
@@ -675,15 +673,10 @@ def test_solve_matches_brute_force(degenerate):
 def test_solve_matches_spec_on_mutated_graphs():
     # Criterion 7's mutated graphs lie one edge away from a generated
     # visibility graph, so they check the answer set beyond that family.
-    checked = 0
-    for i in range(200):
-        g = mutated_pseudo_triangle(i)
-        if g.n > 10:
-            continue
-        checked += 1
-        solved = {s.cycle.order for s in solve_pseudo_triangle(g)}
-        assert solved == spec_cycles(g), i
-    assert checked == 78
+    small = [r for r in graph_set("mutated") if r.graph.n <= 10]
+    for r in small:
+        assert {s.cycle.order for s in r.triangles} == spec_cycles(r.graph), r.id
+    assert len(small) == 78
 
 
 def test_solve_matches_spec_on_random_graphs():

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from polyvis import (
@@ -8,7 +6,6 @@ from polyvis import (
     canonicalize,
     check_strong_ordering,
     gen_tower,
-    parse_graph,
     solve_pseudo_triangle,
     solve_tower,
     visibility_graph,
@@ -24,9 +21,8 @@ from polyvis.tower import (
     tower_top_candidates,
 )
 
+from corpora import graph_set
 from oracles import bordering_constraints_scan, brute_hamiltonian_cycles
-
-AUTO_MIXED = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "auto-mixed"
 
 
 def test_top_candidates_t5(t5_graph):
@@ -108,6 +104,7 @@ def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
     # benchmark's auto-mixed store, caps and side parts alike, odd cycles
     # included.  A cap's is built only once its chains are needed, so every
     # cap that the search levels is checked too.
+    graphs = [r.graph for r in graph_set("auto-mixed")]
     seen = []
     leveled = []
     cap_context = pseudotriangle._cap_context
@@ -133,8 +130,8 @@ def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
 
     monkeypatch.setattr(tower, "bordering_constraints", record)
     monkeypatch.setattr(pseudotriangle, "_cap_context", record_cap)
-    for f in sorted(AUTO_MIXED.glob("*.graph")):
-        solve_pseudo_triangle(parse_graph(f.read_text()))
+    for g in graphs:
+        solve_pseudo_triangle(g)
     rejected = sum(bg is None for _, _, bg in seen)
     # 645 and 36 of them are caps', the rest side parts'; the search levels
     # 2,207 caps, of which 131 have an odd cycle.
