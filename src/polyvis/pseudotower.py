@@ -9,9 +9,9 @@ mapping from each vertex, in the caller's own ids, to its neighbor set.  A
 restricted to it, so no subgraph is built and nothing is renumbered.  All
 output refers to the input vertex ids.
 
-``extract_tail`` walks the tail, ``hang_tail`` restricts the view to the
-residual, and ``tower.tower_readings`` reads the residual with the tail hung
-below its attachment chain.  The pseudo-triangle solver hangs its caps'
+``extract_tail`` walks the tail, ``hang_tail`` walks it and restricts the
+view to the residual, and ``tower.tower_readings`` reads the residual with
+the tail hung below its attachment chain.  The pseudo-triangle solver hangs its caps'
 tails walked from the known top, and reads its side parts with
 ``_read_pseudo_tower``.
 """
@@ -94,7 +94,7 @@ def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
 
 def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     """``solve_pseudo_tower`` on a view known to be connected."""
-    tail, attachment, res = hang_tail(nbrs, extract_tail(nbrs))
+    tail, attachment, res = hang_tail(nbrs)
     if len(res) < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
     try:
@@ -108,14 +108,14 @@ def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
 
 
 def hang_tail(
-    nbrs: NbrView, walk: tuple[tuple[int, ...], frozenset[int]]
+    nbrs: NbrView, top: int | None = None
 ) -> tuple[tuple[int, ...], int | None, NbrView]:
-    """Hang ``walk``, the tail and residual that ``extract_tail`` read off
-    ``nbrs``: the tail, the residual vertex it hangs from (None without a
+    """Walk the tail of ``nbrs`` with ``extract_tail``, ``top`` as known, and
+    hang it: the tail, the residual vertex it hangs from (None without a
     tail) and the residual's view.  Without a tail the view is ``nbrs``
     itself.
     """
-    tail, residual = walk
+    tail, residual = extract_tail(nbrs, top)
     if not tail:
         return tail, None, nbrs
     (attachment,) = nbrs[tail[-1]] & residual

@@ -582,9 +582,9 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
     chain.  The cap is read by the pseudo-tower code with its apex known:
-    ``extract_tail`` walks the tail up to the top at most, ``hang_tail``
-    hangs it, and the residual is leveled from the top as a tower;
-    ``solve`` reads its borderings later.
+    ``hang_tail`` walks the tail up to the top at most and hangs it, and the
+    residual is leveled from the top as a tower; ``solve`` reads its
+    borderings later.
 
     A top with one cap neighbor u makes {u} level 2, and a one-vertex level
     needs a carrier among the top's level, but the top has no neighbor left
@@ -611,7 +611,7 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     else:
         try:
             view = {v: nbrs[v] & cap for v in cap}
-            tail, attachment, view = hang_tail(view, extract_tail(view, top))
+            tail, attachment, view = hang_tail(view, top)
         except NotPseudoTowerError:
             return None
     try:
