@@ -351,23 +351,15 @@ def _top_pairs(g: Graph, top: int) -> list[frozenset[int]]:
     With d = |N(top)|, the path's d - 3 edges fix deg(a) + deg(b) - [a~b]
     in N(top).  That degree sum is part of the test, not a filter: a rest of
     maximum degree 2 that is connected is a chordless path or a cycle, and
-    only the path has d - 3 edges.  A neighbor adjacent to more than 4 others
-    in N(top) must be a or b; that forced-vertex set is the one pure speed
-    filter.  It turns away 2,365 of the 2,887 pairs of one auto-mixed
-    benchmark pass, 1,513 of them at tops with three forced vertices, and
-    saves about 0.4 ms of the 2.8 ms that ``_top_pairs`` takes in that pass,
-    under 0.1% of ``solve``'s time.
+    only the path has d - 3 edges.
     """
     nb = g[top]
     inner = {v: g[v] & nb for v in nb}
     twice_edges = sum(len(s) for s in inner.values())
     target = twice_edges // 2 - max(len(nb) - 3, 0)
-    forced = {v for v, s in inner.items() if len(s) > 4}
-    if len(forced) > 2:
-        return []
     pairs = []
     for a, b in combinations(nb, 2):
-        if not forced <= {a, b} or len(inner[a]) + len(inner[b]) - (b in inner[a]) != target:
+        if len(inner[a]) + len(inner[b]) - (b in inner[a]) != target:
             continue
         path = {v: inner[v] - {a, b} for v in nb - {a, b}}
         if all(len(s) <= 2 for s in path.values()) and is_connected(path):
