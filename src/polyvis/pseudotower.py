@@ -11,8 +11,8 @@ output refers to the input vertex ids.
 
 ``extract_tail`` walks the tail, ``hang_tail`` walks it and restricts the
 view to the residual, and ``tower.tower_readings`` reads the residual with
-the tail hung below its attachment chain.  The pseudo-triangle solver hangs its caps'
-tails walked from the known top, and reads its side parts with
+the tail hung below its attachment chain.  The pseudo-triangle solver hangs
+its caps' tails walked from the known top, and reads its side parts with
 ``_read_pseudo_tower``.
 """
 

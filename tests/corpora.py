@@ -55,7 +55,8 @@ class Record:
     ``source`` is what the graph was made from: its polygon, its
     pseudo-tower instance or its auto-mixed manifest item.  ``triangles``,
     ``stats`` and ``solve_s`` are None on the tower sets, and ``triangles``
-    is None where ``solve_pseudo_triangle`` raised ``error``.
+    is None where ``solve_pseudo_triangle`` raised ``error``.  Every test
+    reads the same records, so none may change them.
     """
 
     id: str
