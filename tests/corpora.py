@@ -14,16 +14,24 @@ same records on every later one:
 - ``corpus``: criterion 1's 500 pseudo-triangles, 50 of them degenerate.
 
 Every graph is read by ``solve_tower`` and ``solve_pseudo_tower``, and every
-graph outside the two tower sets by ``solve_pseudo_triangle`` too.  Tests
-that spy on the solver or patch it run their own solves on ``record.graph``.
+graph outside the two tower sets by ``solve_pseudo_triangle`` too.
+
+The stage tests read auto-mixed and ``brute_force_graphs``, 101 small graphs
+kept out of ``SETS`` and so out of the answer store, through two more
+records: ``stage_log(name)``, one solve per graph that keeps every call of
+five stages with its arguments and result, and ``cap_cases(name)``,
+``extract_cap`` on every (top, split edge).  A test that replaces a stage,
+rather than reading it, patches the solver and runs its own solve.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -41,7 +49,8 @@ from polyvis import (
     solve_tower,
     visibility_graph,
 )
-from polyvis.pseudotriangle import PseudoTriangleSolution
+from polyvis import pseudotriangle, tower
+from polyvis.pseudotriangle import PseudoTriangleSolution, extract_cap
 
 from oracles import mutated_pseudo_triangle, random_connected_graph
 
@@ -157,3 +166,96 @@ def graph_set(name: str) -> tuple[Record, ...]:
         records.append(_solve(id, g, source, time.perf_counter() - t0, triangles))
         t0 = time.perf_counter()
     return tuple(records)
+
+
+@cache
+def brute_force_graphs() -> tuple[Graph, ...]:
+    """Small random graphs and pseudo-triangles, n <= 10, for the oracles that
+    list every Hamiltonian cycle."""
+    graphs = [
+        random_connected_graph(n, extra, seed)
+        for n in range(4, 9)
+        for extra in (0, 2, 4, 6)
+        for seed in range(4)
+    ]
+    graphs += [visibility_graph(gen_pseudo_triangle(n, seed)) for n in range(5, 10) for seed in range(4)]
+    # Chains (0, 1, 2), (2, ..., 8) and (0, 9, 8), where 0, 1 and 9 all see
+    # 3..7: both side neighbors of the top see more than 4 of its neighbors.
+    wide = [(0, 1), (1, 2), (8, 9), (9, 0), (1, 9), *zip(range(2, 8), range(3, 9))]
+    graphs.append(Graph.from_edges(10, wide + [(u, v) for u in (0, 1, 9) for v in range(3, 8)]))
+    return tuple(graphs)
+
+
+STAGES = [(pseudotriangle, "_cap_context"), (pseudotriangle, "bordering_chains"), (pseudotriangle, "part_paths"),
+          (pseudotriangle, "assemble_hamiltonian"), (tower, "bordering_constraints")]
+
+
+@dataclass
+class Stages:
+    """One graph's recorded ``solve_pseudo_triangle``.  ``calls`` maps each
+    stage in ``STAGES`` to its calls in call order, each its arguments and
+    its result, or None where it raised (NotTowerError: an odd cycle of
+    constraints)."""
+
+    graph: Graph
+    calls: dict[str, list[tuple[tuple, Any]]] = field(default_factory=lambda: {n: [] for _, n in STAGES})
+    triangles: list[PseudoTriangleSolution] = field(default_factory=list)
+    stats: dict[str, int] = field(default_factory=dict)
+
+
+@contextmanager
+def _recording(log: list[Stages]) -> Iterator[None]:
+    """Wrap each stage so that its calls go to ``log[-1]``; the wrappers only
+    record, and the stages are restored on exit."""
+
+    def recorded(name: str, stage: Callable) -> Callable:
+        def wrapper(*args):
+            result = None  # kept if the stage raises
+            try:
+                result = stage(*args)
+            finally:
+                log[-1].calls[name].append((args, result))
+            return result
+
+        return wrapper
+
+    originals = [getattr(module, name) for module, name in STAGES]
+    try:
+        for (module, name), stage in zip(STAGES, originals):
+            setattr(module, name, recorded(name, stage))
+        yield
+    finally:
+        for (module, name), stage in zip(STAGES, originals):
+            setattr(module, name, stage)
+
+
+def _stage_graphs(name: str) -> tuple[Graph, ...]:
+    return brute_force_graphs() if name == "brute-force" else tuple(r.graph for r in graph_set(name))
+
+
+@cache
+def stage_log(name: str) -> tuple[Stages, ...]:
+    """``brute-force``'s or a ``SETS`` entry's graphs, each solved once with
+    its stages recorded."""
+    graphs = _stage_graphs(name)  # graph_set's own solves go unrecorded
+    log: list[Stages] = []
+    with _recording(log):
+        for g in graphs:
+            log.append(Stages(g))
+            log[-1].triangles = solve_pseudo_triangle(g, log[-1].stats)
+    return tuple(log)
+
+
+@cache
+def cap_cases(name: str) -> tuple[tuple[Graph, int, tuple[int, int], list[frozenset[int]]], ...]:
+    """``extract_cap``'s caps on every (graph, top, split edge) of the named
+    graphs, the top off the edge."""
+    graphs = _stage_graphs(name)
+    cases = ((g, top, e) for g in graphs for top in range(g.n) for e in g.edges if top not in e)
+    # The cases only grow, so a collection finds nothing to free; each full one
+    # rescans every case built so far, which took 70% of auto-mixed's build.
+    gc.disable()
+    try:
+        return tuple((g, top, e, extract_cap(g, top, e)) for g, top, e in cases)
+    finally:
+        gc.enable()

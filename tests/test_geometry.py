@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyvis import (
-    Point,
     Polygon,
     PolygonError,
     boundary_cycle,

@@ -1,4 +1,5 @@
-"""Every name a polyvis module imports is read somewhere in that module.
+"""Every name a polyvis module or a test module imports is read somewhere in
+that module.
 
 ``__init__.py`` is left out: it imports names to re-export them.  The check
 uses only the stdlib ``ast`` module, so it runs wherever the tests do.
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "polyvis"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "polyvis"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -20,9 +20,9 @@ from polyvis import (
     verify_cycle,
     visibility_graph,
 )
-from polyvis import pseudotriangle
+from polyvis import pseudotriangle, tower
 from polyvis.graph import CycleCandidate, is_cycle_in_graph
-from polyvis.tower import NotTowerError, bordering_chains
+from polyvis.tower import NotTowerError, bordering_chains, bordering_constraints
 from polyvis.pseudotriangle import (
     PseudoTriangleSolution,
     _cap_context,
@@ -37,7 +37,7 @@ from polyvis.pseudotriangle import (
 )
 
 from conftest import PT6_EDGES, T5_EDGES
-from corpora import graph_set
+from corpora import brute_force_graphs, cap_cases, graph_set, stage_log
 from oracles import (
     arc_pseudo_triangle,
     brute_hamiltonian_cycles,
@@ -364,27 +364,12 @@ def _splits(cycle: tuple[int, ...]):
                 yield ring[i : j + 1], ring[j : k + 1], ring[k : i + n + 1][::-1]
 
 
-def _brute_force_graphs() -> list[Graph]:
-    graphs = [
-        random_connected_graph(n, extra, seed)
-        for n in range(4, 9)
-        for extra in (0, 2, 4, 6)
-        for seed in range(4)
-    ]
-    graphs += [visibility_graph(gen_pseudo_triangle(n, seed)) for n in range(5, 10) for seed in range(4)]
-    # Chains (0, 1, 2), (2, ..., 8) and (0, 9, 8), where 0, 1 and 9 all see
-    # 3..7: both side neighbors of the top see more than 4 of its neighbors.
-    wide = [(0, 1), (1, 2), (8, 9), (9, 0), (1, 9), *zip(range(2, 8), range(3, 9))]
-    graphs.append(Graph.from_edges(10, wide + [(u, v) for u in (0, 1, 9) for v in range(3, 8)]))
-    return graphs
-
-
 def test_top_neighborhood_admits_every_top_joint():
     # Brute force: whatever split of whatever Hamiltonian cycle passes the
     # necessary conditions, its side chains' first vertices are a pair of its
     # top joint.
     passed = rejected = 0
-    for g in _brute_force_graphs():
+    for g in brute_force_graphs():
         pairs = [_top_pairs(g, v) for v in range(g.n)]
         rejected += pairs.count([])
         for cycle in brute_hamiltonian_cycles(g):
@@ -398,7 +383,7 @@ def test_top_neighborhood_admits_every_top_joint():
 def test_top_pairs_match_scan():
     # Every pair, once, on every vertex, against a scan of every pair.
     found = 0
-    for g in _brute_force_graphs():
+    for g in brute_force_graphs():
         for v in range(g.n):
             pairs = _top_pairs(g, v)
             assert len(set(pairs)) == len(pairs)
@@ -407,22 +392,13 @@ def test_top_pairs_match_scan():
     assert found > 1000
 
 
-def _graph_set(name: str) -> list[Graph]:
-    if name == "brute-force":
-        return _brute_force_graphs()
-    return [r.graph for r in graph_set("auto-mixed")]
-
-
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
 def test_extract_cap_matches_walk(graphs):
     # Every split edge of every top gets the caps that the walk reads, however
     # wide the first level; and a cap in which the top sees one vertex levels
     # iff it is a chordless path hanging from the top.
-    gs = _graph_set(graphs)
-    cases = ((g, top, e) for g in gs for top in range(g.n) for e in g.edges if top not in e)
     wide = hanging = not_hanging = 0
-    for g, top, e in cases:
-        caps = extract_cap(g, top, e)
+    for g, top, e, caps in cap_cases(graphs):
         assert caps == extract_cap_walk(g, top, e), (g.edges, top, e)
         wide += len(g[top] - set(e)) > 2 and bool(caps)
         for cap in caps:
@@ -439,59 +415,34 @@ def test_two_firm_top_neighbors_never_level(graphs):
     # Wherever the top sees two non-adjacent cap vertices that each have
     # three or more cap neighbors, the cap does not level, so leveling alone
     # rejects it as cap_not_tower.
-    gs = _graph_set(graphs)
     fired = 0
-    for g in gs:
-        for top in range(g.n):
-            for e in (e for e in g.edges if top not in e):
-                for cap in extract_cap(g, top, e):
-                    firm = [v for v in g[top] & cap if len(g[v] & cap) > 2]
-                    if any(not g.has_edge(a, b) for a, b in combinations(firm, 2)):
-                        assert _cap_context(g, cap, top) is None, (g.edges, top, cap)
-                        fired += 1
+    for g, top, _, caps in cap_cases(graphs):
+        for cap in caps:
+            firm = [v for v in g[top] & cap if len(g[v] & cap) > 2]
+            if any(not g.has_edge(a, b) for a, b in combinations(firm, 2)):
+                assert _cap_context(g, cap, top) is None, (g.edges, top, cap)
+                fired += 1
     assert fired > 30, fired
 
 
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
-def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
+def test_lazy_cap_chains_match_eager(graphs):
     # Every cap that solve levels has the chains that an eager reading gives,
     # and every cap whose chains solve reads gets them, or none on an odd
-    # cycle of constraints.  Spies on solve's bindings tie each chain
-    # reading to the context, and so the cap, it came from.
-    gs = _graph_set(graphs)
-    cap_context = pseudotriangle._cap_context
-    chains_of = pseudotriangle.bordering_chains
-    leveled: dict[int, tuple[int, frozenset[int]]] = {}  # id of a leveling -> (top, cap)
-    read: dict[tuple[int, frozenset[int]], list | None] = {}
-
-    def spy_context(g, cap, top):
-        ctx = cap_context(g, cap, top)
-        if ctx is not None:
-            leveled[id(ctx[1])] = top, cap
-        return ctx
-
-    def spy_chains(view, lv, tail, attachment):
-        key = leveled[id(lv)]
-        read[key] = None  # stays None if the constraint graph has an odd cycle
-        read[key] = chains_of(view, lv, tail, attachment)
-        return read[key]
-
-    monkeypatch.setattr(pseudotriangle, "_cap_context", spy_context)
-    monkeypatch.setattr(pseudotriangle, "bordering_chains", spy_chains)
+    # cycle of constraints.  A chain read is tied to its cap by its leveling.
     caps = reads = odd = 0
-    for g in gs:
-        leveled.clear()
-        read.clear()
-        solve_pseudo_triangle(g)
-        for top, cap in leveled.values():
-            eager = cap_chains_scan(g, cap, top)
+    for s in stage_log(graphs):
+        read = {id(lv): pairs for (_, lv, _, _), pairs in s.calls["bordering_chains"]}
+        leveled = [(top, cap, ctx) for (_, cap, top), ctx in s.calls["_cap_context"] if ctx]
+        for top, cap, ctx in leveled:
+            eager = cap_chains_scan(s.graph, cap, top)
             try:
-                lazy = _cap_chains(g, cap, top)
+                lazy = bordering_chains(*ctx)
             except NotTowerError:
                 lazy = None
-            assert lazy == eager, (g.edges, top, cap)
-            if (top, cap) in read:
-                assert read[top, cap] == eager, (g.edges, top, cap)
+            assert lazy == eager, (s.graph.edges, top, cap)
+            if id(ctx[1]) in read:
+                assert read[id(ctx[1])] == eager, (s.graph.edges, top, cap)
         caps += len(leveled)
         reads += len(read)
         odd += list(read.values()).count(None)
@@ -501,27 +452,15 @@ def test_lazy_cap_chains_match_eager(monkeypatch, graphs):
 
 
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
-def test_part_paths_match_scan(monkeypatch, graphs):
+def test_part_paths_match_scan(graphs):
     # Every (part, end) that solve reads gets the readings of the full
     # pseudo-tower solve, connectivity check and all.
-    gs = _graph_set(graphs)
-    reads: set[tuple[frozenset[int], int]] = set()
-    read_part = pseudotriangle.part_paths
-
-    def spy(g, part, end):
-        reads.add((part, end))
-        return read_part(g, part, end)
-
-    monkeypatch.setattr(pseudotriangle, "part_paths", spy)
     total = found = 0
-    for g in gs:
-        reads.clear()
-        solve_pseudo_triangle(g)
-        for part, end in reads:
-            paths = read_part(g, part, end)
+    for s in stage_log(graphs):
+        for (g, part, end), paths in s.calls["part_paths"]:
             assert paths == part_paths_scan(g, part, end), (g.edges, part, end)
             found += bool(paths)
-        total += len(reads)
+        total += len(s.calls["part_paths"])
     assert total > found > 100, (total, found)
 
 
@@ -550,29 +489,39 @@ def _is_path(g: Graph, path: tuple[int, ...]) -> bool:
 
 
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
-def test_assembly_checks_only_junctions(monkeypatch, graphs):
+def test_assembly_checks_only_junctions(graphs):
     # Every walk that solve assembles is a cycle of g iff its two junctions
     # are edges: the cap chains and part paths never leave g, and they
     # partition its vertices.
-    gs = _graph_set(graphs)
-    assemble = pseudotriangle.assemble_hamiltonian
     verdicts = {True: 0, False: 0}
-
-    def spy(g, cap_chains, path_a, path_b):
-        cycle = assemble(g, cap_chains, path_a, path_b)
-        left, right = cap_chains
-        for path in (left, right, path_a, path_b):
-            assert _is_path(g, path), (g.edges, cap_chains, path_a, path_b)
-        walk = CycleCandidate((*left, *path_a, *reversed(path_b), *reversed(right[1:])))
-        assert (cycle is not None) == is_cycle_in_graph(g, walk), (g.edges, walk)
-        assert cycle is None or cycle == canonicalize(walk.order)
-        verdicts[cycle is not None] += 1
-        return cycle
-
-    monkeypatch.setattr(pseudotriangle, "assemble_hamiltonian", spy)
-    for g in gs:
-        solve_pseudo_triangle(g)
+    for s in stage_log(graphs):
+        for (g, cap_chains, path_a, path_b), cycle in s.calls["assemble_hamiltonian"]:
+            left, right = cap_chains
+            for path in (left, right, path_a, path_b):
+                assert _is_path(g, path), (g.edges, cap_chains, path_a, path_b)
+            walk = CycleCandidate((*left, *path_a, *reversed(path_b), *reversed(right[1:])))
+            assert (cycle is not None) == is_cycle_in_graph(g, walk), (g.edges, walk)
+            assert cycle is None or cycle == canonicalize(walk.order)
+            verdicts[cycle is not None] += 1
     assert verdicts[True] > 400 and verdicts[False] > 400, verdicts
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_stage_log_only_records(graphs):
+    # The log's answers and stats, field for field, are those of a solve
+    # without its wrappers, and the wrapped stages are restored.
+    logged = [(s.triangles, s.stats) for s in stage_log(graphs)]
+    if graphs == "auto-mixed":
+        plain = [(r.triangles, r.stats) for r in graph_set(graphs)]
+    else:
+        plain = []
+        for g in brute_force_graphs():
+            stats: dict[str, int] = {}
+            plain.append((solve_pseudo_triangle(g, stats), stats))
+    assert logged == plain
+    stages = (pseudotriangle._cap_context, pseudotriangle.bordering_chains, pseudotriangle.part_paths,
+              pseudotriangle.assemble_hamiltonian, tower.bordering_constraints)
+    assert stages == (_cap_context, bordering_chains, part_paths, assemble_hamiltonian, bordering_constraints)
 
 
 def test_chain_conditions_match_scan():
@@ -582,7 +531,7 @@ def test_chain_conditions_match_scan():
     # another of its Hamiltonian cycles, which they do not walk.
     verdicts = {True: 0, False: 0}
     off_cycle = 0
-    for g in (g for g in _brute_force_graphs() if g.n <= 8):
+    for g in (g for g in brute_force_graphs() if g.n <= 8):
         cycles = brute_hamiltonian_cycles(g)
         passing = None
         for cycle in cycles:

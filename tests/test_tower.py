@@ -11,7 +11,6 @@ from polyvis import (
     visibility_graph,
     boundary_cycle,
 )
-from polyvis import pseudotriangle, tower
 from polyvis.tower import (
     bordering_chains,
     bordering_constraints,
@@ -21,7 +20,7 @@ from polyvis.tower import (
     tower_top_candidates,
 )
 
-from corpora import graph_set
+from corpora import stage_log
 from oracles import bordering_constraints_scan, brute_hamiltonian_cycles
 
 
@@ -99,15 +98,12 @@ def test_bordering_graph_odd_cycle_rejected():
         bordering_graph(g, lv)
 
 
-def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
+def test_bordering_constraints_match_scan_on_solver_levelings():
     # Every constraint graph that the pseudo-triangle search builds on the
     # benchmark's auto-mixed store, caps and side parts alike, odd cycles
     # included.  A cap's is built only once its chains are needed, so every
     # cap that the search levels is checked too.
-    graphs = [r.graph for r in graph_set("auto-mixed")]
-    seen = []
-    leveled = []
-    cap_context = pseudotriangle._cap_context
+    log = stage_log("auto-mixed")
 
     def constraints(nbrs, lv):
         try:
@@ -115,28 +111,13 @@ def test_bordering_constraints_match_scan_on_solver_levelings(monkeypatch):
         except NotTowerError:
             return None
 
-    def record(nbrs, lv):
-        bg = constraints(nbrs, lv)
-        seen.append((dict(nbrs), lv, bg))
-        if bg is None:
-            raise NotTowerError("constraint graph has an odd cycle")
-        return bg
-
-    def record_cap(g, cap, top):
-        ctx = cap_context(g, cap, top)
-        if ctx is not None:
-            leveled.append(ctx[:2])
-        return ctx
-
-    monkeypatch.setattr(tower, "bordering_constraints", record)
-    monkeypatch.setattr(pseudotriangle, "_cap_context", record_cap)
-    for g in graphs:
-        solve_pseudo_triangle(g)
+    seen = [(nbrs, lv, bg) for s in log for (nbrs, lv), bg in s.calls["bordering_constraints"]]
     rejected = sum(bg is None for _, _, bg in seen)
     # 645 and 36 of them are caps', the rest side parts'; the search levels
     # 2,207 caps, of which 131 have an odd cycle.
     assert (len(seen) - rejected, rejected) == (1644, 42)
-    caps = [(nbrs, lv, constraints(nbrs, lv)) for nbrs, lv in leveled]
+    leveled = [ctx for s in log for _, ctx in s.calls["_cap_context"] if ctx]
+    caps = [(view, lv, constraints(view, lv)) for view, lv, _, _ in leveled]
     assert (len(caps), sum(bg is None for _, _, bg in caps)) == (2207, 131)
     for nbrs, lv, bg in seen + caps:
         want = bordering_constraints_scan(nbrs, lv)
@@ -172,7 +153,7 @@ def test_enumerate_borderings_single_component(k3):
     assert len(enumerate_borderings(bg)) == 1
 
 
-def test_tower_hamiltonian_t5(t5_graph):
+def test_bordering_chains_t5(t5_graph):
     # Each bordering's chain pair, read down one chain and back up the other.
     lv = compute_leveling(t5_graph, 0)
     pairs = bordering_chains(t5_graph, lv)
@@ -181,7 +162,7 @@ def test_tower_hamiltonian_t5(t5_graph):
     assert [c.order for c in cycles] == [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4)]
 
 
-def test_tower_hamiltonian_k3(k3):
+def test_bordering_chains_k3(k3):
     lv = compute_leveling(k3, 0)
     ((c1, c2),) = bordering_chains(k3, lv)
     assert (c1, c2) == ((0, 1), (0, 2))
