@@ -36,7 +36,7 @@ from operator import index, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
-from .graph import CycleCandidate, Graph, canonicalize, data_lines, induced_subgraph
+from .graph import CycleCandidate, Graph, canonicalize, data_lines, induced_subgraph, view_of
 from .pseudotower import extract_tail
 
 
@@ -473,8 +473,8 @@ def gen_pseudo_tower(n: int, seed: int) -> PseudoTowerInstance:
         relabel = {old: new for new, old in enumerate(kept)}
 
         sub, _ = induced_subgraph(visibility_graph(parent), kept)
-        tail, residual = extract_tail(sub)  # a tail, as sub has one degree-1 vertex
-        if len(residual) < 3:
+        tail, residual = extract_tail(view_of(sub))  # a tail: sub has one degree-1 vertex
+        if residual.bit_count() < 3:
             continue
 
         left_old = list(range(0, left_corner + 1))

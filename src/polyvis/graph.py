@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Mapping
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 
 class GraphParseError(ValueError):
@@ -24,12 +25,26 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-NbrView = Mapping[int, frozenset[int]]
-"""A neighbor-set view of a graph in its caller's vertex ids: the keys are
-the vertex universe and each value is that vertex's neighbor set, which lies
-inside the keys.  A ``Graph`` is one; restricting every set to a vertex subset,
-``{v: g[v] & part for v in part}``, gives the view of the induced subgraph
-without renumbering anything."""
+NbrSets = Mapping[int, AbstractSet[int]]  # each vertex, in any ids, to its neighbor set
+NbrView = tuple[Sequence[int] | Mapping[int, int], int]
+"""A graph's neighbor view, ``(bits, within)``, in its caller's vertex ids:
+bit u of ``bits[v]`` is set iff u and v are adjacent, and the view is the
+subgraph that the vertex mask ``within`` induces, so v's neighbors in it are
+``bits[v] & within``.  Restricting it to a vertex mask ``part`` is one ``&``,
+``(bits, within & part)``, and renumbers nothing."""
+
+
+def low(mask: int) -> int:
+    """The least vertex of a nonempty vertex mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def members(mask: int) -> Iterator[int]:
+    """The vertices of a vertex mask, least first."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
 
 
 @dataclass(frozen=True)
@@ -38,8 +53,9 @@ class Graph(Mapping[int, frozenset[int]]):
 
     ``edges`` holds each edge once as a sorted pair.  The graph is also a
     read-only mapping from each vertex to its neighbor set (``g[v]``), built
-    on construction, so every solver reads it as an ``NbrView``; hot kernels
-    read the plain dict ``_nbrs``, sparing a ``__getitem__`` call per lookup.
+    on construction; hot kernels read the plain dict ``_nbrs``, sparing a
+    ``__getitem__`` call per lookup.  The solvers' views read ``bits``,
+    built on first use, so parsing and verifying never pay for it.
     """
 
     n: int
@@ -85,6 +101,12 @@ class Graph(Mapping[int, frozenset[int]]):
 
     def __len__(self) -> int:
         return self.n
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Bit u of ``bits[v]`` is set iff u and v are adjacent."""
+        bit = [1 << u for u in range(self.n)]
+        return tuple(sum(map(bit.__getitem__, nb)) for nb in self._nbrs.values())
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])
@@ -140,39 +162,46 @@ def is_cycle_in_graph(g: Graph, c: CycleCandidate) -> bool:
     return all(b in nbr[a] for a, b in zip(order, order[1:] + order[:1]))
 
 
-def bfs_layers(
-    nbr: Callable[[int], AbstractSet[int]], start: int, unvisited: set[int]
-) -> list[set[int]]:
-    """Breadth-first layers from ``start`` inside ``unvisited``.
+def view_of(nbrs: NbrSets) -> NbrView:
+    """The ``NbrView`` of a graph or of any ``NbrSets`` mapping."""
+    if isinstance(nbrs, Graph):
+        return nbrs.bits, (1 << nbrs.n) - 1
+    return {v: sum(1 << u for u in nb) for v, nb in nbrs.items()}, sum(1 << v for v in nbrs)
 
-    ``nbr`` maps a vertex to its neighbor set.  Every vertex reached, ``start``
-    included, is removed from ``unvisited``, so repeated calls on the same set
-    peel off one connected component each.
+
+def bfs_layers(bits: Sequence[int] | Mapping[int, int], start: int, within: int) -> list[int]:
+    """Breadth-first layers, as vertex masks, from ``start`` (the first
+    layer, in ``within`` or not) through the vertices of the mask ``within``.
+    The layers are disjoint, so their sum is the component of ``start``.
     """
-    unvisited.discard(start)
-    layers = [{start}]
+    layer = 1 << start
+    rest = within & ~layer
+    layers = [layer]
     while True:
-        reached: set[int] = set()
-        for u in layers[-1]:
-            reached |= nbr(u) & unvisited
-        if not reached:
+        reached = 0
+        for u in members(layer):
+            reached |= bits[u]
+        layer = reached & rest
+        if not layer:
             return layers
-        unvisited -= reached
-        layers.append(reached)
+        rest ^= layer
+        layers.append(layer)
 
 
-def connected_components(nbrs: NbrView) -> list[frozenset[int]]:
+def connected_components(nbrs: NbrSets) -> list[frozenset[int]]:
     """Partition of the vertex set into maximal connected sets, sorted by smallest member."""
-    unvisited = set(nbrs)
+    bits, rest = view_of(nbrs)
     comps: list[frozenset[int]] = []
-    for start in sorted(nbrs):
-        if start in unvisited:
-            comps.append(frozenset().union(*bfs_layers(nbrs.__getitem__, start, unvisited)))
+    while rest:
+        comp = sum(bfs_layers(bits, low(rest), rest))
+        comps.append(frozenset(members(comp)))
+        rest ^= comp
     return comps
 
 
-def is_connected(nbrs: NbrView) -> bool:
-    return len(nbrs) <= 1 or len(connected_components(nbrs)) == 1
+def is_connected(view: NbrView) -> bool:
+    bits, within = view
+    return not within or sum(bfs_layers(bits, low(within), within)) == within
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -3,11 +3,11 @@ the bottom of one chain.
 
 The tail's outermost vertex has degree 1; walking through degree-2 vertices
 recovers the whole tail, and the rest of the graph is solved with the tower
-machinery.  The solver reads neighbor-set views (``graph.NbrView``): a
-mapping from each vertex, in the caller's own ids, to its neighbor set.  A
-``Graph`` is one as it stands; the residual below the tail is the view
-restricted to it, so no subgraph is built and nothing is renumbered.  All
-output refers to the input vertex ids.
+machinery.  The solver reads neighbor views (``graph.NbrView``) in the
+caller's own ids, a ``Graph``'s or a neighbor-set mapping's; the residual
+below the tail is the view with the tail's bits cleared from its vertex mask,
+so no subgraph is built and nothing is renumbered.  All output refers to the
+input vertex ids.
 
 ``extract_tail`` walks the tail, ``hang_tail`` walks it and restricts the
 view to the residual, and ``tower.tower_readings`` reads the residual with
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import NbrView, is_connected
+from .graph import NbrSets, NbrView, is_connected, low, members, view_of
 from .tower import NotTowerError, tower_readings
 
 
@@ -43,59 +43,58 @@ class PseudoTowerSolution:
         return tuple(sorted(self.chains))
 
 
-def extract_tail(nbrs: NbrView, top: int | None = None) -> tuple[tuple[int, ...], frozenset[int]]:
+def extract_tail(nbrs: NbrView, top: int | None = None) -> tuple[tuple[int, ...], int]:
     """Split off the tail: start at the unique degree-1 vertex and walk through
-    degree-2 vertices; the first vertex of degree >= 3 stays in the residual.
-
-    ``nbrs`` is a graph or a neighbor-set view.  A known ``top`` is never a tail
-    end, whatever its degree, and the walk stops on reaching it, so the
-    residual always keeps it (a chordless path ending at ``top`` leaves the
-    residual ``{top}``).  No degree-1 vertex means an empty tail (the input
-    is treated as a tower).  Two or more degree-1 vertices reject the input.
-    In a symmetric view the walk never meets a visited vertex again (each
-    already has all its neighbours on the walk), and it cannot stop at a
-    second degree-1 vertex, so it ends at ``top`` or at degree >= 3.
+    degree-2 vertices; the first vertex of degree >= 3 stays in the residual,
+    a vertex mask.  A known ``top`` is never a tail end, whatever its degree,
+    and the walk stops on reaching it, so the residual always keeps it (a
+    chordless path ending at ``top`` leaves the residual ``{top}``).  No
+    degree-1 vertex means an empty tail (the input is treated as a tower);
+    two or more reject the input.  The walk never meets a visited vertex
+    again (each already has all its neighbours on the walk), and it cannot
+    stop at a second degree-1 vertex, so it ends at ``top`` or at degree >= 3.
     """
-    deg_one = [v for v, nb in nbrs.items() if len(nb) == 1]
+    bits, within = nbrs
+    deg_one = [v for v in members(within) if (bits[v] & within).bit_count() == 1]
     if top in deg_one:
         deg_one.remove(top)
     if len(deg_one) >= 2:
         raise NotPseudoTowerError(f"{len(deg_one)} degree-1 vertices, expected at most 1")
     if not deg_one:
-        return (), frozenset(nbrs)
+        return (), within
 
     tail = [deg_one[0]]
-    visited = {deg_one[0]}
-    (current,) = nbrs[deg_one[0]]
-    while current != top and len(nbrs[current]) == 2:
+    visited = 1 << tail[0]
+    current = low(bits[tail[0]] & within)
+    while current != top and (nb := bits[current] & within).bit_count() == 2:
         tail.append(current)
-        visited.add(current)
-        (current,) = nbrs[current] - visited
-    residual = frozenset(nbrs) - visited
-    return tuple(tail), residual
+        visited |= 1 << current
+        current = low(nb & ~visited)
+    return tuple(tail), within & ~visited
 
 
-def solve_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
+def solve_pseudo_tower(nbrs: NbrSets) -> list[PseudoTowerSolution]:
     """All consistent chain pairs: hang the tail, then read the residual from
     every apex candidate with ``tower.tower_readings``, which appends the tail
     to the chain ending at its attachment vertex.
 
-    ``nbrs`` is a graph or a neighbor-set view; the chains use its vertex ids.
+    ``nbrs`` is a graph or a neighbor-set mapping; the chains use its ids.
     No chain pair comes twice: pairs from different apex candidates start at
     different vertices, and one apex's borderings are distinct bipartitions
     of the residual below it, counted up to a left/right swap.
     """
-    if len(nbrs) < 3:
+    view = view_of(nbrs)
+    if view[1].bit_count() < 3:
         raise NotPseudoTowerError("pseudo-tower graphs need at least 3 vertices")
-    if not is_connected(nbrs):
+    if not is_connected(view):
         raise NotPseudoTowerError("graph is not connected")
-    return _read_pseudo_tower(nbrs)
+    return _read_pseudo_tower(view)
 
 
 def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
     """``solve_pseudo_tower`` on a view known to be connected."""
     tail, attachment, res = hang_tail(nbrs)
-    if len(res) < 3:
+    if res[1].bit_count() < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
     try:
         readings = tower_readings(res, tail, attachment)
@@ -118,5 +117,5 @@ def hang_tail(
     tail, residual = extract_tail(nbrs, top)
     if not tail:
         return tail, None, nbrs
-    (attachment,) = nbrs[tail[-1]] & residual
-    return tail, attachment, {v: nbrs[v] & residual for v in residual}
+    bits = nbrs[0]
+    return tail, low(bits[tail[-1]] & residual), (bits, residual)

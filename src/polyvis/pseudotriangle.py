@@ -52,7 +52,7 @@ benchmark graphs with and without it:
    and so is a cap whose vertices the top sees are not those of one pair.
    Since a pair lies in N(top), a cap C fits the pair p iff N(top) & C is a
    subset of p.  The test turns away 5,132 of the 19,446 caps of one
-   auto-mixed benchmark pass before they are leveled, which saves about 8%
+   auto-mixed benchmark pass before they are leveled, which saves about 6%
    of ``solve``'s time.
 3. One top neighbor.  A cap in which the top sees one vertex levels only as
    a chordless path hanging from the top, and ``_cap_context`` walks that
@@ -67,7 +67,9 @@ the residual's chain pairs, the top first, with ``bordering_chains``, the
 tail hung below them.  ``part_paths`` reads a chordless path off
 ``extract_tail``'s walk and any other part with
 ``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings``.
-Caps, chain pairs and part paths are memoized per ``solve``.
+Caps, side parts and residuals are vertex masks, each view ``(g.bits,
+mask)``, and caps, chain pairs and part paths are memoized per ``solve``,
+keyed by those masks.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ from .graph import (
     canonicalize,
     is_connected,
     is_cycle_in_graph,
+    low,
+    members,
+    view_of,
 )
 from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, extract_tail, hang_tail
 from .tower import Leveling, NotTowerError, bordering_chains, carriers, level_sets, walk_levels
@@ -129,8 +134,8 @@ def top_joint_candidates(g: Graph) -> frozenset[int]:
     return cands
 
 
-def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
-    """Candidate caps for split edge ``e``, sorted by their sorted members.
+def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[int]:
+    """Candidate caps for split edge ``e``, vertex masks in sorted-members order.
 
     base = vertices adjacent to both endpoints of e; if the top is among them
     the cap is just the base.  Otherwise the levels are grown from the top by
@@ -147,7 +152,7 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     it is too wide for a level, so the walk ends there, and its only cap,
     base | {top} when the candidate meets the base, is read without walking.
     Of the 15,904 walks that one auto-mixed benchmark pass asks for, 11,578
-    end so, and reading them unwalked saves about 4% of ``solve``'s time.
+    end so, and reading them unwalked saves about 6% of ``solve``'s time.
 
     ``solve``, not this walk, filters a cap by the vertices the top sees in
     it (rules 2 and 3), and splits each (split edge, cap) once.
@@ -155,71 +160,68 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     w0, w1 = e
     if top in e:
         raise ValueError("split edge must not touch the top")
-    nbrs = g._nbrs
-    if w1 not in nbrs[w0]:
+    bits = g.bits
+    if not bits[w0] >> w1 & 1:
         raise ValueError("split edge must be an edge of the graph")
-    base = nbrs[w0] & nbrs[w1]  # no self-loops: neither endpoint is in it
+    base = bits[w0] & bits[w1]  # no self-loops: neither endpoint is in it
     if not base:
         return []
-    if top in base:
+    top_bit = 1 << top
+    if base & top_bit:
         return [base]
 
-    cut = frozenset(e)
-    first = nbrs[top] - cut
-    caps: set[frozenset[int]] = set()
-    if len(first) > 2:
-        if not first.isdisjoint(base):
-            caps.add(base | {top})
+    cut = (1 << w0) | (1 << w1)
+    first = bits[top] & ~cut
+    caps: set[int] = set()
+    if first.bit_count() > 2:
+        if first & base:
+            caps.add(base | top_bit)
     else:
-        levels = [frozenset({top})]
-        placed = {top, w0, w1}
+        view = view_of(g)
+        levels = [top_bit]
         try:
-            for cand in walk_levels(nbrs, levels, placed):
-                if cand.isdisjoint(base):
+            for cand, placed in walk_levels(view, levels, top_bit | cut):
+                if not cand & base:
                     continue
-                caps.add((base | placed) - cut)
-                if cand <= base:
+                caps.add((base | placed) & ~cut)
+                if not cand & ~base:
                     break
-                if len(cand) == 2:
-                    a, b = cand
-                    if a in nbrs[b]:
-                        (p,) = cand - base
-                        if len(carriers(nbrs, levels[-1], placed, p)) == 1:
-                            caps.add((base | placed | {p}) - cut)
+                if cand.bit_count() == 2 and bits[low(cand)] & cand:
+                    p = cand & ~base
+                    if len(carriers(view, levels[-1], placed, low(p))) == 1:
+                        caps.add((base | placed | p) & ~cut)
         except NotTowerError:
             pass
-    return sorted(caps, key=sorted) if len(caps) > 1 else list(caps)
+    return sorted(caps, key=lambda cap: list(members(cap))) if len(caps) > 1 else list(caps)
 
 
-def split_parts(
-    g: Graph, cap: frozenset[int], e: tuple[int, int]
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Components of the graph minus the cap, with the split edge ``e`` (an
-    edge of g) cut: accepted iff there are exactly two and they separate e's
-    endpoints.  w0's side grows without w1, which cuts the edge; w1 would
-    join it iff w1 has a neighbor there other than w0.
+def split_parts(g: Graph, cap: int, e: tuple[int, int]) -> tuple[int, int] | None:
+    """Components, as vertex masks, of the graph minus the cap mask, with the
+    split edge ``e`` (an edge of g) cut: accepted iff there are exactly two
+    and they separate e's endpoints.  w0's side grows without w1, which cuts
+    the edge; w1 would join it iff w1 has a neighbor there other than w0.
     """
     w0, w1 = e
-    if w0 in cap or w1 in cap:
+    if (cap >> w0 | cap >> w1) & 1:
         return None
-    nbrs = g._nbrs
-    rest = nbrs.keys() - cap
-    rest.discard(w1)
-    part_a = frozenset().union(*bfs_layers(nbrs.__getitem__, w0, rest))
-    if len(nbrs[w1] & part_a) > 1:
+    bits = g.bits
+    rest = ((1 << g.n) - 1) & ~cap & ~(1 << w1)
+    part_a = sum(bfs_layers(bits, w0, rest))
+    if (bits[w1] & part_a).bit_count() > 1:
         return None
-    part_b = frozenset().union(*bfs_layers(nbrs.__getitem__, w1, rest))
-    if rest:  # a third component
+    rest &= ~part_a
+    part_b = sum(bfs_layers(bits, w1, rest))
+    if rest & ~part_b:  # a third component
         return None
     return part_a, part_b
 
 
-def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]]:
+def part_paths(g: Graph, part: int, end: int) -> list[tuple[int, ...]]:
     """Boundary readings of a side part as Hamiltonian paths ending at its
     split-edge endpoint, sorted.
 
-    The part is connected, a component from ``split_parts``.  Its view, in
-    g's own vertex ids, is walked by ``pseudotower.extract_tail`` with
+    The part is a connected vertex mask, a component from ``split_parts``.
+    Its view, ``(g.bits, part)``, is walked by ``pseudotower.extract_tail`` with
     ``end`` as its top: a residual of ``{end}`` means a chordless path ending
     at ``end`` (``(end,)`` for a singleton), read as it stands, and a walk
     that fails finds two loose ends besides ``end``, which no pseudo-tower
@@ -230,15 +232,14 @@ def part_paths(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]
     below one of them.  Where a side joint sits on the path is left to the
     decision of the assembled cycle (see ``solve``).
     """
-    if end not in part:
+    if not part >> end & 1:
         return []
-    nbrs = g._nbrs
-    inner = {v: nbrs[v] & part for v in part}
+    view = (g.bits, part)
     try:
-        tail, residual = extract_tail(inner, end)
-        if residual == {end}:
+        tail, residual = extract_tail(view, end)
+        if residual == 1 << end:
             return [(*tail, end)]
-        sols = _read_pseudo_tower(inner)
+        sols = _read_pseudo_tower(view)
     except NotPseudoTowerError:
         return []
     paths = {
@@ -324,9 +325,9 @@ def _necessary_conditions(g: Graph, chains: tuple[tuple[int, ...], ...]) -> bool
     return True
 
 
-def _top_pairs(g: Graph, top: int) -> list[frozenset[int]]:
-    """Every pair {a, b} of ``top``'s neighbors that leaves N(top) - {a, b}
-    inducing a chordless path, possibly empty.
+def _top_pairs(g: Graph, top: int) -> list[int]:
+    """Every pair {a, b} of ``top``'s neighbors, as a vertex mask, that
+    leaves N(top) - {a, b} inducing a chordless path, possibly empty.
 
     Lemma: if ``top`` is the top joint of chains (left, bottom, right) that
     pass ``_necessary_conditions``, then {left[1], right[1]} is such a pair.
@@ -353,17 +354,20 @@ def _top_pairs(g: Graph, top: int) -> list[frozenset[int]]:
     maximum degree 2 that is connected is a chordless path or a cycle, and
     only the path has d - 3 edges.
     """
-    nb = g[top]
-    inner = {v: g[v] & nb for v in nb}
-    twice_edges = sum(len(s) for s in inner.values())
-    target = twice_edges // 2 - max(len(nb) - 3, 0)
+    bits = g.bits
+    nb = bits[top]
+    inner = {v: bits[v] & nb for v in members(nb)}
+    twice_edges = sum(s.bit_count() for s in inner.values())
+    target = twice_edges // 2 - max(nb.bit_count() - 3, 0)
     pairs = []
-    for a, b in combinations(nb, 2):
-        if len(inner[a]) + len(inner[b]) - (b in inner[a]) != target:
+    for a, b in combinations(inner, 2):
+        if inner[a].bit_count() + inner[b].bit_count() - (inner[a] >> b & 1) != target:
             continue
-        path = {v: inner[v] - {a, b} for v in nb - {a, b}}
-        if all(len(s) <= 2 for s in path.values()) and is_connected(path):
-            pairs.append(frozenset((a, b)))
+        pair = (1 << a) | (1 << b)
+        path = nb & ~pair
+        if all((inner[v] & path).bit_count() <= 2 for v in members(path)):
+            if is_connected((bits, path)):
+                pairs.append(pair)
     return pairs
 
 
@@ -443,8 +447,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     ``_top_pairs`` starts no reading and is skipped in both rounds
     (``top_rejected``), and so is a cap C that no pair p fits with
     ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
-    leveled (``cap_pair_rejected``).  That test reads ``N(top) & C <= p``,
-    the same since p lies in N(top).  A cap's chain pairs are read only once
+    leveled (``cap_pair_rejected``).  On masks that test reads
+    ``seen & ~p == 0`` for ``seen = N(top) & C``, the same since p lies in
+    N(top).  A cap's chain pairs are read only once
     some split of it has two parts that solve.  Each (split edge, cap) is
     split and its parts read once, in one orientation, and assembly joins
     each chain pair, in both orders, to each pair of part paths and returns
@@ -473,7 +478,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     def bump(key: str) -> None:
         st[key] = st.get(key, 0) + 1
 
-    if g.n < 3 or not is_connected(g):
+    if g.n < 3 or not is_connected(view_of(g)):
         return []
     try:
         tops = top_joint_candidates(g)
@@ -488,7 +493,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     context = cache(partial(_cap_context, g))
 
     @cache
-    def cap_chains(top: int, cap: frozenset[int]) -> list[tuple[tuple[int, ...], ...]] | None:
+    def cap_chains(top: int, cap: int) -> list[tuple[tuple[int, ...], ...]] | None:
         view, lv, tail, attachment = context(cap, top)
         try:
             return bordering_chains(view, lv, tail, attachment)
@@ -514,7 +519,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
             if not joint_pairs:
                 bump("top_rejected")
                 continue
-            top_nbrs = nbrs[top]
+            top_nbrs = g.bits[top]
             for pair in edges:
                 if top in pair:
                     continue
@@ -525,7 +530,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                 for cap in caps:
                     seen = top_nbrs & cap
                     for p in joint_pairs:
-                        if seen <= p:
+                        if not seen & ~p:
                             break
                     else:
                         bump("cap_pair_rejected")
@@ -568,8 +573,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     return [found[k] for k in sorted(found)]
 
 
-def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
-    """The leveled cap, or None if the cap does not level.
+def _cap_context(g: Graph, cap: int, top: int) -> CapContext | None:
+    """The leveled cap, given as a vertex mask, or None if the cap does not
+    level.
 
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
@@ -585,25 +591,24 @@ def _cap_context(g: Graph, cap: frozenset[int], top: int) -> CapContext | None:
     first, and the cap is rejected at the first vertex with two onward cap
     neighbors, or if the path does not cover the cap.  Of the 12,645 caps
     that one auto-mixed benchmark pass levels, 5,700 take this walk and 5,312
-    are rejected by it, which saves about 6% of ``solve``'s time.
+    are rejected by it, which saves about 4% of ``solve``'s time.
     """
-    nbrs = g._nbrs
-    below = nbrs[top] & cap
-    if len(below) == 1:
-        path, prev = list(below), top
-        while onward := (nbrs[path[-1]] & cap) - {prev}:
-            if len(onward) > 1:
+    bits = g.bits
+    below = bits[top] & cap
+    if below.bit_count() == 1:
+        path, prev = [low(below)], top
+        while onward := bits[path[-1]] & cap & ~(1 << prev):
+            if onward.bit_count() > 1:
                 return None
             prev = path[-1]
-            path.extend(onward)
-        if len(path) + 1 < len(cap):
+            path.append(low(onward))
+        if len(path) + 1 < cap.bit_count():
             return None
         # The path is the whole tail; the top alone is left to level.
-        tail, attachment, view = tuple(reversed(path)), top, {top: frozenset()}
+        tail, attachment, view = tuple(reversed(path)), top, (bits, 1 << top)
     else:
         try:
-            view = {v: nbrs[v] & cap for v in cap}
-            tail, attachment, view = hang_tail(view, top)
+            tail, attachment, view = hang_tail((bits, cap), top)
         except NotPseudoTowerError:
             return None
     try:

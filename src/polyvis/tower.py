@@ -13,6 +13,7 @@ Down one chain and back up the other is one Hamiltonian cycle candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .graph import (
@@ -23,6 +24,9 @@ from .graph import (
     canonicalize,
     is_connected,
     is_cycle_in_graph,
+    low,
+    members,
+    view_of,
 )
 
 
@@ -32,19 +36,24 @@ class NotTowerError(ValueError):
 
 @dataclass(frozen=True)
 class Leveling:
-    """Ordered level sets l_1..l_k grown from the apex.
+    """Ordered level sets l_1..l_k grown from the apex, as vertex masks.
 
-    A vertex can belong to two consecutive levels (when a level is completed by
-    re-using a vertex of the previous one); ``level_of`` maps each vertex to the
-    first level containing it (1-based).
+    A vertex can belong to a run of consecutive levels (each completed by
+    re-using a vertex of the one before); ``level_of`` maps each vertex to the
+    first level containing it (1-based).  It is built on first use: most caps
+    that the pseudo-triangle search levels are never read.
     """
 
-    levels: tuple[frozenset[int], ...]
-    level_of: dict[int, int] = field(compare=False)
+    levels: tuple[int, ...]
 
     @property
     def top(self) -> int:
-        return next(iter(self.levels[0]))
+        return low(self.levels[0])
+
+    @cached_property
+    def level_of(self) -> dict[int, int]:
+        # From the last level up, so that each vertex keeps its first.
+        return {v: i for i in range(len(self.levels), 0, -1) for v in members(self.levels[i - 1])}
 
 
 @dataclass(frozen=True)
@@ -70,21 +79,21 @@ def tower_top_candidates(nbrs: NbrView) -> frozenset[int]:
     A genuine tower graph has one or two such vertices (the apex, and possibly
     one base corner); anything the filter admits is tried downstream.
     """
-    if len(nbrs) < 3:
+    bits, within = nbrs
+    if within.bit_count() < 3:
         raise NotTowerError("tower graphs need at least 3 vertices")
     out = []
-    for v, nb in nbrs.items():
-        if len(nb) == 2:
-            a, b = nb
-            if a in nbrs[b]:
-                out.append(v)
+    for v in members(within):
+        nb = bits[v] & within
+        if nb.bit_count() == 2 and bits[low(nb)] & nb:
+            out.append(v)
     if not out:
         raise NotTowerError("no apex candidate: not a tower visibility graph")
     return frozenset(out)
 
 
 def level_sets(nbrs: NbrView, top: int) -> Leveling:
-    """Ordered level sets of a graph or neighbor-set view from ``top``.
+    """Ordered level sets of a view from ``top``.
 
     Runs ``walk_levels``, the package's one leveling loop, from ``top`` until
     every vertex is placed: l_2 = N(top), then each level is closed from the
@@ -92,77 +101,70 @@ def level_sets(nbrs: NbrView, top: int) -> Leveling:
     vertex, so there are at most n.  Raises NotTowerError on any structural
     violation.
     """
-    levels: list[frozenset[int]] = [frozenset({top})]
-    for _ in walk_levels(nbrs, levels, {top}):
+    levels = [1 << top]
+    for _ in walk_levels(nbrs, levels, 1 << top):
         pass
-    level_of: dict[int, int] = {}
-    for i, lvl in enumerate(levels, start=1):
-        for v in lvl:
-            level_of.setdefault(v, i)
-    return Leveling(tuple(levels), level_of)
+    return Leveling(tuple(levels))
 
 
-def walk_levels(
-    nbrs: NbrView,
-    levels: list[frozenset[int]],
-    placed: set[int],
-) -> Iterator[frozenset[int]]:
-    """The one leveling loop: grow ``levels`` greedily below its last level.
+def walk_levels(nbrs: NbrView, levels: list[int], placed: int) -> Iterator[tuple[int, int]]:
+    """The one leveling loop: grow ``levels``, a list of vertex masks,
+    greedily below its last level.
 
-    ``nbrs[v]`` is v's neighbor set and ``len(nbrs)`` the number of vertices.
-    Each candidate level is the set of unplaced common neighbors of the last
-    level, which has one or two vertices.  It is yielded before it is closed
-    by one rule: more than two vertices reject the walk, a pair must be a
-    clique, and a single vertex needs exactly one carrier (see ``carriers``)
-    unless it is the last unplaced vertex.
-    ``levels`` and ``placed`` are extended in place, so a consumer reads the
-    walk's state from them between steps.  Vertices already in ``placed`` at
-    the start are outside the walk: the candidate and carrier tests skip them.
-    Every closed level places at least one vertex, so the walk ends within n
-    levels.  Raises NotTowerError on any structural violation.
+    Each candidate level is the mask of unplaced common neighbors of the last
+    level, which has one or two vertices.  It is yielded, with the mask of
+    the vertices placed so far, before it is closed by one rule: more than
+    two vertices reject the walk, a pair must be a clique, and a single
+    vertex needs exactly one carrier (see ``carriers``) unless it is the
+    last unplaced vertex.  ``levels`` is extended in place, so a consumer
+    reads the last closed level from it between steps.  Vertices in
+    ``placed`` at the start are outside the walk: the candidate and carrier
+    tests skip them.  Every closed level places at least one vertex, so the
+    walk ends within n levels.  Raises NotTowerError on any structural
+    violation.
     """
-    total = len(nbrs)
-    while len(placed) < total:
+    bits, within = nbrs
+    while rest := within & ~placed:
         current = levels[-1]
-        if len(current) == 1:
-            (a,) = current
-            cand = nbrs[a] - placed
-        else:
-            a, b = current
-            cand = (nbrs[a] & nbrs[b]) - placed
+        a = current & -current
+        cand = bits[a.bit_length() - 1] & rest
+        if b := current ^ a:
+            cand &= bits[b.bit_length() - 1]
         if not cand:
             raise NotTowerError("leveling stalled: no common neighbor outside placed levels")
-        yield cand
-        if len(cand) > 2:
-            raise NotTowerError(f"level would have {len(cand)} vertices")
-        if len(cand) == 2:
-            a, b = cand
-            if a not in nbrs[b]:
+        yield cand, placed
+        size = cand.bit_count()
+        if size > 2:
+            raise NotTowerError(f"level would have {size} vertices")
+        if size == 2:
+            if not bits[low(cand)] & cand:
                 raise NotTowerError("two-vertex level is not a clique")
-        elif len(placed) + 1 < total:  # a single vertex, not the last one
-            (p,) = cand
-            xs = carriers(nbrs, current, placed, p)
+        elif cand != rest:  # a single vertex, not the last one
+            xs = carriers(nbrs, current, placed, low(cand))
             if len(xs) != 1:
                 raise NotTowerError(
                     f"{len(xs)} level vertices reach below a single-vertex level"
                 )
-            cand = frozenset({p, xs[0]})
+            cand |= 1 << xs[0]
         levels.append(cand)
         placed |= cand
 
 
-def carriers(nbrs: NbrView, current: frozenset[int], placed: set[int], p: int) -> list[int]:
-    """The single-vertex rule's test: the vertices of ``current`` with an
-    unplaced neighbor other than ``p``.  Below the candidate level {p} the
-    next level is {p, x} for the one carrier x; none or several reject the
-    leveling, so callers read only the count and the single carrier.
+def carriers(nbrs: NbrView, current: int, placed: int, p: int) -> list[int]:
+    """The single-vertex rule's test: the vertices of the level mask
+    ``current`` with an unplaced neighbor other than ``p``.  Below the
+    candidate level {p} the next level is {p, x} for the one carrier x; none
+    or several reject the leveling, so callers read only the count and the
+    single carrier.
     """
-    return [x for x in current if not nbrs[x] - placed <= {p}]
+    bits, within = nbrs
+    rest = within & ~placed & ~(1 << p)
+    return [x for x in members(current) if bits[x] & rest]
 
 
 def compute_leveling(g: Graph, top: int) -> Leveling:
     """Leveling of a whole graph from ``top``; see level_sets."""
-    return level_sets(g, top)
+    return level_sets(view_of(g), top)
 
 
 def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
@@ -172,51 +174,54 @@ def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
     endpoints' levels are at least 2 apart, and the pair inside every
     two-vertex level.  Raises NotTowerError if 2-coloring fails.
     """
-    top = lv.top
-    nodes = nbrs.keys() - {top}
+    bits, within = nbrs
+    nodes = within & ~(1 << lv.top)
     # A vertex sits in a run of consecutive levels (a carrier stays on into
     # the next level), so two vertices' levels are 2 or more apart exactly
-    # when one run ends at least 2 levels before the other starts.  Runs
-    # start at ``level_of``; one pass, later levels overwriting, ends them.
-    first = lv.level_of
-    last = {v: i for i, lvl in enumerate(lv.levels, start=1) for v in lvl}
-
-    constraints: set[tuple[int, int]] = set()
-    for u in nodes:
-        first_u, last_u = first[u], last[u]
-        for v in nbrs[u]:
-            if v <= u or v == top:
-                continue
-            if first[v] - last_u >= 2 or first_u - last[v] >= 2:
-                constraints.add((u, v))
-    constraints.update(tuple(sorted(lvl)) for lvl in lv.levels if len(lvl) == 2)
-
-    adj: dict[int, set[int]] = {v: set() for v in nodes}
-    for a, b in constraints:
-        adj[a].add(b)
-        adj[b].add(a)
+    # when one run ends at least 2 levels before the other starts.  With the
+    # levels numbered from 1, ``starts[i]`` holds the runs that start at
+    # level i or later, and ``ended[i]`` those that end at level i or before.
+    k = len(lv.levels)
+    levels = (0, *lv.levels, 0)
+    starts, ended = [0] * (k + 3), [0] * (k + 1)
+    for i in range(k, 0, -1):
+        starts[i] = starts[i + 1] | (levels[i] & ~levels[i - 1])
+    for i in range(1, k + 1):
+        ended[i] = ended[i - 1] | (levels[i] & ~levels[i + 1])
+    adj = {}
+    for i in range(2, k + 1):  # level 1 is the apex
+        for u in members(levels[i] & ~levels[i - 1]):
+            last = i
+            while levels[last + 1] >> u & 1:
+                last += 1
+            adj[u] = bits[u] & nodes & (starts[last + 2] | ended[i - 2])
+    for lvl in lv.levels:
+        if lvl.bit_count() == 2:
+            a, b = members(lvl)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    constraints = {(u, v) for u, near in adj.items() for v in members(near & -(2 << u))}
 
     # Color by BFS layer parity; the graph is bipartite iff no edge joins two
     # vertices of one layer.
     coloring: dict[int, int] = {}
     comps: list[frozenset[int]] = []
-    unvisited = set(nodes)
-    for start in sorted(nodes):
-        if start not in unvisited:
-            continue
-        layers = bfs_layers(adj.__getitem__, start, unvisited)
+    while nodes:
+        layers = bfs_layers(adj, low(nodes), nodes)
         for depth, layer in enumerate(layers):
-            for u in layer:
+            for u in members(layer):
                 if adj[u] & layer:
                     raise NotTowerError("constraint graph has an odd cycle")
                 coloring[u] = depth & 1
-        comps.append(frozenset().union(*layers))
+        comp = sum(layers)
+        comps.append(frozenset(members(comp)))
+        nodes ^= comp
     return BorderingGraph(frozenset(constraints), tuple(comps), coloring)
 
 
 def bordering_graph(g: Graph, lv: Leveling) -> BorderingGraph:
     """Constraint graph of a whole graph's leveling; see bordering_constraints."""
-    return bordering_constraints(g, lv)
+    return bordering_constraints(view_of(g), lv)
 
 
 def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:
@@ -322,7 +327,7 @@ def check_strong_ordering(g: Graph, h: CycleCandidate) -> bool:
         return False
 
     # The rest, the vertices that keep a residual edge, must be connected.
-    if not is_connected({v: nb for v, nb in residual.items() if nb}):
+    if not is_connected(view_of({v: nb for v, nb in residual.items() if nb})):
         return False
 
     return any(_strong_from_top(g, h, residual.edges, t) for t in isolated)
@@ -393,7 +398,7 @@ def solve_tower(g: Graph) -> list[CycleCandidate]:
     the strong ordering criterion.  Deterministically sorted, deduplicated.
     """
     try:
-        readings = tower_readings(g) or []
+        readings = tower_readings(view_of(g)) or []
     except NotTowerError:
         return []
     # check_strong_ordering first tests that a walk is a cycle of g.

@@ -2,6 +2,18 @@ import pytest
 
 from polyvis import Graph, Polygon
 
+
+def vertex_set(mask: int) -> frozenset[int]:
+    """The vertices of a vertex mask (bit v set iff v is in it), so that a
+    test compares the solvers' masks with plain sets."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def vertex_mask(vertices) -> int:
+    """The vertex mask of a set of vertices; the inverse of ``vertex_set``."""
+    return sum(1 << v for v in set(vertices))
+
+
 # Hand-checked tower: apex 0, base corners 2 and 3.
 T5_POINTS = ((0, 4), (-1, 2), (-3, 0), (3, 0), (1, 2))
 T5_EDGES = frozenset(

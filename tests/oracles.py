@@ -2,7 +2,9 @@
 
 Brute-force Hamiltonian enumeration, convex-polygon sampling and the plain
 scans that the pruned or hashed library routines must agree with stay
-separate from the code they are used to check.
+separate from the code they are used to check.  The scans read neighbor
+sets, never the solvers' vertex masks: the leveling walk and the tail walk
+that they share are set-based copies of the library's mask-based ones.
 """
 
 from __future__ import annotations
@@ -23,15 +25,8 @@ from polyvis import (
 )
 from polyvis.geometry import _segments_touch
 from polyvis.kernels import has_collinear_triple
-from polyvis.pseudotower import NotPseudoTowerError, extract_tail, solve_pseudo_tower
-from polyvis.tower import (
-    Leveling,
-    NotTowerError,
-    bordering_chains,
-    carriers,
-    level_sets,
-    walk_levels,
-)
+from polyvis.pseudotower import NotPseudoTowerError, solve_pseudo_tower
+from polyvis.tower import NotTowerError
 
 
 def brute_hamiltonian_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -341,6 +336,57 @@ def polygon_edges_touch_scan(points):
     return None
 
 
+def _carriers(nbrs, current: frozenset[int], placed: set[int], p: int) -> list[int]:
+    """The vertices of ``current`` with an unplaced neighbor other than ``p``."""
+    return [x for x in current if not nbrs[x] - placed <= {p}]
+
+
+def walk_levels_scan(nbrs, levels: list[frozenset[int]], placed: set[int]):
+    """``tower.walk_levels`` on neighbor sets: each candidate level, the
+    unplaced common neighbors of the last level, is yielded and then closed
+    (more than two vertices or a pair that is no clique reject the walk, and
+    a single vertex that is not the last unplaced one is closed with its one
+    carrier).  ``levels`` and ``placed`` grow in place."""
+    while len(placed) < len(nbrs):
+        current = levels[-1]
+        cand = frozenset.intersection(*(nbrs[v] for v in current)) - placed
+        if not cand:
+            raise NotTowerError("leveling stalled")
+        yield cand
+        if len(cand) > 2:
+            raise NotTowerError("level too wide")
+        if len(cand) == 2:
+            a, b = cand
+            if a not in nbrs[b]:
+                raise NotTowerError("two-vertex level is not a clique")
+        elif len(placed) + 1 < len(nbrs):
+            (p,) = cand
+            xs = _carriers(nbrs, current, placed, p)
+            if len(xs) != 1:
+                raise NotTowerError("not one carrier")
+            cand = frozenset({p, xs[0]})
+        levels.append(cand)
+        placed |= cand
+
+
+def tail_scan(nbrs, top: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    """``pseudotower.extract_tail`` on neighbor sets with ``top`` known: the
+    walk from the one degree-1 vertex other than ``top`` through degree-2
+    vertices, stopping at ``top``, and the residual."""
+    ends = [v for v, nb in nbrs.items() if len(nb) == 1 and v != top]
+    if len(ends) >= 2:
+        raise NotPseudoTowerError("two loose ends")
+    if not ends:
+        return (), frozenset(nbrs)
+    tail, visited = [ends[0]], {ends[0]}
+    (current,) = nbrs[ends[0]]
+    while current != top and len(nbrs[current]) == 2:
+        tail.append(current)
+        visited.add(current)
+        (current,) = nbrs[current] - visited
+    return tuple(tail), frozenset(nbrs) - visited
+
+
 def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     """``pseudotriangle.extract_cap`` with every cap read off the leveling
     walk, however wide the top's first level: the caps are read wherever a
@@ -356,7 +402,7 @@ def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[i
     placed = {top, w0, w1}
     caps: set[frozenset[int]] = set()
     try:
-        for cand in walk_levels(g, levels, placed):
+        for cand in walk_levels_scan(g, levels, placed):
             if not cand & base:
                 continue
             caps.add((base | placed) - cut)
@@ -364,7 +410,7 @@ def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[i
                 break
             if len(cand) == 2 and g.has_edge(*cand):
                 (p,) = cand - base
-                if len(carriers(g, levels[-1], placed, p)) == 1:
+                if len(_carriers(g, levels[-1], placed, p)) == 1:
                     caps.add((base | placed | {p}) - cut)
     except NotTowerError:
         pass
@@ -440,10 +486,12 @@ def hangs_path(g: Graph, cap: frozenset[int], top: int) -> bool:
 
 
 def bordering_constraints_scan(
-    nbrs, lv: Leveling
+    nbrs, levels: list[frozenset[int]]
 ) -> tuple[frozenset[tuple[int, int]], tuple[frozenset[int], ...], dict[int, int]] | None:
     """``tower.bordering_constraints`` from its definition: the constraint
     edges, the components and the 2-colouring, or None on an odd cycle.
+    ``nbrs`` maps each vertex to its neighbor set, and ``levels`` are the
+    leveling's sets, the apex alone first.
 
     Over the vertices but the apex, a graph edge is a constraint when some
     level of one endpoint and some level of the other are 2 or more apart,
@@ -451,9 +499,9 @@ def bordering_constraints_scan(
     Components come in order of their smallest vertex, and each is coloured
     by a depth-first walk that gives its smallest vertex colour 0.
     """
-    top = lv.top
+    (top,) = levels[0]
     levels_of: dict[int, list[int]] = {}
-    for i, lvl in enumerate(lv.levels):
+    for i, lvl in enumerate(levels):
         for v in lvl:
             levels_of.setdefault(v, []).append(i)
     nodes = sorted(v for v in nbrs if v != top)
@@ -464,7 +512,7 @@ def bordering_constraints_scan(
         if v in nbrs[u]
         and min(abs(a - b) for a in levels_of[u] for b in levels_of[v]) >= 2
     }
-    edges |= {tuple(sorted(lvl)) for lvl in lv.levels if len(lvl) == 2}
+    edges |= {tuple(sorted(lvl)) for lvl in levels if len(lvl) == 2}
     adj: dict[int, list[int]] = {v: [] for v in nodes}
     for u, v in edges:
         adj[u].append(v)
@@ -493,20 +541,48 @@ def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
     """A cap's chain pairs read eagerly, as the pseudo-triangle search once
     read every cap it leveled: the tail walk with ``top`` known, leveling of
     the residual from ``top`` with no shortcut for a one-vertex or two-vertex
-    top neighbourhood, then ``bordering_chains`` with the tail hung.
-    None if the cap does not level or its constraint graph has an odd cycle.
+    top neighbourhood, then every bordering of ``bordering_constraints_scan``
+    in ``tower.enumerate_borderings`` order, read as two chains from the top
+    down by level, with the tail hung below the chain that ends at its
+    attachment.  None if the cap does not level or its constraint graph has
+    an odd cycle.
     """
     view = {v: g[v] & cap for v in cap}
+    levels = [frozenset({top})]
     try:
-        tail, residual = extract_tail(view, top)
-        attachment = None
+        tail, residual = tail_scan(view, top)
         if tail:
             (attachment,) = view[tail[-1]] & residual
             view = {v: view[v] & residual for v in residual}
-        lv = level_sets(view, top)
-        return bordering_chains(view, lv, tail, attachment)
+        for _ in walk_levels_scan(view, levels, {top}):
+            pass
     except (NotPseudoTowerError, NotTowerError):
         return None
+    found = bordering_constraints_scan(view, levels)
+    if found is None:
+        return None
+    _, comps, coloring = found
+    level_of: dict[int, int] = {}
+    for i, lvl in enumerate(levels):
+        for v in lvl:
+            level_of.setdefault(v, i)
+    out = []
+    for flips in range(1 << max(len(comps) - 1, 0)):
+        sides: tuple[list[int], list[int]] = ([], [])
+        for i, comp in enumerate(comps):
+            flip = flips >> (i - 1) & 1 if i else 0
+            for v in comp:
+                sides[coloring[v] ^ flip].append(v)
+        c1, c2 = ((top, *sorted(side, key=lambda v: (level_of[v], v))) for side in sides)
+        if tail:
+            if c1[-1] == attachment:
+                c1 += tail[::-1]
+            elif c2[-1] == attachment:
+                c2 += tail[::-1]
+            else:
+                continue
+        out.append((c1, c2))
+    return out
 
 
 def part_paths_scan(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]]:
@@ -518,7 +594,7 @@ def part_paths_scan(g: Graph, part: frozenset[int], end: int) -> list[tuple[int,
         return []
     inner = {v: g[v] & part for v in part}
     try:
-        tail, residual = extract_tail(inner, end)
+        tail, residual = tail_scan(inner, end)
         if residual == {end}:
             return [(*tail, end)]
         sols = solve_pseudo_tower(inner)

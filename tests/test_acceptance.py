@@ -19,6 +19,7 @@ from polyvis import (
     verify_cycle,
     visibility_graph,
 )
+from polyvis.graph import view_of
 from polyvis.tower import bordering_graph, compute_leveling, enumerate_borderings, tower_top_candidates
 
 from conftest import PT6_EDGES, PT6_POINTS, T5_EDGES, T5_POINTS
@@ -71,7 +72,7 @@ def test_criterion_3_bordering_count_law():
         n = 4 + (i % 27)
         poly = gen_tower(n, 5000 + i // 27)
         g = visibility_graph(poly)
-        for top in sorted(tower_top_candidates(g)):
+        for top in sorted(tower_top_candidates(view_of(g))):
             lv = compute_leveling(g, top)
             bg = bordering_graph(g, lv)
             checked += 1

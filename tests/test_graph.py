@@ -13,13 +13,15 @@ from polyvis import (
     parse_graph,
     serialize_graph,
     solve_pseudo_tower,
+    verify_cycle,
     visibility_graph,
 )
-from polyvis.graph import CycleCandidate, induced_subgraph
+from polyvis.graph import CycleCandidate, induced_subgraph, view_of
 from polyvis.pseudotower import extract_tail
 from polyvis.tower import bordering_constraints, level_sets, tower_top_candidates
 
-from conftest import T5_EDGES
+from conftest import PT6_EDGES, T5_EDGES, vertex_mask
+from corpora import SETS, brute_force_graphs, graph_set
 
 
 def test_parse_k3():
@@ -93,6 +95,25 @@ def test_graph_maps_each_vertex_to_its_neighbor_set(t5_graph):
     assert dict(g) == {v: frozenset(w for e in T5_EDGES if v in e for w in e if w != v) for v in g}
 
 
+def test_bits_match_neighbor_sets():
+    # Bit u of bits[v] is set iff u is in g[v], on every graph that the
+    # shared sets and the brute-force oracles read.
+    graphs = [r.graph for name in SETS for r in graph_set(name)] + list(brute_force_graphs())
+    for g in graphs:
+        assert g.bits == tuple(vertex_mask(g[v]) for v in g), g.edges
+
+
+def test_parsing_drawing_and_verifying_leave_bits_unbuilt(pt6_polygon):
+    # The masks are built on first use, so visibility graphs and the verify
+    # command never pay for them.
+    lines = ["6 12"] + [f"{u} {v}" for u, v in sorted(PT6_EDGES)]
+    parsed, drawn = parse_graph("\n".join(lines)), visibility_graph(pt6_polygon)
+    assert parsed == drawn
+    assert verify_cycle(parsed, range(6)) and verify_cycle(drawn, range(6))
+    assert "bits" not in vars(parsed) and "bits" not in vars(drawn)
+    assert parsed.bits and "bits" in vars(parsed)
+
+
 def test_graph_has_no_vertex_outside_its_range(t5_graph):
     g = t5_graph
     assert -1 not in g and g.n not in g
@@ -111,20 +132,20 @@ def test_graph_equality_and_hash_follow_the_edges(t5_graph):
     assert t5_graph != dict(t5_graph)
 
 
-def _tower_readings(nbrs):
+def _tower_readings(view):
     """What the tower readers give on one view; a rejection reads as its message."""
-    out = [extract_tail(nbrs)]
+    out = [extract_tail(view)]
     try:
-        tops = tower_top_candidates(nbrs)
+        tops = tower_top_candidates(view)
     except NotTowerError as exc:
         return [*out, str(exc)]
     out.append(tops)
     for top in sorted(tops):
-        out.append(extract_tail(nbrs, top))
+        out.append(extract_tail(view, top))
         try:
-            lv = level_sets(nbrs, top)
+            lv = level_sets(view, top)
             out.append((lv, lv.level_of))
-            bg = bordering_constraints(nbrs, lv)
+            bg = bordering_constraints(view, lv)
             out.append((bg, bg.coloring))
         except NotTowerError as exc:
             out.append(str(exc))
@@ -135,8 +156,8 @@ def _tower_readings(nbrs):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_graph_reads_like_its_plain_dict(n, seed):
     for g in (visibility_graph(gen_tower(n, seed)), gen_pseudo_tower(n, seed).graph):
-        readings = _tower_readings(g)
-        assert readings == _tower_readings(dict(g))
+        readings = _tower_readings(view_of(g))
+        assert readings == _tower_readings(view_of(dict(g)))
         assert len(readings) > 1
     # A pseudo-tower's whole graph does not level; its residual is leveled
     # on a view restricted from the Graph or from the dict alike.

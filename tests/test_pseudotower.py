@@ -7,9 +7,17 @@ from polyvis import (
     gen_pseudo_tower,
     solve_pseudo_tower,
 )
+from polyvis.graph import view_of
 from polyvis.pseudotower import extract_tail
 
-from conftest import T5_EDGES
+from conftest import T5_EDGES, vertex_set
+
+
+def _tail(nbrs, top=None):
+    """``extract_tail`` on the view of a graph or neighbor-set mapping, with
+    the residual as a set."""
+    tail, residual = extract_tail(view_of(nbrs), top)
+    return tail, vertex_set(residual)
 
 
 def _t5_with_pendant() -> Graph:
@@ -17,14 +25,14 @@ def _t5_with_pendant() -> Graph:
 
 
 def test_extract_tail_pure_tower(t5_graph):
-    tail, residual = extract_tail(t5_graph)
+    tail, residual = _tail(t5_graph)
     assert tail == ()
     assert residual == frozenset(range(5))
 
 
 def test_extract_tail_pendant():
     g = _t5_with_pendant()
-    tail, residual = extract_tail(g)
+    tail, residual = _tail(g)
     assert tail == (6, 5)
     assert residual == frozenset({0, 1, 2, 3, 4})
 
@@ -32,43 +40,43 @@ def test_extract_tail_pendant():
 def test_extract_tail_star_rejected():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(NotPseudoTowerError):
-        extract_tail(star)
+        _tail(star)
 
 
 def test_extract_tail_top_of_degree_one():
     # The cap {top, p}: both ends have degree 1, but the top is never a tail
     # end, so p is the tail and the residual keeps the top alone.
     view = {4: frozenset({9}), 9: frozenset({4})}
-    assert extract_tail(view, 4) == ((9,), frozenset({4}))
+    assert _tail(view, 4) == ((9,), frozenset({4}))
     with pytest.raises(NotPseudoTowerError):
-        extract_tail(view)
+        _tail(view)
 
 
 def test_extract_tail_stops_at_degree_two_top():
     # 5 - 4 - 0 - 1 with the triangle 1-2-3 below: without a top the walk
     # runs on through the degree-2 vertex 0; with top 0 it stops there.
     g = Graph.from_edges(6, [(0, 1), (0, 4), (4, 5), (1, 2), (1, 3), (2, 3)])
-    assert extract_tail(g) == ((5, 4, 0), frozenset({1, 2, 3}))
-    assert extract_tail(g, 0) == ((5, 4), frozenset({0, 1, 2, 3}))
+    assert _tail(g) == ((5, 4, 0), frozenset({1, 2, 3}))
+    assert _tail(g, 0) == ((5, 4), frozenset({0, 1, 2, 3}))
 
 
 def test_extract_tail_top_ends_chordless_path():
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert extract_tail(path, 3) == ((0, 1, 2), frozenset({3}))
+    assert _tail(path, 3) == ((0, 1, 2), frozenset({3}))
     with pytest.raises(NotPseudoTowerError):
-        extract_tail(path, 1)  # two loose ends besides the top
+        _tail(path, 1)  # two loose ends besides the top
 
 
 def test_extract_tail_cycle_is_empty():
     cycle = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert extract_tail(cycle) == ((), frozenset(range(6)))
-    assert extract_tail(cycle, 2) == ((), frozenset(range(6)))
+    assert _tail(cycle) == ((), frozenset(range(6)))
+    assert _tail(cycle, 2) == ((), frozenset(range(6)))
 
 
 def test_extract_tail_path_rejected():
     path = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
     with pytest.raises(NotPseudoTowerError, match="2 degree-1 vertices"):
-        extract_tail(path)
+        _tail(path)
 
 
 def test_solve_pure_tower_two_solutions(t5_graph):
@@ -170,9 +178,9 @@ def test_view_solver_ignores_vertex_ids():
             ]
         assert _outcome(solve_pseudo_tower, view) == want, name
 
-        want_tail = _outcome(extract_tail, g)
+        want_tail = _outcome(_tail, g)
         if want_tail != "rejected":
             tail, residual = want_tail
             want_tail = (tuple(map(_mapped, tail)), frozenset(map(_mapped, residual)))
-        assert _outcome(extract_tail, view) == want_tail, name
+        assert _outcome(_tail, view) == want_tail, name
     assert solved >= 17  # every generated instance and both fixtures at least

@@ -36,7 +36,7 @@ from polyvis.pseudotriangle import (
     top_joint_candidates,
 )
 
-from conftest import PT6_EDGES, T5_EDGES
+from conftest import PT6_EDGES, T5_EDGES, vertex_mask, vertex_set
 from corpora import brute_force_graphs, cap_cases, graph_set, stage_log
 from oracles import (
     arc_pseudo_triangle,
@@ -70,19 +70,30 @@ def test_top_candidates_too_many_rejected():
         top_joint_candidates(g)  # six minimum-degree vertices
 
 
+def _caps(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
+    """``extract_cap``'s caps as sets."""
+    return [vertex_set(cap) for cap in extract_cap(g, top, e)]
+
+
+def _split(g: Graph, cap, e: tuple[int, int]):
+    """``split_parts`` on the cap ``cap``, a set, with the parts as sets."""
+    parts = split_parts(g, vertex_mask(cap), e)
+    return None if parts is None else tuple(map(vertex_set, parts))
+
+
 def test_extract_cap_pt6(pt6_graph):
-    assert extract_cap(pt6_graph, 0, (3, 4)) == [frozenset({0, 1, 5})]
+    assert _caps(pt6_graph, 0, (3, 4)) == [frozenset({0, 1, 5})]
 
 
 def test_extract_cap_top_in_base(k3):
-    caps = extract_cap(k3, 0, (1, 2))
+    caps = _caps(k3, 0, (1, 2))
     assert caps == [frozenset({0})]
 
 
 def test_extract_cap_rejects_without_common_neighbor():
     # Path-like graph: edge (2, 3) has no common neighbor.
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert extract_cap(g, 0, (2, 3)) == []
+    assert _caps(g, 0, (2, 3)) == []
 
 
 @pytest.mark.parametrize(
@@ -106,11 +117,11 @@ def test_extract_cap_rejects_without_common_neighbor():
 )
 def test_extract_cap_walk_past_base(n, edges, e, caps):
     g = Graph.from_edges(n, edges)
-    assert extract_cap(g, 0, e) == [frozenset(c) for c in caps]
+    assert _caps(g, 0, e) == [frozenset(c) for c in caps]
 
 
 def test_split_parts_pt6(pt6_graph):
-    parts = split_parts(pt6_graph, frozenset({0, 1, 5}), (3, 4))
+    parts = _split(pt6_graph, {0, 1, 5}, (3, 4))
     assert parts is not None
     a, b = parts
     assert a == frozenset({2, 3})
@@ -119,30 +130,30 @@ def test_split_parts_pt6(pt6_graph):
 
 def test_split_parts_rejects_connected_rest(pt6_graph):
     # Removing too small a cap leaves one connected blob.
-    assert split_parts(pt6_graph, frozenset({0}), (2, 3)) is None
+    assert _split(pt6_graph, {0}, (2, 3)) is None
 
 
 def test_split_parts_rejects_w1_reached_around_the_edge():
     # Cap {0}, split edge (1, 2): w0's side {1, 3} sees w1 through 3, so the
     # edge does not separate the rest.  Without the chord 2-3 it does.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    assert split_parts(g, frozenset({0}), (1, 2)) is None
+    assert _split(g, {0}, (1, 2)) is None
     h = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3)])
-    assert split_parts(h, frozenset({0}), (1, 2)) == (frozenset({1, 3}), frozenset({2}))
-    assert split_parts(h, frozenset({0}), (2, 1)) == (frozenset({2}), frozenset({1, 3}))
+    assert _split(h, {0}, (1, 2)) == (frozenset({1, 3}), frozenset({2}))
+    assert _split(h, {0}, (2, 1)) == (frozenset({2}), frozenset({1, 3}))
 
 
 def test_split_parts_rejects_third_component():
     # Vertex 3 hangs off the cap alone: the rest has three components.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    assert split_parts(g, frozenset({0}), (1, 2)) is None
-    assert split_parts(g, frozenset({0, 3}), (1, 2)) == (frozenset({1}), frozenset({2}))
+    assert _split(g, {0}, (1, 2)) is None
+    assert _split(g, {0, 3}, (1, 2)) == (frozenset({1}), frozenset({2}))
 
 
 def test_split_parts_rejects_endpoint_in_cap(pt6_graph):
-    assert split_parts(pt6_graph, frozenset({0, 1, 5}), (4, 5)) is None
-    assert split_parts(pt6_graph, frozenset({0, 1, 5}), (5, 4)) is None
-    assert split_parts(pt6_graph, frozenset({0, 1, 2}), (2, 3)) is None
+    assert _split(pt6_graph, {0, 1, 5}, (4, 5)) is None
+    assert _split(pt6_graph, {0, 1, 5}, (5, 4)) is None
+    assert _split(pt6_graph, {0, 1, 2}, (2, 3)) is None
 
 
 def test_split_parts_matches_scan():
@@ -156,19 +167,19 @@ def test_split_parts_matches_scan():
         caps += [frozenset({a, b}) for a in range(n) for b in range(a + 1, n)]
         for e in sorted(g.edges):
             for cap in caps:
-                assert split_parts(g, cap, e) == split_parts_scan(g, cap, e), (i, cap, e)
+                assert _split(g, cap, e) == split_parts_scan(g, cap, e), (i, cap, e)
 
 
 def _cap_chains(g: Graph, cap: frozenset[int], top: int):
     """The cap's chain pairs as ``solve`` reads them from its context: the
     residual's view and leveling, with the tail hung."""
-    view, lv, tail, attachment = _cap_context(g, cap, top)
+    view, lv, tail, attachment = _cap_context(g, vertex_mask(cap), top)
     return bordering_chains(view, lv, tail, attachment)
 
 
 def _pt6_true_decomposition(pt6_graph):
     # The true boundary's cap chains and part paths for top 0, split edge (3, 4).
-    (cap,) = extract_cap(pt6_graph, 0, (3, 4))
+    (cap,) = _caps(pt6_graph, 0, (3, 4))
     (cap_chains,) = _cap_chains(pt6_graph, cap, 0)
     return cap_chains, (2, 3), (4,)
 
@@ -206,7 +217,7 @@ def test_cap_context_tail_at_the_top():
 
 def test_cap_context_two_loose_ends_rejected():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert _cap_context(g, frozenset(range(4)), 0) is None
+    assert _cap_context(g, vertex_mask(range(4)), 0) is None
 
 
 @pytest.mark.parametrize(
@@ -224,7 +235,7 @@ def test_cap_context_two_loose_ends_rejected():
 )
 def test_part_paths_direct_readings(edges, part, end, want):
     g = Graph.from_edges(4, edges)
-    assert part_paths(g, frozenset(part), end) == want
+    assert part_paths(g, vertex_mask(part), end) == want
 
 
 def test_part_paths_pseudo_tower_part():
@@ -233,7 +244,7 @@ def test_part_paths_pseudo_tower_part():
     # have chains ending at 5, 2 and 3, never at 4.
     edges = [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)]
     g = Graph.from_edges(6, edges)
-    part = frozenset(range(1, 6))
+    part = vertex_mask(range(1, 6))
 
     assert part_paths(g, part, 5) == [(2, 1, 3, 4, 5), (3, 1, 2, 4, 5)]
     assert part_paths(g, part, 3) == [(5, 4, 2, 1, 3)]
@@ -249,17 +260,18 @@ def test_odd_cycle_cap_counted_once(monkeypatch):
     edges += [(3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (5, 8), (6, 8), (7, 8)]
     g = Graph.from_edges(9, edges)
     cap = frozenset(range(7))
-    assert extract_cap(g, 0, (7, 8)) == [cap]
-    assert _cap_context(g, cap, 0) is not None
+    assert _caps(g, 0, (7, 8)) == [cap]
+    assert _cap_context(g, vertex_mask(cap), 0) is not None
     assert cap_chains_scan(g, cap, 0) is None
     with pytest.raises(NotTowerError):
         _cap_chains(g, cap, 0)
-    assert split_parts(g, cap, (7, 8)) == ({7}, {8})
+    assert _split(g, cap, (7, 8)) == ({7}, {8})
 
     # Only this (split edge, cap) reaches the search; every other edge of
     # every top is cap_rejected.
     monkeypatch.setattr(
-        pseudotriangle, "extract_cap", lambda g, top, e: [cap] if (top, e) == (0, (7, 8)) else []
+        pseudotriangle, "extract_cap",
+        lambda g, top, e: [vertex_mask(cap)] if (top, e) == (0, (7, 8)) else [],
     )
     stats: dict[str, int] = {}
     assert solve_pseudo_triangle(g, stats) == []
@@ -370,7 +382,7 @@ def test_top_neighborhood_admits_every_top_joint():
     # top joint.
     passed = rejected = 0
     for g in brute_force_graphs():
-        pairs = [_top_pairs(g, v) for v in range(g.n)]
+        pairs = [[vertex_set(p) for p in _top_pairs(g, v)] for v in range(g.n)]
         rejected += pairs.count([])
         for cycle in brute_hamiltonian_cycles(g):
             for left, bottom, right in _splits(cycle):
@@ -385,7 +397,7 @@ def test_top_pairs_match_scan():
     found = 0
     for g in brute_force_graphs():
         for v in range(g.n):
-            pairs = _top_pairs(g, v)
+            pairs = [vertex_set(p) for p in _top_pairs(g, v)]
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == top_pairs_scan(g, v), (g.edges, v)
             found += len(pairs)
@@ -399,12 +411,13 @@ def test_extract_cap_matches_walk(graphs):
     # iff it is a chordless path hanging from the top.
     wide = hanging = not_hanging = 0
     for g, top, e, caps in cap_cases(graphs):
-        assert caps == extract_cap_walk(g, top, e), (g.edges, top, e)
+        assert caps == [vertex_mask(cap) for cap in extract_cap_walk(g, top, e)], (g.edges, top, e)
         wide += len(g[top] - set(e)) > 2 and bool(caps)
         for cap in caps:
-            if len(g[top] & cap) == 1:
+            cap_set = vertex_set(cap)
+            if len(g[top] & cap_set) == 1:
                 levels = _cap_context(g, cap, top) is not None
-                assert levels == hangs_path(g, cap, top), (g.edges, top, cap)
+                assert levels == hangs_path(g, cap_set, top), (g.edges, top, cap_set)
                 hanging += levels
                 not_hanging += not levels
     assert wide > 100 and hanging > 100 and not_hanging > 100
@@ -418,9 +431,10 @@ def test_two_firm_top_neighbors_never_level(graphs):
     fired = 0
     for g, top, _, caps in cap_cases(graphs):
         for cap in caps:
-            firm = [v for v in g[top] & cap if len(g[v] & cap) > 2]
+            cap_set = vertex_set(cap)
+            firm = [v for v in g[top] & cap_set if len(g[v] & cap_set) > 2]
             if any(not g.has_edge(a, b) for a, b in combinations(firm, 2)):
-                assert _cap_context(g, cap, top) is None, (g.edges, top, cap)
+                assert _cap_context(g, cap, top) is None, (g.edges, top, cap_set)
                 fired += 1
     assert fired > 30, fired
 
@@ -435,7 +449,7 @@ def test_lazy_cap_chains_match_eager(graphs):
         read = {id(lv): pairs for (_, lv, _, _), pairs in s.calls["bordering_chains"]}
         leveled = [(top, cap, ctx) for (_, cap, top), ctx in s.calls["_cap_context"] if ctx]
         for top, cap, ctx in leveled:
-            eager = cap_chains_scan(s.graph, cap, top)
+            eager = cap_chains_scan(s.graph, vertex_set(cap), top)
             try:
                 lazy = bordering_chains(*ctx)
             except NotTowerError:
@@ -458,7 +472,7 @@ def test_part_paths_match_scan(graphs):
     total = found = 0
     for s in stage_log(graphs):
         for (g, part, end), paths in s.calls["part_paths"]:
-            assert paths == part_paths_scan(g, part, end), (g.edges, part, end)
+            assert paths == part_paths_scan(g, vertex_set(part), end), (g.edges, part, end)
             found += bool(paths)
         total += len(s.calls["part_paths"])
     assert total > found > 100, (total, found)
@@ -481,7 +495,7 @@ def test_part_paths_where_walks_differ(tail, end, want):
     # ``end`` leaves no chain ending there.
     g = Graph(8, T5_EDGES | frozenset(tail))
     part = frozenset(v for v in range(8) if g[v])
-    assert part_paths(g, part, end) == part_paths_scan(g, part, end) == want
+    assert part_paths(g, vertex_mask(part), end) == part_paths_scan(g, part, end) == want
 
 
 def _is_path(g: Graph, path: tuple[int, ...]) -> bool:

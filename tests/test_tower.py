@@ -11,6 +11,7 @@ from polyvis import (
     visibility_graph,
     boundary_cycle,
 )
+from polyvis.graph import view_of
 from polyvis.tower import (
     bordering_chains,
     bordering_constraints,
@@ -20,33 +21,34 @@ from polyvis.tower import (
     tower_top_candidates,
 )
 
+from conftest import vertex_set
 from corpora import stage_log
 from oracles import bordering_constraints_scan, brute_hamiltonian_cycles
 
 
 def test_top_candidates_t5(t5_graph):
-    assert tower_top_candidates(t5_graph) == frozenset({0})
+    assert tower_top_candidates(view_of(t5_graph)) == frozenset({0})
 
 
 def test_top_candidates_k3(k3):
-    assert tower_top_candidates(k3) == frozenset({0, 1, 2})
+    assert tower_top_candidates(view_of(k3)) == frozenset({0, 1, 2})
 
 
 def test_top_candidates_path_rejected():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(NotTowerError):
-        tower_top_candidates(path)
+        tower_top_candidates(view_of(path))
 
 
 def test_leveling_t5(t5_graph):
     lv = compute_leveling(t5_graph, 0)
-    assert [set(l) for l in lv.levels] == [{0}, {1, 4}, {2, 3}]
+    assert [vertex_set(l) for l in lv.levels] == [{0}, {1, 4}, {2, 3}]
     assert lv.level_of == {0: 1, 1: 2, 4: 2, 2: 3, 3: 3}
 
 
 def test_leveling_k3(k3):
     lv = compute_leveling(k3, 0)
-    assert [set(l) for l in lv.levels] == [{0}, {1, 2}]
+    assert [vertex_set(l) for l in lv.levels] == [{0}, {1, 2}]
 
 
 def test_leveling_star_rejected():
@@ -58,7 +60,7 @@ def test_leveling_star_rejected():
 def test_leveling_clique_property(t5_graph):
     lv = compute_leveling(t5_graph, 0)
     for a, b in zip(lv.levels, lv.levels[1:]):
-        merged = sorted(a | b)
+        merged = sorted(vertex_set(a | b))
         for i, u in enumerate(merged):
             for v in merged[i + 1 :]:
                 assert t5_graph.has_edge(u, v)
@@ -93,7 +95,7 @@ def _odd_cycle_tower_like() -> Graph:
 def test_bordering_graph_odd_cycle_rejected():
     g = _odd_cycle_tower_like()
     lv = compute_leveling(g, 0)  # the leveling itself is fine
-    assert [set(l) for l in lv.levels][:3] == [{0}, {1, 2}, {3, 4}]
+    assert [vertex_set(l) for l in lv.levels][:3] == [{0}, {1, 2}, {3, 4}]
     with pytest.raises(NotTowerError):
         bordering_graph(g, lv)
 
@@ -119,8 +121,9 @@ def test_bordering_constraints_match_scan_on_solver_levelings():
     leveled = [ctx for s in log for _, ctx in s.calls["_cap_context"] if ctx]
     caps = [(view, lv, constraints(view, lv)) for view, lv, _, _ in leveled]
     assert (len(caps), sum(bg is None for _, _, bg in caps)) == (2207, 131)
-    for nbrs, lv, bg in seen + caps:
-        want = bordering_constraints_scan(nbrs, lv)
+    for (bits, within), lv, bg in seen + caps:
+        nbrs = {v: vertex_set(bits[v] & within) for v in vertex_set(within)}
+        want = bordering_constraints_scan(nbrs, [vertex_set(lvl) for lvl in lv.levels])
         got = None if bg is None else (bg.constraint_edges, bg.components, bg.coloring)
         assert got == want
 
@@ -156,7 +159,7 @@ def test_enumerate_borderings_single_component(k3):
 def test_bordering_chains_t5(t5_graph):
     # Each bordering's chain pair, read down one chain and back up the other.
     lv = compute_leveling(t5_graph, 0)
-    pairs = bordering_chains(t5_graph, lv)
+    pairs = bordering_chains(view_of(t5_graph), lv)
     assert pairs == [((0, 1, 2), (0, 4, 3)), ((0, 1, 3), (0, 4, 2))]
     cycles = [canonicalize((*c1, *reversed(c2[1:]))) for c1, c2 in pairs]
     assert [c.order for c in cycles] == [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4)]
@@ -164,7 +167,7 @@ def test_bordering_chains_t5(t5_graph):
 
 def test_bordering_chains_k3(k3):
     lv = compute_leveling(k3, 0)
-    ((c1, c2),) = bordering_chains(k3, lv)
+    ((c1, c2),) = bordering_chains(view_of(k3), lv)
     assert (c1, c2) == ((0, 1), (0, 2))
     assert canonicalize((*c1, *reversed(c2[1:]))).order == (0, 1, 2)
 
@@ -218,7 +221,7 @@ def test_generated_tower_round_trip(n, seed):
 def test_generated_tower_bordering_count_law(seed):
     poly = gen_tower(12, seed)
     g = visibility_graph(poly)
-    (top,) = [v for v in sorted(tower_top_candidates(g)) if g.degree(v) == 2][:1]
+    (top,) = [v for v in sorted(tower_top_candidates(view_of(g))) if g.degree(v) == 2][:1]
     lv = compute_leveling(g, top)
     bg = bordering_graph(g, lv)
     assert len(enumerate_borderings(bg)) == 2 ** (len(bg.components) - 1)
