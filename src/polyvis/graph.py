@@ -39,12 +39,15 @@ def low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def members(mask: int) -> Iterator[int]:
-    """The vertices of a vertex mask, least first."""
+def members(mask: int) -> list[int]:
+    """The vertices of a vertex mask, least first, as a list.  The
+    innermost loops write this bit walk inline instead."""
+    out = []
     while mask:
         bit = mask & -mask
-        yield bit.bit_length() - 1
+        out.append(bit.bit_length() - 1)
         mask ^= bit
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,8 +182,10 @@ def bfs_layers(bits: Sequence[int] | Mapping[int, int], start: int, within: int)
     layers = [layer]
     while True:
         reached = 0
-        for u in members(layer):
-            reached |= bits[u]
+        while layer:
+            bit = layer & -layer
+            reached |= bits[bit.bit_length() - 1]
+            layer ^= bit
         layer = reached & rest
         if not layer:
             return layers

@@ -13,14 +13,14 @@ input vertex ids.
 view to the residual, and ``tower.tower_readings`` reads the residual with
 the tail hung below its attachment chain.  The pseudo-triangle solver hangs
 its caps' tails walked from the known top, and reads its side parts with
-``_read_pseudo_tower``.
+``_read_pseudo_tower`` from the tail that it has hung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import NbrSets, NbrView, is_connected, low, members, view_of
+from .graph import NbrSets, NbrView, is_connected, low, view_of
 from .tower import NotTowerError, tower_readings
 
 
@@ -55,9 +55,12 @@ def extract_tail(nbrs: NbrView, top: int | None = None) -> tuple[tuple[int, ...]
     stop at a second degree-1 vertex, so it ends at ``top`` or at degree >= 3.
     """
     bits, within = nbrs
-    deg_one = [v for v in members(within) if (bits[v] & within).bit_count() == 1]
-    if top in deg_one:
-        deg_one.remove(top)
+    deg_one, rest = [], within if top is None else within & ~(1 << top)
+    while rest:
+        bit = rest & -rest
+        if (bits[v := bit.bit_length() - 1] & within).bit_count() == 1:
+            deg_one.append(v)
+        rest ^= bit
     if len(deg_one) >= 2:
         raise NotPseudoTowerError(f"{len(deg_one)} degree-1 vertices, expected at most 1")
     if not deg_one:
@@ -88,12 +91,14 @@ def solve_pseudo_tower(nbrs: NbrSets) -> list[PseudoTowerSolution]:
         raise NotPseudoTowerError("pseudo-tower graphs need at least 3 vertices")
     if not is_connected(view):
         raise NotPseudoTowerError("graph is not connected")
-    return _read_pseudo_tower(view)
+    return _read_pseudo_tower(*hang_tail(view))
 
 
-def _read_pseudo_tower(nbrs: NbrView) -> list[PseudoTowerSolution]:
-    """``solve_pseudo_tower`` on a view known to be connected."""
-    tail, attachment, res = hang_tail(nbrs)
+def _read_pseudo_tower(
+    tail: tuple[int, ...], attachment: int | None, res: NbrView
+) -> list[PseudoTowerSolution]:
+    """``solve_pseudo_tower`` on a connected view whose tail ``hang_tail``
+    has hung without a known top."""
     if res[1].bit_count() < 3:
         raise NotPseudoTowerError("residual tower part has fewer than 3 vertices")
     try:

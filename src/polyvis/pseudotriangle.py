@@ -52,7 +52,7 @@ benchmark graphs with and without it:
    and so is a cap whose vertices the top sees are not those of one pair.
    Since a pair lies in N(top), a cap C fits the pair p iff N(top) & C is a
    subset of p.  The test turns away 5,132 of the 19,446 caps of one
-   auto-mixed benchmark pass before they are leveled, which saves about 6%
+   auto-mixed benchmark pass before they are leveled, which saves about 5%
    of ``solve``'s time.
 3. One top neighbor.  A cap in which the top sees one vertex levels only as
    a chordless path hanging from the top, and ``_cap_context`` walks that
@@ -64,8 +64,9 @@ view: ``_cap_context`` walks the cap's tail up to the known top, hangs it
 with ``pseudotower.hang_tail`` and levels the residual, once per (top,
 cap); once some split of the cap has two parts that solve, ``solve`` reads
 the residual's chain pairs, the top first, with ``bordering_chains``, the
-tail hung below them.  ``part_paths`` reads a chordless path off
-``extract_tail``'s walk and any other part with
+tail hung below them.  ``part_paths`` hangs a side part's tail once, with
+its split-edge endpoint as the known top, and reads a chordless path off
+that walk and any other part from it with
 ``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings``.
 Caps, side parts and residuals are vertex masks, each view ``(g.bits,
 mask)``, and caps, chain pairs and part paths are memoized per ``solve``,
@@ -92,7 +93,7 @@ from .graph import (
     members,
     view_of,
 )
-from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, extract_tail, hang_tail
+from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, hang_tail
 from .tower import Leveling, NotTowerError, bordering_chains, carriers, level_sets, walk_levels
 
 
@@ -192,7 +193,7 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[int]:
                         caps.add((base | placed | p) & ~cut)
         except NotTowerError:
             pass
-    return sorted(caps, key=lambda cap: list(members(cap))) if len(caps) > 1 else list(caps)
+    return sorted(caps, key=members) if len(caps) > 1 else list(caps)
 
 
 def split_parts(g: Graph, cap: int, e: tuple[int, int]) -> tuple[int, int] | None:
@@ -221,25 +222,35 @@ def part_paths(g: Graph, part: int, end: int) -> list[tuple[int, ...]]:
     split-edge endpoint, sorted.
 
     The part is a connected vertex mask, a component from ``split_parts``.
-    Its view, ``(g.bits, part)``, is walked by ``pseudotower.extract_tail`` with
-    ``end`` as its top: a residual of ``{end}`` means a chordless path ending
-    at ``end`` (``(end,)`` for a singleton), read as it stands, and a walk
-    that fails finds two loose ends besides ``end``, which no pseudo-tower
-    has.  Any other part is read as a pseudo-tower, and each solution whose
-    chain ends at ``end`` is unfolded around its joint: the other chain
-    upward, then this chain downward.  The unfolded path covers the part,
-    because the bordering chains cover the residual and the tail is hung
-    below one of them.  Where a side joint sits on the path is left to the
-    decision of the assembled cycle (see ``solve``).
+    Its view, ``(g.bits, part)``, has its tail hung by
+    ``pseudotower.hang_tail`` with ``end`` as its top: a residual of
+    ``{end}`` means a chordless path ending at ``end`` (``(end,)`` for a
+    singleton), read as it stands.  A walk that fails, or has a tail while
+    ``end`` has degree 1, shows two loose ends, which no pseudo-tower has.
+    Any other part is read as a pseudo-tower by ``_read_pseudo_tower`` from
+    the same tail, unless a walk without a known top would put ``end`` on
+    its tail (as the degree-1 outer end, or a degree-2 vertex that the walk
+    reaches); only then is the part walked again, without a top.
+    Each solution whose chain ends at ``end`` is unfolded around its joint:
+    the other chain upward, then this chain downward.  The unfolded path
+    covers the part, because the bordering chains cover the residual and the
+    tail is hung below one of them.  Where a side joint sits on the path is
+    left to the decision of the assembled cycle (see ``solve``).
     """
     if not part >> end & 1:
         return []
     view = (g.bits, part)
     try:
-        tail, residual = extract_tail(view, end)
+        hung = hang_tail(view, end)
+        tail, attachment, (_, residual) = hung
         if residual == 1 << end:
             return [(*tail, end)]
-        sols = _read_pseudo_tower(view)
+        deg = (g.bits[end] & part).bit_count()
+        if deg == 1 and tail:
+            return []
+        if deg == 1 or deg == 2 and attachment == end:
+            hung = hang_tail(view)
+        sols = _read_pseudo_tower(*hung)
     except NotPseudoTowerError:
         return []
     paths = {

@@ -136,11 +136,12 @@ def walk_levels(nbrs: NbrView, levels: list[int], placed: int) -> Iterator[tuple
         size = cand.bit_count()
         if size > 2:
             raise NotTowerError(f"level would have {size} vertices")
+        p = (cand & -cand).bit_length() - 1
         if size == 2:
-            if not bits[low(cand)] & cand:
+            if not bits[p] & cand:
                 raise NotTowerError("two-vertex level is not a clique")
         elif cand != rest:  # a single vertex, not the last one
-            xs = carriers(nbrs, current, placed, low(cand))
+            xs = carriers(nbrs, current, placed, p)
             if len(xs) != 1:
                 raise NotTowerError(
                     f"{len(xs)} level vertices reach below a single-vertex level"
@@ -159,7 +160,13 @@ def carriers(nbrs: NbrView, current: int, placed: int, p: int) -> list[int]:
     """
     bits, within = nbrs
     rest = within & ~placed & ~(1 << p)
-    return [x for x in members(current) if bits[x] & rest]
+    out = []
+    while current:
+        bit = current & -current
+        if bits[x := bit.bit_length() - 1] & rest:
+            out.append(x)
+        current ^= bit
+    return out
 
 
 def compute_leveling(g: Graph, top: int) -> Leveling:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,11 +18,11 @@ from polyvis import (
     verify_cycle,
     visibility_graph,
 )
-from polyvis.graph import CycleCandidate, induced_subgraph, view_of
+from polyvis.graph import CycleCandidate, bfs_layers, induced_subgraph, low, members, view_of
 from polyvis.pseudotower import extract_tail
 from polyvis.tower import bordering_constraints, level_sets, tower_top_candidates
 
-from conftest import PT6_EDGES, T5_EDGES, vertex_mask
+from conftest import PT6_EDGES, T5_EDGES, vertex_mask, vertex_set
 from corpora import SETS, brute_force_graphs, graph_set
 
 
@@ -186,6 +188,52 @@ def test_components_partition_property(t5_graph):
         assert not (seen & c)
         seen |= c
     assert seen == set(range(t5_graph.n))
+
+
+def _bin_members(mask: int) -> list[int]:
+    """The set bits of ``mask``, least first, read off its binary string."""
+    return [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+
+
+@given(st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**300)))
+def test_members_and_low_match_binary_digits(mask):
+    assert type(members(mask)) is list
+    assert members(mask) == _bin_members(mask)
+    if mask:
+        assert low(mask) == _bin_members(mask)[0]
+
+
+def _bfs_distances(g: Graph, start: int, within: set[int]) -> dict[int, int]:
+    """Plain breadth-first search on neighbor sets: each vertex reached from
+    ``start`` (distance 0, in ``within`` or not) through ``within``, with
+    its distance."""
+    dist, frontier = {start: 0}, [start]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for w in g[u]:
+                if w in within and w not in dist:
+                    dist[w] = dist[u] + 1
+                    reached.append(w)
+        frontier = reached
+    return dist
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_bfs_layers_match_plain_bfs(name):
+    # From vertex 0 through the whole graph, then from a random vertex
+    # through a random half of it, which the start may lie outside.
+    rng = random.Random(name)
+    for record in graph_set(name):
+        g = record.graph
+        half = {v for v in range(g.n) if rng.random() < 0.5}
+        for start, within in ((0, set(range(g.n))), (rng.randrange(g.n), half)):
+            layers = bfs_layers(g.bits, start, vertex_mask(within))
+            dist = _bfs_distances(g, start, within)
+            assert sum(layer.bit_count() for layer in layers) == len(dist), record.id
+            assert sum(layers) == vertex_mask(dist), record.id
+            by_depth = [{v for v, d in dist.items() if d == depth} for depth in range(len(layers))]
+            assert [vertex_set(layer) for layer in layers] == by_depth, record.id
 
 
 def test_induced_single_edge(k3):

@@ -1,5 +1,5 @@
 """Every name a polyvis module or a test module imports is read somewhere in
-that module.
+that module, and the oracles take no solver walk from polyvis.
 
 ``__init__.py`` is left out: it imports names to re-export them.  The check
 uses only the stdlib ``ast`` module, so it runs wherever the tests do.
@@ -14,6 +14,14 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "polyvis"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted(TESTS.glob("*.py"))
+
+# The mask helpers and solver walks that ``tests/oracles.py`` re-implements
+# on plain sets.  An oracle that called one would check it against itself.
+SOLVER_WALKS = frozenset({
+    "members", "low", "view_of", "bfs_layers", "NbrView",
+    "walk_levels", "carriers", "level_sets", "extract_tail", "hang_tail",
+    "extract_cap", "split_parts", "part_paths",
+})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +50,27 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def polyvis_names(source: str) -> set[str]:
+    """The names the module imports from polyvis, plus every attribute it
+    reads, which covers a name read off an imported polyvis module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("polyvis"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_polyvis_names_are_found():
+    source = (
+        "from polyvis.graph import members as m\nfrom polyvis import tower\n"
+        "from os import low\ntower.walk_levels(m)\n"
+    )
+    assert polyvis_names(source) & SOLVER_WALKS == {"members", "walk_levels"}
+
+
+def test_oracles_take_no_solver_walk():
+    assert polyvis_names((TESTS / "oracles.py").read_text()) & SOLVER_WALKS == set()

@@ -38,8 +38,9 @@ def test_extract_tail_pendant():
 
 
 def test_extract_tail_star_rejected():
+    # The scan counts every degree-1 vertex, not only the first two.
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(NotPseudoTowerError):
+    with pytest.raises(NotPseudoTowerError, match="3 degree-1 vertices, expected at most 1"):
         _tail(star)
 
 
