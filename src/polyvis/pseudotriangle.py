@@ -94,7 +94,7 @@ from .graph import (
     view_of,
 )
 from .pseudotower import NotPseudoTowerError, _read_pseudo_tower, hang_tail
-from .tower import Leveling, NotTowerError, bordering_chains, carriers, level_sets, walk_levels
+from .tower import NotTowerError, bordering_chains, carriers, level_sets, walk_levels
 
 
 class NotPseudoTriangleError(ValueError):
@@ -115,8 +115,8 @@ class PseudoTriangleSolution:
         return left[0], left[-1], right[-1]
 
 
-CapContext = tuple[NbrView, Leveling, tuple[int, ...], int | None]
-"""A leveled cap: its residual's view and leveling, then its tail and the
+CapContext = tuple[NbrView, tuple[int, ...], tuple[int, ...], int | None]
+"""A leveled cap: its residual's view and level masks, then its tail and the
 tail's attachment; ``solve`` reads its chains with ``bordering_chains``."""
 
 

@@ -8,12 +8,12 @@ from the apex down, a pseudo-tower's tail hung below one of them; it is the
 one chain reading that all three solvers share.  ``tower_readings`` is the
 one loop over apex candidates, which the tower and pseudo-tower solvers run.
 Down one chain and back up the other is one Hamiltonian cycle candidate.
+Levels, constraint components and chain sides are all vertex masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import (
@@ -35,42 +35,15 @@ class NotTowerError(ValueError):
 
 
 @dataclass(frozen=True)
-class Leveling:
-    """Ordered level sets l_1..l_k grown from the apex, as vertex masks.
-
-    A vertex can belong to a run of consecutive levels (each completed by
-    re-using a vertex of the one before); ``level_of`` maps each vertex to the
-    first level containing it (1-based).  It is built on first use: most caps
-    that the pseudo-triangle search levels are never read.
-    """
-
-    levels: tuple[int, ...]
-
-    @property
-    def top(self) -> int:
-        return low(self.levels[0])
-
-    @cached_property
-    def level_of(self) -> dict[int, int]:
-        # From the last level up, so that each vertex keeps its first.
-        return {v: i for i in range(len(self.levels), 0, -1) for v in members(self.levels[i - 1])}
-
-
-@dataclass(frozen=True)
 class BorderingGraph:
-    """Constraint graph whose edges force opposite chain assignments."""
+    """Constraint graph whose edges force opposite chain assignments, as
+    vertex masks: each non-apex vertex's constraint neighbours, the
+    components in order of their least vertex, and each component's
+    colour-1 vertices, the odd layers of its BFS."""
 
-    constraint_edges: frozenset[tuple[int, int]]
-    components: tuple[frozenset[int], ...]
-    coloring: dict[int, int] = field(compare=False)  # 0/1 within each component
-
-
-@dataclass(frozen=True)
-class Bordering:
-    """Assignment of the non-apex vertices to the two boundary chains."""
-
-    left: frozenset[int]
-    right: frozenset[int]
+    adj: dict[int, int]
+    components: tuple[int, ...]
+    odd: tuple[int, ...]
 
 
 def tower_top_candidates(nbrs: NbrView) -> frozenset[int]:
@@ -92,19 +65,20 @@ def tower_top_candidates(nbrs: NbrView) -> frozenset[int]:
     return frozenset(out)
 
 
-def level_sets(nbrs: NbrView, top: int) -> Leveling:
-    """Ordered level sets of a view from ``top``.
+def level_sets(nbrs: NbrView, top: int) -> tuple[int, ...]:
+    """Ordered level sets l_1..l_k of a view from ``top``, as vertex masks.
 
     Runs ``walk_levels``, the package's one leveling loop, from ``top`` until
     every vertex is placed: l_2 = N(top), then each level is closed from the
     unplaced common neighbors of the one before.  Every level places a
-    vertex, so there are at most n.  Raises NotTowerError on any structural
-    violation.
+    vertex, so there are at most n.  A vertex can belong to a run of
+    consecutive levels, each completed by re-using a vertex of the one
+    before.  Raises NotTowerError on any structural violation.
     """
     levels = [1 << top]
     for _ in walk_levels(nbrs, levels, 1 << top):
         pass
-    return Leveling(tuple(levels))
+    return tuple(levels)
 
 
 def walk_levels(nbrs: NbrView, levels: list[int], placed: int) -> Iterator[tuple[int, int]]:
@@ -169,27 +143,27 @@ def carriers(nbrs: NbrView, current: int, placed: int, p: int) -> list[int]:
     return out
 
 
-def compute_leveling(g: Graph, top: int) -> Leveling:
+def compute_leveling(g: Graph, top: int) -> tuple[int, ...]:
     """Leveling of a whole graph from ``top``; see level_sets."""
     return level_sets(view_of(g), top)
 
 
-def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
-    """Constraint graph over the non-apex vertices.
+def bordering_constraints(nbrs: NbrView, lv: tuple[int, ...]) -> BorderingGraph:
+    """Constraint graph over the non-apex vertices of the leveling ``lv``.
 
     Two kinds of constraint edges force opposite chains: graph edges whose
     endpoints' levels are at least 2 apart, and the pair inside every
     two-vertex level.  Raises NotTowerError if 2-coloring fails.
     """
     bits, within = nbrs
-    nodes = within & ~(1 << lv.top)
+    nodes = within & ~lv[0]
     # A vertex sits in a run of consecutive levels (a carrier stays on into
     # the next level), so two vertices' levels are 2 or more apart exactly
     # when one run ends at least 2 levels before the other starts.  With the
     # levels numbered from 1, ``starts[i]`` holds the runs that start at
     # level i or later, and ``ended[i]`` those that end at level i or before.
-    k = len(lv.levels)
-    levels = (0, *lv.levels, 0)
+    k = len(lv)
+    levels = (0, *lv, 0)
     starts, ended = [0] * (k + 3), [0] * (k + 1)
     for i in range(k, 0, -1):
         starts[i] = starts[i + 1] | (levels[i] & ~levels[i - 1])
@@ -202,86 +176,81 @@ def bordering_constraints(nbrs: NbrView, lv: Leveling) -> BorderingGraph:
             while levels[last + 1] >> u & 1:
                 last += 1
             adj[u] = bits[u] & nodes & (starts[last + 2] | ended[i - 2])
-    for lvl in lv.levels:
+    for lvl in lv:
         if lvl.bit_count() == 2:
             a, b = members(lvl)
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-    constraints = {(u, v) for u, near in adj.items() for v in members(near & -(2 << u))}
 
     # Color by BFS layer parity; the graph is bipartite iff no edge joins two
     # vertices of one layer.
-    coloring: dict[int, int] = {}
-    comps: list[frozenset[int]] = []
+    comps, odd = [], []
     while nodes:
         layers = bfs_layers(adj, low(nodes), nodes)
-        for depth, layer in enumerate(layers):
+        for layer in layers:
             for u in members(layer):
                 if adj[u] & layer:
                     raise NotTowerError("constraint graph has an odd cycle")
-                coloring[u] = depth & 1
-        comp = sum(layers)
-        comps.append(frozenset(members(comp)))
-        nodes ^= comp
-    return BorderingGraph(frozenset(constraints), tuple(comps), coloring)
+        comps.append(sum(layers))
+        odd.append(sum(layers[1::2]))
+        nodes ^= comps[-1]
+    return BorderingGraph(adj, tuple(comps), tuple(odd))
 
 
-def bordering_graph(g: Graph, lv: Leveling) -> BorderingGraph:
+def bordering_graph(g: Graph, lv: tuple[int, ...]) -> BorderingGraph:
     """Constraint graph of a whole graph's leveling; see bordering_constraints."""
     return bordering_constraints(view_of(g), lv)
 
 
-def enumerate_borderings(bg: BorderingGraph) -> list[Bordering]:
-    """All chain assignments up to global left/right swap: exactly 2^(c-1) of
-    them for c constraint components (one when there are no nodes).
+def enumerate_borderings(bg: BorderingGraph) -> list[tuple[int, int]]:
+    """All chain assignments up to global left/right swap, each a (left,
+    right) pair of vertex masks: exactly 2^(c-1) of them for c constraint
+    components (one, both sides empty, when there are no nodes).  Each
+    component puts its colour-1 vertices on the right unless bit i of the
+    even number ``flips`` flips component i, so the first never flips.
     """
-    comps = bg.components
-    c = len(comps)
-    if c == 0:
-        return [Bordering(frozenset(), frozenset())]
-    out: list[Bordering] = []
-    for bits in range(1 << (c - 1)):
-        left: set[int] = set()
-        right: set[int] = set()
-        for idx, comp in enumerate(comps):
-            flip = 0 if idx == 0 else (bits >> (idx - 1)) & 1
-            for v in comp:
-                if bg.coloring[v] ^ flip:
-                    right.add(v)
-                else:
-                    left.add(v)
-        out.append(Bordering(frozenset(left), frozenset(right)))
+    comps, odd = bg.components, bg.odd
+    nodes = sum(comps)
+    out = []
+    for flips in range(0, 1 << len(comps), 2):
+        right = 0
+        for i, (comp, o) in enumerate(zip(comps, odd)):
+            right |= comp ^ o if flips >> i & 1 else o
+        out.append((nodes ^ right, right))
     return out
 
 
 def bordering_chains(
     nbrs: NbrView,
-    lv: Leveling,
+    lv: tuple[int, ...],
     tail: tuple[int, ...] = (),
     attachment: int | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The chain pair of every bordering of a leveled view, in
-    ``enumerate_borderings`` order: each chain runs from the apex down,
-    ordered by ``(level_of, v)``.  Raises NotTowerError if the constraint
-    graph has an odd cycle.
+    ``enumerate_borderings`` order: each chain runs from the apex down
+    through its side's first-comer of each level in turn, a first-comer
+    being a vertex that no earlier level holds.  Raises NotTowerError if
+    the constraint graph has an odd cycle.
 
-    No chain holds two vertices of one level: two vertices with the same
-    ``level_of`` first meet in a two-vertex level, whose pair is a constraint
-    edge.  The constraint components cover every vertex but the apex, so the
-    two chains hold all of them.  A ``tail`` (outermost vertex first) hangs
-    below the chain that ends at ``attachment``; a bordering that leaves the
-    attachment above the bottom of its chain is inconsistent and dropped.
+    No chain holds two first-comers of one level: two vertices that first
+    appear in one level make it a two-vertex level, whose pair is a
+    constraint edge.  The constraint components cover every vertex but the
+    apex, so the two chains hold all of them.  A ``tail`` (outermost vertex
+    first) hangs below the chain that ends at ``attachment``; a bordering
+    that leaves the attachment above the bottom of its chain is
+    inconsistent and dropped.
     """
     bg = bordering_constraints(nbrs, lv)
-    top = lv.top
+    top = low(lv[0])
     suffix = tuple(reversed(tail))  # innermost tail vertex first
+    firsts = [lv[i] & ~lv[i - 1] for i in range(1, len(lv))]
 
-    def chain(side: frozenset[int]) -> tuple[int, ...]:
-        return (top, *sorted(side, key=lambda v: (lv.level_of[v], v)))
+    def chain(side: int) -> tuple[int, ...]:
+        return (top, *[low(new & side) for new in firsts if new & side])
 
     out = []
-    for b in enumerate_borderings(bg):
-        c1, c2 = chain(b.left), chain(b.right)
+    for left, right in enumerate_borderings(bg):
+        c1, c2 = chain(left), chain(right)
         if tail:
             if c1[-1] == attachment:
                 c1 += suffix

@@ -537,31 +537,21 @@ def bordering_constraints_scan(
     return frozenset(edges), tuple(comps), coloring
 
 
-def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
-    """A cap's chain pairs read eagerly, as the pseudo-triangle search once
-    read every cap it leveled: the tail walk with ``top`` known, leveling of
-    the residual from ``top`` with no shortcut for a one-vertex or two-vertex
-    top neighbourhood, then every bordering of ``bordering_constraints_scan``
-    in ``tower.enumerate_borderings`` order, read as two chains from the top
-    down by level, with the tail hung below the chain that ends at its
-    attachment.  None if the cap does not level or its constraint graph has
-    an odd cycle.
+def bordering_chains_scan(nbrs, levels: list[frozenset[int]], tail=(), attachment=None):
+    """``tower.bordering_chains`` on sets: every bordering of
+    ``bordering_constraints_scan``, in ``tower.enumerate_borderings`` order,
+    read as two chains from the top down, sorted by first level and then by
+    vertex, with the ``tail`` (outermost vertex first) hung below the chain
+    that ends at its ``attachment`` and a bordering dropped where neither
+    does.  ``nbrs`` maps each vertex to its neighbor set, and ``levels``
+    are the leveling's sets, the apex alone first.  None if the constraint
+    graph has an odd cycle.
     """
-    view = {v: g[v] & cap for v in cap}
-    levels = [frozenset({top})]
-    try:
-        tail, residual = tail_scan(view, top)
-        if tail:
-            (attachment,) = view[tail[-1]] & residual
-            view = {v: view[v] & residual for v in residual}
-        for _ in walk_levels_scan(view, levels, {top}):
-            pass
-    except (NotPseudoTowerError, NotTowerError):
-        return None
-    found = bordering_constraints_scan(view, levels)
+    found = bordering_constraints_scan(nbrs, levels)
     if found is None:
         return None
     _, comps, coloring = found
+    (top,) = levels[0]
     level_of: dict[int, int] = {}
     for i, lvl in enumerate(levels):
         for v in lvl:
@@ -583,6 +573,28 @@ def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
                 continue
         out.append((c1, c2))
     return out
+
+
+def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
+    """A cap's chain pairs read eagerly, as the pseudo-triangle search once
+    read every cap it leveled: the tail walk with ``top`` known, leveling of
+    the residual from ``top`` with no shortcut for a one-vertex or two-vertex
+    top neighbourhood, then ``bordering_chains_scan`` with the tail hung.
+    None if the cap does not level or its constraint graph has an odd cycle.
+    """
+    view = {v: g[v] & cap for v in cap}
+    levels = [frozenset({top})]
+    attachment = None
+    try:
+        tail, residual = tail_scan(view, top)
+        if tail:
+            (attachment,) = view[tail[-1]] & residual
+            view = {v: view[v] & residual for v in residual}
+        for _ in walk_levels_scan(view, levels, {top}):
+            pass
+    except (NotPseudoTowerError, NotTowerError):
+        return None
+    return bordering_chains_scan(view, levels, tail, attachment)
 
 
 def part_paths_scan(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]]:

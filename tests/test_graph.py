@@ -146,9 +146,8 @@ def _tower_readings(view):
         out.append(extract_tail(view, top))
         try:
             lv = level_sets(view, top)
-            out.append((lv, lv.level_of))
-            bg = bordering_constraints(view, lv)
-            out.append((bg, bg.coloring))
+            out.append(lv)
+            out.append(bordering_constraints(view, lv))
         except NotTowerError as exc:
             out.append(str(exc))
     return out

@@ -23,7 +23,7 @@ from polyvis.tower import (
 
 from conftest import vertex_set
 from corpora import stage_log
-from oracles import bordering_constraints_scan, brute_hamiltonian_cycles
+from oracles import bordering_chains_scan, bordering_constraints_scan, brute_hamiltonian_cycles
 
 
 def test_top_candidates_t5(t5_graph):
@@ -42,13 +42,12 @@ def test_top_candidates_path_rejected():
 
 def test_leveling_t5(t5_graph):
     lv = compute_leveling(t5_graph, 0)
-    assert [vertex_set(l) for l in lv.levels] == [{0}, {1, 4}, {2, 3}]
-    assert lv.level_of == {0: 1, 1: 2, 4: 2, 2: 3, 3: 3}
+    assert [vertex_set(l) for l in lv] == [{0}, {1, 4}, {2, 3}]
 
 
 def test_leveling_k3(k3):
     lv = compute_leveling(k3, 0)
-    assert [vertex_set(l) for l in lv.levels] == [{0}, {1, 2}]
+    assert [vertex_set(l) for l in lv] == [{0}, {1, 2}]
 
 
 def test_leveling_star_rejected():
@@ -59,24 +58,41 @@ def test_leveling_star_rejected():
 
 def test_leveling_clique_property(t5_graph):
     lv = compute_leveling(t5_graph, 0)
-    for a, b in zip(lv.levels, lv.levels[1:]):
+    for a, b in zip(lv, lv[1:]):
         merged = sorted(vertex_set(a | b))
         for i, u in enumerate(merged):
             for v in merged[i + 1 :]:
                 assert t5_graph.has_edge(u, v)
 
 
+def _constraint_edges(bg) -> frozenset[tuple[int, int]]:
+    """The constraint edges (u, v), u < v, read off the neighbour masks."""
+    return frozenset((u, v) for u, near in bg.adj.items() for v in vertex_set(near) if u < v)
+
+
+def _scan_form(bg):
+    """A constraint graph as ``bordering_constraints_scan`` gives it: its
+    edges, its components as sets and each vertex's colour, read off the
+    masks; None stays None."""
+    if bg is None:
+        return None
+    sides = list(zip(bg.components, bg.odd, strict=True))
+    assert all(odd & ~comp == 0 for comp, odd in sides)
+    coloring = {v: odd >> v & 1 for comp, odd in sides for v in vertex_set(comp)}
+    return _constraint_edges(bg), tuple(vertex_set(c) for c in bg.components), coloring
+
+
 def test_bordering_graph_t5(t5_graph):
     lv = compute_leveling(t5_graph, 0)
     bg = bordering_graph(t5_graph, lv)
-    assert bg.constraint_edges == frozenset({(1, 4), (2, 3)})
-    assert [set(c) for c in bg.components] == [{1, 4}, {2, 3}]
+    assert _constraint_edges(bg) == frozenset({(1, 4), (2, 3)})
+    assert [vertex_set(c) for c in bg.components] == [{1, 4}, {2, 3}]
 
 
 def test_bordering_graph_k3(k3):
     lv = compute_leveling(k3, 0)
     bg = bordering_graph(k3, lv)
-    assert bg.constraint_edges == frozenset({(1, 2)})
+    assert _constraint_edges(bg) == frozenset({(1, 2)})
     assert len(bg.components) == 1
 
 
@@ -95,7 +111,7 @@ def _odd_cycle_tower_like() -> Graph:
 def test_bordering_graph_odd_cycle_rejected():
     g = _odd_cycle_tower_like()
     lv = compute_leveling(g, 0)  # the leveling itself is fine
-    assert [vertex_set(l) for l in lv.levels][:3] == [{0}, {1, 2}, {3, 4}]
+    assert [vertex_set(l) for l in lv][:3] == [{0}, {1, 2}, {3, 4}]
     with pytest.raises(NotTowerError):
         bordering_graph(g, lv)
 
@@ -123,9 +139,27 @@ def test_bordering_constraints_match_scan_on_solver_levelings():
     assert (len(caps), sum(bg is None for _, _, bg in caps)) == (2207, 131)
     for (bits, within), lv, bg in seen + caps:
         nbrs = {v: vertex_set(bits[v] & within) for v in vertex_set(within)}
-        want = bordering_constraints_scan(nbrs, [vertex_set(lvl) for lvl in lv.levels])
-        got = None if bg is None else (bg.constraint_edges, bg.components, bg.coloring)
-        assert got == want
+        want = bordering_constraints_scan(nbrs, [vertex_set(lvl) for lvl in lv])
+        assert _scan_form(bg) == want
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_bordering_chains_match_scan(graphs):
+    # Every leveled view whose constraint graph the pseudo-triangle search
+    # builds, caps, side parts and tower residuals alike, odd cycles
+    # included, is read as the set-based reference reads it.
+    seen = [args for s in stage_log(graphs) for args, _ in s.calls["bordering_constraints"]]
+    odd = 0
+    for (bits, within), lv in seen:
+        nbrs = {v: vertex_set(bits[v] & within) for v in vertex_set(within)}
+        want = bordering_chains_scan(nbrs, [vertex_set(lvl) for lvl in lv])
+        try:
+            got = bordering_chains((bits, within), lv)
+        except NotTowerError:
+            got = None
+        assert got == want, (nbrs, want)
+        odd += want is None
+    assert (len(seen), odd) == {"brute-force": (555, 0), "auto-mixed": (1686, 42)}[graphs]
 
 
 def test_enumerate_borderings_counts(t5_graph):
@@ -133,8 +167,7 @@ def test_enumerate_borderings_counts(t5_graph):
     bg = bordering_graph(t5_graph, lv)
     bs = enumerate_borderings(bg)
     assert len(bs) == 2 ** (len(bg.components) - 1) == 2
-    assert (set(bs[0].left), set(bs[0].right)) == ({1, 2}, {3, 4})
-    assert (set(bs[1].left), set(bs[1].right)) == ({1, 3}, {2, 4})
+    assert [(vertex_set(l), vertex_set(r)) for l, r in bs] == [({1, 2}, {3, 4}), ({1, 3}, {2, 4})]
 
 
 def test_enumerate_borderings_three_components():
