@@ -36,7 +36,10 @@ are read off the candidate levels that meet the edge's base.  The walk does
 not branch: where a candidate pair meets the base in one vertex, one flank
 rule also reads the cap that leveling the other vertex alone would give (see
 ``extract_cap``).  Every closed level places a vertex, so a walk ends within
-n levels and needs no budget.
+n levels and needs no budget.  Each cap comes, in walk order, with the walk
+that read it, and its leveling resumes there: its own view closes the same
+levels (``extract_cap``'s prefix lemma), with no tail end among them but
+the top (``_cap_context``'s loose-end lemma).
 
 Three exact rules decide a cap from what its top sees before it is leveled;
 none changes an answer, and each is kept for the share of ``solve``'s time
@@ -60,17 +63,17 @@ benchmark graphs with and without it:
 
 Caps and side parts are read by the pseudo-tower code, whose chains come
 from ``tower.bordering_chains``, the package's one reading of a leveled
-view: ``_cap_context`` walks the cap's tail up to the known top, hangs it
-with ``pseudotower.hang_tail`` and levels the residual, once per (top,
-cap); once some split of the cap has two parts that solve, ``solve`` reads
-the residual's chain pairs, the top first, with ``bordering_chains``, the
-tail hung below them.  ``part_paths`` hangs a side part's tail once, with
-its split-edge endpoint as the known top, and reads a chordless path off
-that walk and any other part from it with
-``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings``.
+view: ``_cap_context`` resumes the cap's leveling, or, for a path or a
+loose end off the walk, hangs the tail with ``pseudotower.hang_tail`` and
+levels the residual, once per (top, cap); once some split of the cap has
+two parts that solve, ``solve`` reads the residual's chain pairs, the top
+first, with ``bordering_chains``, the tail hung below them.  ``part_paths``
+hangs a side part's tail once, with its split-edge endpoint as the known
+top, and reads a chordless path off that walk and any other part from it
+with ``pseudotower._read_pseudo_tower``, which runs ``tower.tower_readings``.
 Caps, side parts and residuals are vertex masks, each view ``(g.bits,
-mask)``, and caps, chain pairs and part paths are memoized per ``solve``,
-keyed by those masks.
+mask)``; cap contexts and chain pairs are memoized per top, and part paths
+per ``solve``, keyed by those masks.
 """
 
 from __future__ import annotations
@@ -116,8 +119,10 @@ class PseudoTriangleSolution:
 
 
 CapContext = tuple[NbrView, tuple[int, ...], tuple[int, ...], int | None]
-"""A leveled cap: its residual's view and level masks, then its tail and the
-tail's attachment; ``solve`` reads its chains with ``bordering_chains``."""
+"""A leveled cap: its residual's view and level masks, its tail and attachment."""
+
+CapWalk = tuple[tuple[int, ...], int]
+"""The closed levels and placed mask of ``extract_cap``'s walk at a cap."""
 
 
 def top_joint_candidates(g: Graph) -> frozenset[int]:
@@ -135,8 +140,8 @@ def top_joint_candidates(g: Graph) -> frozenset[int]:
     return cands
 
 
-def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[int]:
-    """Candidate caps for split edge ``e``, vertex masks in sorted-members order.
+def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> dict[int, CapWalk]:
+    """Candidate caps for split edge ``e``, vertex masks in walk order, to their walks.
 
     base = vertices adjacent to both endpoints of e; if the top is among them
     the cap is just the base.  Otherwise the levels are grown from the top by
@@ -147,13 +152,20 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[int]:
     inside the base.  A flank rule stands in for branching: a two-vertex
     clique candidate {p, q} with only q in the base also gives the cap with
     p added, provided p alone would have exactly one carrier.  The walk ends
-    within n levels or where leveling fails.  An empty list rejects the edge.
+    within n levels or where leveling fails.  An empty dict rejects the edge.
 
-    The walk's first candidate is N(top) - e.  With more than two vertices
-    it is too wide for a level, so the walk ends there, and its only cap,
-    base | {top} when the candidate meets the base, is read without walking.
-    Of the 15,904 walks that one auto-mixed benchmark pass asks for, 11,578
-    end so, and reading them unwalked saves about 6% of ``solve``'s time.
+    The walk's first candidate, N(top) - e, is too wide for a level with
+    more than two vertices; then its only cap, base | {top} if it meets the
+    base, is read without walking.  Of one auto-mixed benchmark pass's 15,904
+    walks, 11,578 end so, which saves about 6% of ``solve``'s time.
+
+    Prefix lemma: on the cap's view ``(g.bits, cap)``, ``walk_levels``
+    closes the levels that this walk closed before the cap.  Each earlier
+    candidate lies in ``placed``, inside the cap, and missed the base, so it
+    is the same there.  At a single-vertex level {p}, the walk's one carrier
+    sees the next candidate, in the cap (a closed level) or meeting the base
+    (the current one), so it stays the only carrier; and the cap's rest
+    holds ``cand & base`` besides p, so the last-vertex rule never applies.
 
     ``solve``, not this walk, filters a cap by the vertices the top sees in
     it (rules 2 and 3), and splits each (split edge, cap) once.
@@ -166,17 +178,17 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[int]:
         raise ValueError("split edge must be an edge of the graph")
     base = bits[w0] & bits[w1]  # no self-loops: neither endpoint is in it
     if not base:
-        return []
+        return {}
     top_bit = 1 << top
     if base & top_bit:
-        return [base]
+        return {base: ((top_bit,), top_bit)}
 
     cut = (1 << w0) | (1 << w1)
     first = bits[top] & ~cut
-    caps: set[int] = set()
+    caps: dict[int, CapWalk] = {}
     if first.bit_count() > 2:
         if first & base:
-            caps.add(base | top_bit)
+            caps[base | top_bit] = (top_bit,), top_bit
     else:
         view = view_of(g)
         levels = [top_bit]
@@ -184,16 +196,16 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> list[int]:
             for cand, placed in walk_levels(view, levels, top_bit | cut):
                 if not cand & base:
                     continue
-                caps.add((base | placed) & ~cut)
+                caps[(base | placed) & ~cut] = walk = tuple(levels), placed
                 if not cand & ~base:
                     break
                 if cand.bit_count() == 2 and bits[low(cand)] & cand:
                     p = cand & ~base
                     if len(carriers(view, levels[-1], placed, low(p))) == 1:
-                        caps.add((base | placed | p) & ~cut)
+                        caps[(base | placed | p) & ~cut] = walk
         except NotTowerError:
             pass
-    return sorted(caps, key=members) if len(caps) > 1 else list(caps)
+    return caps
 
 
 def split_parts(g: Graph, cap: int, e: tuple[int, int]) -> tuple[int, int] | None:
@@ -458,10 +470,8 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     ``_top_pairs`` starts no reading and is skipped in both rounds
     (``top_rejected``), and so is a cap C that no pair p fits with
     ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
-    leveled (``cap_pair_rejected``).  On masks that test reads
-    ``seen & ~p == 0`` for ``seen = N(top) & C``, the same since p lies in
-    N(top).  A cap's chain pairs are read only once
-    some split of it has two parts that solve.  Each (split edge, cap) is
+    leveled (``cap_pair_rejected``).  A cap's chain pairs are read only
+    once some split of it has two parts that solve.  Each (split edge, cap) is
     split and its parts read once, in one orientation, and assembly joins
     each chain pair, in both orders, to each pair of part paths and returns
     only the cycle.
@@ -501,16 +511,6 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     rejected: set[tuple[int, tuple[int, ...]]] = set()  # (top, cycle) that _reading refused
     read_part = cache(partial(part_paths, g))
 
-    context = cache(partial(_cap_context, g))
-
-    @cache
-    def cap_chains(top: int, cap: int) -> list[tuple[tuple[int, ...], ...]] | None:
-        view, lv, tail, attachment = context(cap, top)
-        try:
-            return bordering_chains(view, lv, tail, attachment)
-        except NotTowerError:  # an odd cycle of constraints
-            return None
-
     # The minimum-degree joint can face an opposite chain too short to carry a
     # workable split edge; if nothing is found, the search runs again from the
     # 6 next-smallest-degree vertices.  They need not include the other joints:
@@ -531,6 +531,8 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                 bump("top_rejected")
                 continue
             top_nbrs = g.bits[top]
+            contexts: dict[int, CapContext | None] = {}
+            cap_chains: dict[int, list[tuple[tuple[int, ...], ...]] | None] = {}
             for pair in edges:
                 if top in pair:
                     continue
@@ -538,7 +540,7 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                 if not caps:
                     bump("cap_rejected")
                     continue
-                for cap in caps:
+                for cap, walk in caps.items():
                     seen = top_nbrs & cap
                     for p in joint_pairs:
                         if not seen & ~p:
@@ -546,7 +548,9 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                     else:
                         bump("cap_pair_rejected")
                         continue
-                    if context(cap, top) is None:
+                    if cap not in contexts:
+                        contexts[cap] = _cap_context(g, cap, top, walk)
+                    if (context := contexts[cap]) is None:
                         bump("cap_not_tower")
                         continue
                     split = split_parts(g, cap, pair)
@@ -558,7 +562,12 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
                     if not paths_b:
                         bump("part_rejected")
                         continue
-                    if (chain_pairs := cap_chains(top, cap)) is None:
+                    if cap not in cap_chains:
+                        try:
+                            cap_chains[cap] = bordering_chains(*context)
+                        except NotTowerError:  # an odd cycle of constraints
+                            cap_chains[cap] = None
+                    if (chain_pairs := cap_chains[cap]) is None:
                         bump("cap_not_tower")
                         continue
                     # The reversed split edge's walks are these, reflected,
@@ -584,16 +593,21 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     return [found[k] for k in sorted(found)]
 
 
-def _cap_context(g: Graph, cap: int, top: int) -> CapContext | None:
+def _cap_context(g: Graph, cap: int, top: int, walk: CapWalk) -> CapContext | None:
     """The leveled cap, given as a vertex mask, or None if the cap does not
     level.
 
     A cap may be a pseudo-tower rather than a tower: a run of bottom vertices
     that see nothing of the cap's short side forms a tail hanging off one
-    chain.  The cap is read by the pseudo-tower code with its apex known:
-    ``hang_tail`` walks the tail up to the top at most and hangs it, and the
-    residual is leveled from the top as a tower; ``solve`` reads its
-    borderings later.
+    chain.  ``hang_tail`` walks the tail up to the known top at most and
+    hangs it, and ``level_sets`` levels the residual from the top.  Neither
+    runs unless ``cap & ~placed`` holds a degree-1 vertex for the ``walk``
+    that read the cap (``((1 << top,), 1 << top)`` before any level): the
+    leveling resumes from it (``extract_cap``'s prefix lemma).  Loose-end
+    lemma: no placed vertex but the top is a tail end.  Read below level 2,
+    a cap's level 2 is a clique pair, since a one-vertex first level has no
+    carrier, and every later level is a pair, so every placed vertex but the
+    top has two cap neighbors.
 
     A top with one cap neighbor u makes {u} level 2, and a one-vertex level
     needs a carrier among the top's level, but the top has no neighbor left
@@ -618,6 +632,17 @@ def _cap_context(g: Graph, cap: int, top: int) -> CapContext | None:
         # The path is the whole tail; the top alone is left to level.
         tail, attachment, view = tuple(reversed(path)), top, (bits, 1 << top)
     else:
+        rest = cap & ~walk[1]
+        while rest and (bits[(rest & -rest).bit_length() - 1] & cap).bit_count() != 1:
+            rest &= rest - 1
+        if not rest:  # no loose end: level on from the walk
+            levels = list(walk[0])
+            try:
+                for _ in walk_levels((bits, cap), levels, walk[1]):
+                    pass
+            except NotTowerError:
+                return None
+            return (bits, cap), tuple(levels), (), None
         try:
             tail, attachment, view = hang_tail((bits, cap), top)
         except NotPseudoTowerError:

@@ -50,7 +50,7 @@ from polyvis import (
     visibility_graph,
 )
 from polyvis import pseudotriangle, tower
-from polyvis.pseudotriangle import PseudoTriangleSolution, extract_cap
+from polyvis.pseudotriangle import CapWalk, PseudoTriangleSolution, extract_cap
 
 from oracles import mutated_pseudo_triangle, random_connected_graph
 
@@ -262,9 +262,10 @@ def stage_log(name: str) -> tuple[Stages, ...]:
 
 
 @_shared
-def cap_cases(name: str) -> tuple[tuple[Graph, int, tuple[int, int], list[int]], ...]:
-    """``extract_cap``'s caps, vertex masks, on every (graph, top, split edge)
-    of the named graphs, the top off the edge."""
+def cap_cases(name: str) -> tuple[tuple[Graph, int, tuple[int, int], dict[int, CapWalk]], ...]:
+    """``extract_cap``'s caps, vertex masks in walk order mapped to their
+    walks, on every (graph, top, split edge) of the named graphs, the top
+    off the edge."""
     graphs = _stage_graphs(name)
     cases = ((g, top, e) for g in graphs for top in range(g.n) for e in g.edges if top not in e)
     # The cases only grow, so a collection finds nothing to free; each full one

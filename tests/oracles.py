@@ -390,7 +390,8 @@ def tail_scan(nbrs, top: int) -> tuple[tuple[int, ...], frozenset[int]]:
 def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
     """``pseudotriangle.extract_cap`` with every cap read off the leveling
     walk, however wide the top's first level: the caps are read wherever a
-    candidate level meets the base, with the flank rule."""
+    candidate level meets the base, with the flank rule, each once, in the
+    order the walk first reads it."""
     w0, w1 = e
     base = (g[w0] & g[w1]) - {w0, w1}
     if not base:
@@ -400,21 +401,21 @@ def extract_cap_walk(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[i
     cut = frozenset(e)
     levels = [frozenset({top})]
     placed = {top, w0, w1}
-    caps: set[frozenset[int]] = set()
+    caps: dict[frozenset[int], None] = {}
     try:
         for cand in walk_levels_scan(g, levels, placed):
             if not cand & base:
                 continue
-            caps.add((base | placed) - cut)
+            caps[(base | placed) - cut] = None
             if cand <= base:
                 break
             if len(cand) == 2 and g.has_edge(*cand):
                 (p,) = cand - base
                 if len(_carriers(g, levels[-1], placed, p)) == 1:
-                    caps.add((base | placed | {p}) - cut)
+                    caps[(base | placed | {p}) - cut] = None
     except NotTowerError:
         pass
-    return sorted(caps, key=sorted)
+    return list(caps)
 
 
 def split_parts_scan(
@@ -575,12 +576,12 @@ def bordering_chains_scan(nbrs, levels: list[frozenset[int]], tail=(), attachmen
     return out
 
 
-def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
-    """A cap's chain pairs read eagerly, as the pseudo-triangle search once
-    read every cap it leveled: the tail walk with ``top`` known, leveling of
-    the residual from ``top`` with no shortcut for a one-vertex or two-vertex
-    top neighbourhood, then ``bordering_chains_scan`` with the tail hung.
-    None if the cap does not level or its constraint graph has an odd cycle.
+def cap_context_scan(g: Graph, cap: frozenset[int], top: int):
+    """A cap leveled from the top, as the pseudo-triangle search once leveled
+    every cap: the tail walk with ``top`` known, then leveling of the
+    residual from ``top`` with no shortcut for a one-vertex top
+    neighbourhood and no walk to resume.  The residual's neighbor sets, its
+    levels, the tail and its attachment, or None if the cap does not level.
     """
     view = {v: g[v] & cap for v in cap}
     levels = [frozenset({top})]
@@ -594,7 +595,16 @@ def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
             pass
     except (NotPseudoTowerError, NotTowerError):
         return None
-    return bordering_chains_scan(view, levels, tail, attachment)
+    return view, levels, tail, attachment
+
+
+def cap_chains_scan(g: Graph, cap: frozenset[int], top: int):
+    """A cap's chain pairs read eagerly: ``bordering_chains_scan`` on its
+    ``cap_context_scan``, the tail hung.  None if the cap does not level or
+    its constraint graph has an odd cycle.
+    """
+    context = cap_context_scan(g, cap, top)
+    return None if context is None else bordering_chains_scan(*context)
 
 
 def part_paths_scan(g: Graph, part: frozenset[int], end: int) -> list[tuple[int, ...]]:

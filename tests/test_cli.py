@@ -140,6 +140,14 @@ def test_verify_non_cycle_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == "rejected\n"
 
 
+def test_verify_repeated_vertex_exit_2(tmp_path, capsys):
+    # Each consecutive pair, 5 back to 0 included, is an edge, but the order
+    # visits 1 twice and misses 4: no permutation of the vertices, no boundary.
+    path = _graph_file(tmp_path, 6, PT6_EDGES)
+    assert main(["verify", path, "0", "1", "2", "3", "1", "5"]) == 2
+    assert capsys.readouterr().out == "rejected\n"
+
+
 def test_render(tmp_path, capsys):
     poly = gen_pseudo_triangle(7, 3)
     poly_path = tmp_path / "p.txt"

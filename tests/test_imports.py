@@ -26,7 +26,7 @@ MODULES += sorted(PERFBENCH.glob("*.py"))
 SOLVER_WALKS = frozenset({
     "members", "low", "view_of", "bfs_layers", "NbrView",
     "walk_levels", "carriers", "level_sets", "extract_tail", "hang_tail",
-    "extract_cap", "split_parts", "part_paths",
+    "extract_cap", "_cap_context", "split_parts", "part_paths",
     "bordering_constraints", "enumerate_borderings", "bordering_chains", "tower_readings",
 })
 

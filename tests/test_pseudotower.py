@@ -105,6 +105,13 @@ def test_solve_pendant_fixture():
         assert set(c1) & set(c2) == {c1[0]} == {c2[0]}
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_solve_too_few_vertices_rejected(n):
+    g = Graph.from_edges(n, [(0, 1)] if n == 2 else [])
+    with pytest.raises(NotPseudoTowerError, match="at least 3 vertices"):
+        solve_pseudo_tower(g)
+
+
 def test_solve_disconnected_rejected():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(NotPseudoTowerError):

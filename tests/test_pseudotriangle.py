@@ -42,6 +42,7 @@ from oracles import (
     arc_pseudo_triangle,
     brute_hamiltonian_cycles,
     cap_chains_scan,
+    cap_context_scan,
     chain_conditions_scan,
     extract_cap_walk,
     hangs_path,
@@ -68,6 +69,13 @@ def test_top_candidates_too_many_rejected():
     g = Graph.from_edges(6, [(u, v + 3) for u in range(3) for v in range(3)])
     with pytest.raises(NotPseudoTriangleError):
         top_joint_candidates(g)  # six minimum-degree vertices
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_top_candidates_too_few_vertices_rejected(n):
+    g = Graph.from_edges(n, [(0, 1)] if n == 2 else [])
+    with pytest.raises(NotPseudoTriangleError, match="at least 3 vertices"):
+        top_joint_candidates(g)
 
 
 def _caps(g: Graph, top: int, e: tuple[int, int]) -> list[frozenset[int]]:
@@ -104,13 +112,13 @@ def test_extract_cap_rejects_without_common_neighbor():
         (5, [(0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)], (1, 3), [{0, 2}, {0, 2, 4}]),
         # The candidate {1, 3} meets the base {3, 5} in 3 only: it gives {0, 3, 5}
         # and the flank cap {0, 1, 3, 5}, and the walk goes on below it to
-        # {0, 1, 3, 5, 6}.
+        # {0, 1, 3, 5, 6}.  Caps come in walk order.
         (
             7,
             [(0, 1), (0, 3), (1, 3), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
              (3, 6), (4, 5), (5, 6)],
             (2, 4),
-            [{0, 1, 3, 5}, {0, 1, 3, 5, 6}, {0, 3, 5}],
+            [{0, 3, 5}, {0, 1, 3, 5}, {0, 1, 3, 5, 6}],
         ),
     ],
     ids=["flank", "below-base"],
@@ -170,10 +178,15 @@ def test_split_parts_matches_scan():
                 assert _split(g, cap, e) == split_parts_scan(g, cap, e), (i, cap, e)
 
 
+def _from_top(g: Graph, cap: frozenset[int], top: int):
+    """``_cap_context`` on the cap ``cap``, a set, leveled from the top."""
+    return _cap_context(g, vertex_mask(cap), top, ((1 << top,), 1 << top))
+
+
 def _cap_chains(g: Graph, cap: frozenset[int], top: int):
     """The cap's chain pairs as ``solve`` reads them from its context: the
     residual's view and leveling, with the tail hung."""
-    view, lv, tail, attachment = _cap_context(g, vertex_mask(cap), top)
+    view, lv, tail, attachment = _from_top(g, cap, top)
     return bordering_chains(view, lv, tail, attachment)
 
 
@@ -217,7 +230,7 @@ def test_cap_context_tail_at_the_top():
 
 def test_cap_context_two_loose_ends_rejected():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert _cap_context(g, vertex_mask(range(4)), 0) is None
+    assert _from_top(g, frozenset(range(4)), 0) is None
 
 
 @pytest.mark.parametrize(
@@ -260,8 +273,9 @@ def test_odd_cycle_cap_counted_once(monkeypatch):
     edges += [(3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (5, 8), (6, 8), (7, 8)]
     g = Graph.from_edges(9, edges)
     cap = frozenset(range(7))
-    assert _caps(g, 0, (7, 8)) == [cap]
-    assert _cap_context(g, vertex_mask(cap), 0) is not None
+    walked = extract_cap(g, 0, (7, 8))
+    assert list(map(vertex_set, walked)) == [cap]
+    assert _from_top(g, cap, 0) is not None
     assert cap_chains_scan(g, cap, 0) is None
     with pytest.raises(NotTowerError):
         _cap_chains(g, cap, 0)
@@ -271,7 +285,7 @@ def test_odd_cycle_cap_counted_once(monkeypatch):
     # every top is cap_rejected.
     monkeypatch.setattr(
         pseudotriangle, "extract_cap",
-        lambda g, top, e: [vertex_mask(cap)] if (top, e) == (0, (7, 8)) else [],
+        lambda g, top, e: walked if (top, e) == (0, (7, 8)) else {},
     )
     stats: dict[str, int] = {}
     assert solve_pseudo_triangle(g, stats) == []
@@ -411,16 +425,48 @@ def test_extract_cap_matches_walk(graphs):
     # iff it is a chordless path hanging from the top.
     wide = hanging = not_hanging = 0
     for g, top, e, caps in cap_cases(graphs):
-        assert caps == [vertex_mask(cap) for cap in extract_cap_walk(g, top, e)], (g.edges, top, e)
+        assert list(caps) == [vertex_mask(cap) for cap in extract_cap_walk(g, top, e)], (g.edges, top, e)
         wide += len(g[top] - set(e)) > 2 and bool(caps)
-        for cap in caps:
+        for cap, walk in caps.items():
             cap_set = vertex_set(cap)
             if len(g[top] & cap_set) == 1:
-                levels = _cap_context(g, cap, top) is not None
+                levels = _cap_context(g, cap, top, walk) is not None
                 assert levels == hangs_path(g, cap_set, top), (g.edges, top, cap_set)
                 hanging += levels
                 not_hanging += not levels
     assert wide > 100 and hanging > 100 and not_hanging > 100
+
+
+@pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
+def test_resumed_cap_context_matches_scan(graphs):
+    # Every cap that passes the joint-pair test, leveled on from the walk
+    # that read it, gets the context that the set-based tail walk and
+    # leveling from the top give it: the residual, its levels, the tail and
+    # the attachment.  Among them are caps read below level 2, with and
+    # without a loose end off the walk's placed vertices.
+    resumed = loose = 0
+    pairs = {}
+    for g, top, _, caps in cap_cases(graphs):
+        if (id(g), top) not in pairs:
+            pairs[id(g), top] = [vertex_set(p) for p in _top_pairs(g, top)]
+        for cap, (levels, placed) in caps.items():
+            cap_set = vertex_set(cap)
+            if not any(g[top] & cap_set <= p for p in pairs[id(g), top]):
+                continue
+            want = cap_context_scan(g, cap_set, top)
+            if want is not None:
+                view, lv, tail, attachment = want
+                want = frozenset(view), lv, tail, attachment
+            got = _cap_context(g, cap, top, (levels, placed))
+            if got is not None:
+                (_, within), lv, tail, attachment = got
+                got = vertex_set(within), [vertex_set(lvl) for lvl in lv], tail, attachment
+            assert got == want, (g.edges, top, cap_set)
+            if len(levels) > 1 and want is not None:
+                ends = [v for v in vertex_set(cap & ~placed) if len(g[v] & cap_set) == 1]
+                resumed += not ends
+                loose += bool(ends)
+    assert resumed > 100 and loose > 10, (resumed, loose)
 
 
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
@@ -430,11 +476,11 @@ def test_two_firm_top_neighbors_never_level(graphs):
     # rejects it as cap_not_tower.
     fired = 0
     for g, top, _, caps in cap_cases(graphs):
-        for cap in caps:
+        for cap, walk in caps.items():
             cap_set = vertex_set(cap)
             firm = [v for v in g[top] & cap_set if len(g[v] & cap_set) > 2]
             if any(not g.has_edge(a, b) for a, b in combinations(firm, 2)):
-                assert _cap_context(g, cap, top) is None, (g.edges, top, cap_set)
+                assert _cap_context(g, cap, top, walk) is None, (g.edges, top, cap_set)
                 fired += 1
     assert fired > 30, fired
 
@@ -447,7 +493,7 @@ def test_lazy_cap_chains_match_eager(graphs):
     caps = reads = odd = 0
     for s in stage_log(graphs):
         read = {id(lv): pairs for (_, lv, _, _), pairs in s.calls["bordering_chains"]}
-        leveled = [(top, cap, ctx) for (_, cap, top), ctx in s.calls["_cap_context"] if ctx]
+        leveled = [(top, cap, ctx) for (_, cap, top, _), ctx in s.calls["_cap_context"] if ctx]
         for top, cap, ctx in leveled:
             eager = cap_chains_scan(s.graph, vertex_set(cap), top)
             try:

@@ -40,6 +40,13 @@ def test_top_candidates_path_rejected():
         tower_top_candidates(view_of(path))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_top_candidates_too_few_vertices_rejected(n):
+    g = Graph.from_edges(n, [(0, 1)] if n == 2 else [])
+    with pytest.raises(NotTowerError, match="at least 3 vertices"):
+        tower_top_candidates(view_of(g))
+
+
 def test_leveling_t5(t5_graph):
     lv = compute_leveling(t5_graph, 0)
     assert [vertex_set(l) for l in lv] == [{0}, {1, 4}, {2, 3}]
