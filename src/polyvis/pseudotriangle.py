@@ -7,16 +7,16 @@ returns the readings that its split-edge search reaches.  By brute force,
 those are all the readings on mutated pseudo-triangles with n <= 10 and on
 random connected graphs with n <= 8.
 
-Pipeline: pick the minimum-degree vertices as top-joint candidates, try every
-non-incident edge as the split edge, carve the cap (the tower above the split
-edge), split the remainder into two pseudo-tower parts, read each part's
-boundary paths once, ending at its endpoint of the split edge, and assemble
-every pair of part paths with every cap chain pair, taken in both orders,
-into a cycle.  One orientation of the split edge is enough: the reversed
-edge's walks are these, reflected.  A walk is a cycle of g iff its two
-junctions, where the cap chains meet the part paths, are edges (the lemma
-of ``assemble_hamiltonian``).  If no top yields a reading, the search runs
-once more from the 6 next-lowest-degree vertices.
+Pipeline: pick the minimum-degree vertices as top-joint candidates, try as
+the split edge each edge that the top's joint pairs admit (rule 2 below),
+carve the cap (the tower above the split edge), split the remainder into two
+pseudo-tower parts, read each part's boundary paths once, ending at its
+endpoint of the split edge, and assemble every pair of part paths with every
+cap chain pair, taken in both orders, into a cycle.  One orientation of the
+split edge is enough: the reversed edge's walks are these, reflected.  A walk
+is a cycle of g iff its two junctions, where the cap chains meet the part
+paths, are edges (the lemma of ``assemble_hamiltonian``).  If no top yields a
+reading, the search runs once more from the 6 next-lowest-degree vertices.
 
 Decision: assembly fixes the cycle but not the side joints (on a part that
 is a chordless path, the graph does not say where the joint sits), so each
@@ -41,22 +41,42 @@ that read it, and its leveling resumes there: its own view closes the same
 levels (``extract_cap``'s prefix lemma), with no tail end among them but
 the top (``_cap_context``'s loose-end lemma).
 
-Three exact rules decide a cap from what its top sees before it is leveled;
-none changes an answer, and each is kept for the share of ``solve``'s time
-that it saves, measured as the median of paired passes over the auto-mixed
-benchmark graphs with and without it:
+Three exact rules cut the search before any cap is leveled; none changes an
+answer:
 
-1. Wide first level.  If N(top) minus the split edge has more than two
-   vertices, the walk would stop at that level, so ``extract_cap`` reads the
-   one cap, base plus top, without walking.
-2. Joint pair.  Every reading's top joint has two neighbors, its side
+1. Joint pair.  Every reading's top joint has two neighbors, its side
    chains' first vertices, that leave the rest of its neighborhood inducing a
-   chordless path (``_top_pairs``).  A top without such a pair is skipped,
-   and so is a cap whose vertices the top sees are not those of one pair.
-   Since a pair lies in N(top), a cap C fits the pair p iff N(top) & C is a
-   subset of p.  The test turns away 5,132 of the 19,446 caps of one
-   auto-mixed benchmark pass before they are leveled, which saves about 5%
-   of ``solve``'s time.
+   chordless path (``_top_pairs``).  A top without such a pair is skipped.
+2. Split edges at the top's bottom neighbors (``_split_edges``).  For a pair
+   p, P = N(top) - p is the top's run on the bottom chain (``_top_pairs``'
+   lemma).  If |P| >= 2, only edges with both ends in P are tried; if
+   |P| == 1, only edges at its vertex; if P is empty, as at a degree-2 top,
+   every edge off the top.
+
+   Lemma: for a reading with this top and pair, some admitted edge e of its
+   bottom chain has a cap that is a cycle arc through the top, and
+   ``split_parts`` cuts the rest of the cycle into the two arcs beside e.
+   For |P| >= 2, take two consecutive vertices of the run as e.  Both see
+   the top, so the cap is their common neighborhood.  By contiguity each
+   end's neighbors on a side chain are a run that holds the top, a prefix
+   of that chain, and by concavity no bottom vertex sees both ends of a
+   bottom edge, so the common neighborhood is the union of two such
+   prefixes, an arc through the top.  For |P| == 1 the cap is read off the
+   walk.  ``test_admitted_split_edge_carries_every_reading`` checks both
+   cases on every stored reading whose top has degree 3 or more.  That the
+   cap's chains and the parts' paths then read those arcs is the same
+   question as for any split edge; the rule changes no answer on the seven
+   graph sets of the tests.
+
+   Every cap of an admitted edge fits its pair, N(top) & C <= p
+   (``_top_pairs``' corollary), so caps need no pair test.  At a degree-2
+   top the one pair is N(top); at a degree-3 top the cut removes the one
+   vertex of P; at degree >= 4 the top is in the edge's base, the cap is
+   that base, and a vertex of P that saw both ends of the edge would close
+   a triangle in the chordless path P.  For the same reasons no walk of an
+   admitted edge starts from a first level of three vertices or more.  On
+   one traced auto-mixed benchmark pass the rule cuts ``extract_cap``'s
+   calls from 16,581 to 4,753.
 3. One top neighbor.  A cap in which the top sees one vertex levels only as
    a chordless path hanging from the top, and ``_cap_context`` walks that
    path before any leveling.
@@ -154,11 +174,6 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> dict[int, CapWalk]:
     p added, provided p alone would have exactly one carrier.  The walk ends
     within n levels or where leveling fails.  An empty dict rejects the edge.
 
-    The walk's first candidate, N(top) - e, is too wide for a level with
-    more than two vertices; then its only cap, base | {top} if it meets the
-    base, is read without walking.  Of one auto-mixed benchmark pass's 15,904
-    walks, 11,578 end so, which saves about 6% of ``solve``'s time.
-
     Prefix lemma: on the cap's view ``(g.bits, cap)``, ``walk_levels``
     closes the levels that this walk closed before the cap.  Each earlier
     candidate lies in ``placed``, inside the cap, and missed the base, so it
@@ -167,8 +182,9 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> dict[int, CapWalk]:
     (the current one), so it stays the only carrier; and the cap's rest
     holds ``cand & base`` besides p, so the last-vertex rule never applies.
 
-    ``solve``, not this walk, filters a cap by the vertices the top sees in
-    it (rules 2 and 3), and splits each (split edge, cap) once.
+    ``solve``, not this walk, chooses the split edges (rule 2 of the module
+    docstring) and walks a cap in which the top sees one vertex (rule 3),
+    and splits each (split edge, cap) once.
     """
     w0, w1 = e
     if top in e:
@@ -184,27 +200,22 @@ def extract_cap(g: Graph, top: int, e: tuple[int, int]) -> dict[int, CapWalk]:
         return {base: ((top_bit,), top_bit)}
 
     cut = (1 << w0) | (1 << w1)
-    first = bits[top] & ~cut
     caps: dict[int, CapWalk] = {}
-    if first.bit_count() > 2:
-        if first & base:
-            caps[base | top_bit] = (top_bit,), top_bit
-    else:
-        view = view_of(g)
-        levels = [top_bit]
-        try:
-            for cand, placed in walk_levels(view, levels, top_bit | cut):
-                if not cand & base:
-                    continue
-                caps[(base | placed) & ~cut] = walk = tuple(levels), placed
-                if not cand & ~base:
-                    break
-                if cand.bit_count() == 2 and bits[low(cand)] & cand:
-                    p = cand & ~base
-                    if len(carriers(view, levels[-1], placed, low(p))) == 1:
-                        caps[(base | placed | p) & ~cut] = walk
-        except NotTowerError:
-            pass
+    view = view_of(g)
+    levels = [top_bit]
+    try:
+        for cand, placed in walk_levels(view, levels, top_bit | cut):
+            if not cand & base:
+                continue
+            caps[(base | placed) & ~cut] = walk = tuple(levels), placed
+            if not cand & ~base:
+                break
+            if cand.bit_count() == 2 and bits[low(cand)] & cand:
+                p = cand & ~base
+                if len(carriers(view, levels[-1], placed, low(p))) == 1:
+                    caps[(base | placed | p) & ~cut] = walk
+    except NotTowerError:
+        pass
     return caps
 
 
@@ -394,6 +405,30 @@ def _top_pairs(g: Graph, top: int) -> list[int]:
     return pairs
 
 
+def _split_edges(
+    g: Graph, top: int, pairs: list[int], edges: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The split edges that rule 2 admits at ``top``, in the order of
+    ``edges``, every edge of g sorted.  ``pairs`` are the top's
+    ``_top_pairs``, which all leave runs P = N(top) - p of one size: an edge
+    needs both ends in P if |P| >= 2, and one if |P| == 1.  If P is empty
+    every edge off the top is admitted.
+    """
+    bits = g.bits
+    runs = [bits[top] & ~p for p in pairs]
+    if not runs[0]:
+        return [e for e in edges if top not in e]
+    # A run of two or more holds both ends of an edge; a run of one vertex
+    # holds one, and the other is any neighbor of it but the top.
+    admitted = set()
+    for run in runs:
+        inner = run if run & (run - 1) else ~(1 << top)
+        for v in members(run):
+            for w in members(bits[v] & inner):
+                admitted.add((v, w) if v < w else (w, v))
+    return sorted(admitted)
+
+
 def verify_candidate(g: Graph, sol: PseudoTriangleSolution) -> bool:
     """Is ``sol`` a reading of g?  Its cycle is in g, its chains pass
     ``_necessary_conditions``, and walking the chains (left down, bottom
@@ -466,13 +501,11 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     """All pseudo-triangle readings that the split-edge search reaches,
     canonically sorted; an empty list means none was found.
 
-    Every (top, split edge) is tried with fast rejection: a top without
-    ``_top_pairs`` starts no reading and is skipped in both rounds
-    (``top_rejected``), and so is a cap C that no pair p fits with
-    ``N(top) & C == p & C`` (``_top_pairs``' corollary), before it is
-    leveled (``cap_pair_rejected``).  A cap's chain pairs are read only
-    once some split of it has two parts that solve.  Each (split edge, cap) is
-    split and its parts read once, in one orientation, and assembly joins
+    Each top tries only the split edges that its joint pairs admit (rule 2
+    of the module docstring), and a top without ``_top_pairs`` starts no
+    reading and is skipped in both rounds.  A cap's chain pairs are read only
+    once some split of it has two parts that solve.  Each (split edge, cap)
+    is split and its parts read once, in one orientation, and assembly joins
     each chain pair, in both orders, to each pair of part paths and returns
     only the cycle.
 
@@ -485,19 +518,23 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
     that assembles the cycle and accepts it; the left chain runs from that
     top in the canonical direction, and the first (j, k) that passes wins.
 
-    Stats: each (split edge, cap) counts once as ``cap_not_tower`` if the
-    cap does not level, ``split_rejected`` if its rest is not two parts split
-    by the edge, ``part_rejected`` if a part has no path, or ``cap_not_tower``
-    if its constraint graph, built only then, has an odd cycle;
-    ``assembly_rejected`` counts walks with a junction that is not an edge,
-    ``verify_rejected`` the distinct (cycle, top) pairs, of cycles not yet
-    accepted, that no triple with that top accepts, and ``accepted`` the
+    Stats: ``top_rejected`` counts tops without joint pairs, and
+    ``edge_rejected`` grows once per other top, by the edges off it that
+    rule 2 does not admit.  ``cap_rejected`` counts admitted split edges
+    with no cap.  Each (split edge, cap) counts once as ``cap_not_tower`` if
+    the cap does not level, ``split_rejected`` if its rest is not two parts
+    split by the edge, ``part_rejected`` if a part has no path, or
+    ``cap_not_tower`` if its constraint graph, built only then, has an odd
+    cycle; ``assembly_rejected`` counts walks with a junction that is not an
+    edge, ``verify_rejected`` the distinct (cycle, top) pairs, of cycles not
+    yet accepted, that no triple with that top accepts, and ``accepted`` the
     assemblies of accepted cycles.
     """
     st = stats if stats is not None else {}
 
-    def bump(key: str) -> None:
-        st[key] = st.get(key, 0) + 1
+    def bump(key: str, count: int = 1) -> None:
+        if count:
+            st[key] = st.get(key, 0) + count
 
     if g.n < 3 or not is_connected(view_of(g)):
         return []
@@ -530,24 +567,16 @@ def solve(g: Graph, stats: dict[str, int] | None = None) -> list[PseudoTriangleS
             if not joint_pairs:
                 bump("top_rejected")
                 continue
-            top_nbrs = g.bits[top]
+            split_edges = _split_edges(g, top, joint_pairs, edges)
+            bump("edge_rejected", g.m - len(nbrs[top]) - len(split_edges))
             contexts: dict[int, CapContext | None] = {}
             cap_chains: dict[int, list[tuple[tuple[int, ...], ...]] | None] = {}
-            for pair in edges:
-                if top in pair:
-                    continue
+            for pair in split_edges:
                 caps = extract_cap(g, top, pair)
                 if not caps:
                     bump("cap_rejected")
                     continue
                 for cap, walk in caps.items():
-                    seen = top_nbrs & cap
-                    for p in joint_pairs:
-                        if not seen & ~p:
-                            break
-                    else:
-                        bump("cap_pair_rejected")
-                        continue
                     if cap not in contexts:
                         contexts[cap] = _cap_context(g, cap, top, walk)
                     if (context := contexts[cap]) is None:

@@ -14,7 +14,7 @@ same records on every later one:
 - ``corpus``: criterion 1's 500 pseudo-triangles, 50 of them degenerate.
 
 Every graph is read by ``solve_tower`` and ``solve_pseudo_tower``, and every
-graph outside the two tower sets by ``solve_pseudo_triangle`` too.
+graph outside the pseudo-tower set by ``solve_pseudo_triangle`` too.
 
 The stage tests read auto-mixed and ``brute_force_graphs``, 101 small graphs
 kept out of ``SETS`` and so out of the answer store, through two more
@@ -50,7 +50,7 @@ from polyvis import (
     visibility_graph,
 )
 from polyvis import pseudotriangle, tower
-from polyvis.pseudotriangle import CapWalk, PseudoTriangleSolution, extract_cap
+from polyvis.pseudotriangle import CapWalk, PseudoTriangleSolution, _top_pairs, extract_cap
 
 from oracles import mutated_pseudo_triangle, random_connected_graph
 
@@ -63,9 +63,9 @@ class Record:
 
     ``source`` is what the graph was made from: its polygon, its
     pseudo-tower instance or its auto-mixed manifest item.  ``triangles``,
-    ``stats`` and ``solve_s`` are None on the tower sets, and ``triangles``
-    is None where ``solve_pseudo_triangle`` raised ``error``.  Every test
-    reads the same records, so none may change them.
+    ``stats`` and ``solve_s`` are None on the pseudo-tower set, and
+    ``triangles`` is None where ``solve_pseudo_triangle`` raised ``error``.
+    Every test reads the same records, so none may change them.
     """
 
     id: str
@@ -174,7 +174,7 @@ def _shared(build: Callable) -> Callable:
 @_shared
 def graph_set(name: str) -> tuple[Record, ...]:
     """The named set's records, built and solved on the first call."""
-    triangles = name not in ("towers", "pseudo-towers")
+    triangles = name != "pseudo-towers"
     records = []
     t0 = time.perf_counter()
     for id, g, source in SETS[name]():
@@ -261,18 +261,38 @@ def stage_log(name: str) -> tuple[Stages, ...]:
     return tuple(log)
 
 
+CapCase = tuple[Graph, int, tuple[int, int], tuple[tuple[int, CapWalk | None], ...]]
+
+
 @_shared
-def cap_cases(name: str) -> tuple[tuple[Graph, int, tuple[int, int], dict[int, CapWalk]], ...]:
-    """``extract_cap``'s caps, vertex masks in walk order mapped to their
-    walks, on every (graph, top, split edge) of the named graphs, the top
-    off the edge."""
+def cap_cases(name: str) -> tuple[CapCase, ...]:
+    """``extract_cap``'s caps, vertex masks in walk order, each paired with
+    its walk, on every (graph, top, split edge) of the named graphs, the top
+    off the edge.  A walk is kept only for a cap that the tests resume: one
+    that fits a joint pair of the top (``_top_pairs``' corollary) or in
+    which the top sees one vertex.  Every other cap's walk is None: keeping
+    every walk of auto-mixed's 194,903 caps, in a dict per case, took
+    Tier-1's peak memory from 172 to 228 MB."""
     graphs = _stage_graphs(name)
-    cases = ((g, top, e) for g in graphs for top in range(g.n) for e in g.edges if top not in e)
     # The cases only grow, so a collection finds nothing to free; each full one
     # rescans every case built so far, which took a third of auto-mixed's
     # build even with the shared sets frozen.
     gc.disable()
     try:
-        return tuple((g, top, e, extract_cap(g, top, e)) for g, top, e in cases)
+        cases = []
+        for g in graphs:
+            for top in range(g.n):
+                pairs, nb = _top_pairs(g, top), g.bits[top]
+                for e in g.edges:
+                    if top not in e:
+                        caps = extract_cap(g, top, e).items()
+                        kept = tuple((cap, walk if _resumed(nb & cap, pairs) else None) for cap, walk in caps)
+                        cases.append((g, top, e, kept))
+        return tuple(cases)
     finally:
         gc.enable()
+
+
+def _resumed(seen: int, pairs: list[int]) -> bool:
+    """Does a cap in which the top sees the vertex mask ``seen`` keep its walk?"""
+    return seen.bit_count() == 1 or any(not seen & ~p for p in pairs)

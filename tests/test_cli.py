@@ -69,16 +69,16 @@ def test_solve_json_counts_rejected_tops(capsys):
 
 
 def test_solve_json_counts_pruned_caps(capsys):
-    # On this stored pseudo-triangle, 119 caps are skipped before leveling:
-    # the vertices that their top sees in them are not those of a joint pair.
-    # Each (split edge, cap) is split once, so a rejected split counts once;
-    # one of the 10 is of a cap whose constraint graph has an odd cycle,
-    # which is built only once both parts have paths.
+    # On this stored pseudo-triangle both tops have degree 5, and their joint
+    # pairs admit 6 split edges each, the edges of the runs they leave: 202
+    # of the 214 (top, edge) pairs off the tops are turned away before any
+    # cap is walked, counted once per top.  Each (split edge, cap) is split
+    # once, so a rejected split counts once.
     assert main(["solve", str(AUTO_MIXED / "pseudo-triangle-n20-s0.graph"), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["kind"] == "pseudo-triangle"
-    assert report["rejections"]["cap_pair_rejected"] == 119
-    assert report["rejections"]["split_rejected"] == 10
+    assert report["rejections"]["edge_rejected"] == 202
+    assert report["rejections"]["split_rejected"] == 7
 
 
 def test_gen_visgraph_solve_pipeline(tmp_path, capsys):

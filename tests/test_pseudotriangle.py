@@ -28,6 +28,7 @@ from polyvis.pseudotriangle import (
     _cap_context,
     _necessary_conditions,
     _reading,
+    _split_edges,
     _top_pairs,
     assemble_hamiltonian,
     extract_cap,
@@ -37,7 +38,7 @@ from polyvis.pseudotriangle import (
 )
 
 from conftest import PT6_EDGES, T5_EDGES, vertex_mask, vertex_set
-from corpora import brute_force_graphs, cap_cases, graph_set, stage_log
+from corpora import SETS, brute_force_graphs, cap_cases, graph_set, stage_log
 from oracles import (
     arc_pseudo_triangle,
     brute_hamiltonian_cycles,
@@ -418,6 +419,46 @@ def test_top_pairs_match_scan():
     assert found > 1000
 
 
+def _arcs_beside(order: tuple[int, ...], top: int, cap: int, e: tuple[int, int]):
+    """If the cap mask ``cap`` is an arc of the cycle ``order`` through the
+    top and ``e`` an edge of the arc left over, the two arcs beside ``e``,
+    each as a vertex set, ``e[0]``'s first; else None."""
+    at = order.index(top)
+    rest = [v for v in order[at:] + order[:at] if not cap >> v & 1]
+    if not cap >> top & 1 or not set(e) <= set(rest):
+        return None
+    ring = order + order
+    start = ring.index(rest[0], at)
+    if ring[start : start + len(rest)] != tuple(rest):  # the rest is no arc
+        return None
+    i, j = rest.index(e[0]), rest.index(e[1])
+    if abs(i - j) != 1:
+        return None
+    if i < j:
+        return frozenset(rest[: i + 1]), frozenset(rest[j:])
+    return frozenset(rest[i:]), frozenset(rest[: j + 1])
+
+
+def test_admitted_split_edge_carries_every_reading():
+    # The split-edge lemma of the module docstring: for every stored reading
+    # whose top has degree 3 or more, some edge that the top's joint pairs
+    # admit has a cap that is an arc of the cycle through the top, and
+    # split_parts cuts the rest into the two arcs beside the edge.
+    checked = {3: 0, 4: 0}
+    for r in (r for name in SETS for r in graph_set(name)):
+        g = r.graph
+        for s in r.triangles or ():
+            top = s.chains[0][0]
+            if g.degree(top) < 3:
+                continue
+            admitted = _split_edges(g, top, _top_pairs(g, top), sorted(g.edges))
+            splits = [(_arcs_beside(s.cycle.order, top, cap, e), _split(g, vertex_set(cap), e))
+                      for e in admitted for cap in extract_cap(g, top, e)]
+            assert any(arcs is not None and arcs == parts for arcs, parts in splits), (r.id, s.chains)
+            checked[min(g.degree(top), 4)] += 1
+    assert checked[3] > 100 and checked[4] > 50, checked
+
+
 @pytest.mark.parametrize("graphs", ["brute-force", "auto-mixed"])
 def test_extract_cap_matches_walk(graphs):
     # Every split edge of every top gets the caps that the walk reads, however
@@ -425,9 +466,10 @@ def test_extract_cap_matches_walk(graphs):
     # iff it is a chordless path hanging from the top.
     wide = hanging = not_hanging = 0
     for g, top, e, caps in cap_cases(graphs):
-        assert list(caps) == [vertex_mask(cap) for cap in extract_cap_walk(g, top, e)], (g.edges, top, e)
+        walked = [vertex_mask(cap) for cap in extract_cap_walk(g, top, e)]
+        assert [cap for cap, _ in caps] == walked, (g.edges, top, e)
         wide += len(g[top] - set(e)) > 2 and bool(caps)
-        for cap, walk in caps.items():
+        for cap, walk in caps:
             cap_set = vertex_set(cap)
             if len(g[top] & cap_set) == 1:
                 levels = _cap_context(g, cap, top, walk) is not None
@@ -449,15 +491,16 @@ def test_resumed_cap_context_matches_scan(graphs):
     for g, top, _, caps in cap_cases(graphs):
         if (id(g), top) not in pairs:
             pairs[id(g), top] = [vertex_set(p) for p in _top_pairs(g, top)]
-        for cap, (levels, placed) in caps.items():
+        for cap, walk in caps:
             cap_set = vertex_set(cap)
             if not any(g[top] & cap_set <= p for p in pairs[id(g), top]):
                 continue
+            levels, placed = walk
             want = cap_context_scan(g, cap_set, top)
             if want is not None:
                 view, lv, tail, attachment = want
                 want = frozenset(view), lv, tail, attachment
-            got = _cap_context(g, cap, top, (levels, placed))
+            got = _cap_context(g, cap, top, walk)
             if got is not None:
                 (_, within), lv, tail, attachment = got
                 got = vertex_set(within), [vertex_set(lvl) for lvl in lv], tail, attachment
@@ -473,14 +516,15 @@ def test_resumed_cap_context_matches_scan(graphs):
 def test_two_firm_top_neighbors_never_level(graphs):
     # Wherever the top sees two non-adjacent cap vertices that each have
     # three or more cap neighbors, the cap does not level, so leveling alone
-    # rejects it as cap_not_tower.
+    # rejects it as cap_not_tower.  The caps are leveled from the top, since
+    # ``cap_cases`` keeps no walk for most of them.
     fired = 0
     for g, top, _, caps in cap_cases(graphs):
-        for cap, walk in caps.items():
+        for cap, _ in caps:
             cap_set = vertex_set(cap)
             firm = [v for v in g[top] & cap_set if len(g[v] & cap_set) > 2]
             if any(not g.has_edge(a, b) for a, b in combinations(firm, 2)):
-                assert _cap_context(g, cap, top, walk) is None, (g.edges, top, cap_set)
+                assert _from_top(g, cap_set, top) is None, (g.edges, top, cap_set)
                 fired += 1
     assert fired > 30, fired
 

@@ -15,7 +15,7 @@ and these fields:
 - ``verify``, on auto-mixed only: ``verify_cycle``'s verdict on the
   manifest's order.
 
-The tower sets have no ``triangles`` or ``stats``.  Each set's lines must
+The pseudo-tower set has no ``triangles`` or ``stats``.  Each set's lines must
 equal the stored ones exactly; a failure names only the graphs that differ,
 with the stored and the new line of each.  When a change is meant to alter
 these answers or counts, rewrite the store with

@@ -138,12 +138,12 @@ def test_bordering_constraints_match_scan_on_solver_levelings():
 
     seen = [(nbrs, lv, bg) for s in log for (nbrs, lv), bg in s.calls["bordering_constraints"]]
     rejected = sum(bg is None for _, _, bg in seen)
-    # 645 and 36 of them are caps', the rest side parts'; the search levels
-    # 2,207 caps, of which 131 have an odd cycle.
-    assert (len(seen) - rejected, rejected) == (1644, 42)
+    # 651 and 36 of them are caps', the rest side parts'; the search levels
+    # 1,770 caps, of which 128 have an odd cycle.
+    assert (len(seen) - rejected, rejected) == (1508, 42)
     leveled = [ctx for s in log for _, ctx in s.calls["_cap_context"] if ctx]
     caps = [(view, lv, constraints(view, lv)) for view, lv, _, _ in leveled]
-    assert (len(caps), sum(bg is None for _, _, bg in caps)) == (2207, 131)
+    assert (len(caps), sum(bg is None for _, _, bg in caps)) == (1770, 128)
     for (bits, within), lv, bg in seen + caps:
         nbrs = {v: vertex_set(bits[v] & within) for v in vertex_set(within)}
         want = bordering_constraints_scan(nbrs, [vertex_set(lvl) for lvl in lv])
@@ -166,7 +166,7 @@ def test_bordering_chains_match_scan(graphs):
             got = None
         assert got == want, (nbrs, want)
         odd += want is None
-    assert (len(seen), odd) == {"brute-force": (555, 0), "auto-mixed": (1686, 42)}[graphs]
+    assert (len(seen), odd) == {"brute-force": (500, 0), "auto-mixed": (1550, 42)}[graphs]
 
 
 def test_enumerate_borderings_counts(t5_graph):
